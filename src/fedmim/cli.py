@@ -82,8 +82,6 @@ def load_config(path: str | None) -> dict:
         return json.loads(json.dumps(_DEFAULTS))
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -123,12 +121,11 @@ def _optimizer(cfg: dict) -> model.OptimizerConfig:
     ).validate()
 
 
-def _federation(cfg: dict, threads: int) -> fed.FederationConfig:
+def _federation(cfg: dict) -> fed.FederationConfig:
     f = cfg["federation"]
     return fed.FederationConfig(
         num_clients=f["num_clients"], total_rounds=f["total_rounds"],
         local_steps=f["local_steps"], opt=_optimizer(cfg), seed=cfg["seed"],
-        parallel_clients=threads > 1, max_workers=max(1, threads),
     ).validate()
 
 
@@ -170,12 +167,12 @@ def cmd_generate(cfg: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_pretrain(cfg: dict, out_dir: Path, threads: int) -> int:
+def cmd_pretrain(cfg: dict, out_dir: Path) -> int:
     if not out_dir.parent.exists():
         raise OSError(f"parent of output directory does not exist: {out_dir}")
     out_dir.mkdir(exist_ok=True)
     model_cfg = _model_config(cfg)
-    fed_cfg = _federation(cfg, threads)
+    fed_cfg = _federation(cfg)
     dataset = _generate(cfg)
     clients = build_clients(
         dataset, fed_cfg.num_clients, cfg["federation"]["alpha"],
@@ -337,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON run configuration")
     parser.add_argument("--seed", type=int, help="override config seed")
-    parser.add_argument("--threads", type=int, help="client worker cap")
+    parser.add_argument("--threads", type=int,
+                        help="accepted for compatibility (>= 1); has no effect")
     parser.add_argument("--out", default="out", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("generate", help="write a synthetic labeled dataset")
@@ -364,6 +362,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
+        # --threads / "threads" are validated for compatibility but have no
+        # effect: clients always run serially.
         threads = args.threads if args.threads is not None else cfg["threads"]
         if threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {threads}")
@@ -371,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "generate":
             return cmd_generate(cfg, out_dir)
         if args.command == "pretrain":
-            return cmd_pretrain(cfg, out_dir, threads)
+            return cmd_pretrain(cfg, out_dir)
         if args.command == "finetune":
             return cmd_finetune(cfg, Path(args.checkpoint),
                                 Path(args.labeled_dir), out_dir)

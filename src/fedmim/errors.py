@@ -25,10 +25,6 @@ class InvalidRatio(FedmimError):
     """Mask ratio outside (0, 1)."""
 
 
-class InvalidConfig(FedmimError):
-    """A configuration value violates its invariants."""
-
-
 class EmptyVisibleSet(FedmimError):
     """The forward pass needs at least one visible patch."""
 

@@ -1,17 +1,16 @@
 """Federated pre-training engine: broadcast, local full-batch gradient
 steps, sample-count-weighted aggregation, and checkpoint persistence.
 
-Determinism contract: client results are merged in ascending client-id
-order and every per-sample random choice is frozen at setup, so two runs
-with the same config, data, and seed produce byte-identical checkpoints
-whether clients execute serially or in parallel.
+Determinism contract: clients run one after another and their results
+are merged in ascending client-id order, and every per-sample random
+choice is frozen at setup, so two runs with the same config, data, and
+seed produce byte-identical checkpoints.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,8 +35,6 @@ class FederationConfig:
     local_steps: int = 1
     opt: OptimizerConfig = field(default_factory=OptimizerConfig)
     seed: int = 0
-    parallel_clients: bool = False
-    max_workers: int = 4
 
     def validate(self) -> "FederationConfig":
         if self.num_clients < 1:
@@ -134,19 +131,12 @@ def run_pretraining(
     trace: list[tuple[int, float, float]] = [
         (start_round, global_loss(params, model_cfg, clients), 0.0)
     ]
-
-    def one_client(client: ClientState, eta: float) -> tuple[np.ndarray, int]:
-        updated = local_update(params, client, model_cfg, cfg.local_steps, eta)
-        return updated, client.num_samples
-
     for t in range(start_round, cfg.total_rounds):
         eta = lr_schedule(t, cfg.opt)
-        if cfg.parallel_clients and len(clients) > 1:
-            with ThreadPoolExecutor(max_workers=cfg.max_workers) as pool:
-                results = list(pool.map(lambda c: one_client(c, eta), clients))
-        else:
-            results = [one_client(c, eta) for c in clients]
-        params = aggregate(results)
+        params = aggregate([
+            (local_update(params, c, model_cfg, cfg.local_steps, eta), c.num_samples)
+            for c in clients
+        ])
         trace.append((t + 1, global_loss(params, model_cfg, clients), eta))
     return params, trace
 

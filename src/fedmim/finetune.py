@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TooFewSamples
+from .errors import BadLabel, TooFewSamples
 from .model import (
     ModelConfig,
     OptimizerConfig,
@@ -53,6 +53,9 @@ def batch_probe_loss_and_grad(
     probe_params: np.ndarray, features: np.ndarray, labels: np.ndarray, num_classes: int
 ) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy over the batch with its exact gradient."""
+    out_of_range = (labels < 0) | (labels >= num_classes)
+    if out_of_range.any():
+        raise BadLabel(f"label {labels[out_of_range][0]} outside [0, {num_classes})")
     n, embed_dim = features.shape
     w_c, b_c = unpack_probe(probe_params, num_classes, embed_dim)
     logits = features @ w_c.T + b_c

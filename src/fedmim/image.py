@@ -93,24 +93,9 @@ def convolve2d(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out
 
 
-def bilinear_sample(img: np.ndarray, x: float, y: float) -> float:
-    """Bilinear blend of the 4 surrounding pixels; 0 outside [0,W-1]x[0,H-1]."""
-    h, w = img.shape
-    if x < 0.0 or y < 0.0 or x > w - 1 or y > h - 1:
-        return 0.0
-    x0 = int(np.floor(x))
-    y0 = int(np.floor(y))
-    x1 = min(x0 + 1, w - 1)
-    y1 = min(y0 + 1, h - 1)
-    fx = x - x0
-    fy = y - y0
-    top = (1.0 - fx) * img[y0, x0] + fx * img[y0, x1]
-    bot = (1.0 - fx) * img[y1, x0] + fx * img[y1, x1]
-    return float((1.0 - fy) * top + fy * bot)
-
-
 def bilinear_sample_grid(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Vectorized bilinear_sample over coordinate arrays (same semantics)."""
+    """Bilinear blend of the 4 pixels around each (x, y); 0 outside
+    [0, W-1] x [0, H-1]."""
     h, w = img.shape
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)

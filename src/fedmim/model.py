@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLabel, EmptyVisibleSet, ShapeMismatch
+from .errors import EmptyVisibleSet, ShapeMismatch
 from .image import PatchGrid
 from .rng import Rng
 from .tgm import MaskPartition
@@ -96,55 +96,26 @@ def positional_embeddings(num_patches: int, embed_dim: int) -> np.ndarray:
     return table
 
 
-def forward(
-    params: np.ndarray,
-    cfg: ModelConfig,
-    visible_patches: np.ndarray,
-    visible_idx,
-    masked_idx,
-) -> np.ndarray:
-    """Predict the masked patches; returns shape (len(masked_idx), N).
-
-    visible_patches holds one row per entry of visible_idx. The result is
-    keyed by masked index, so enumeration order of either set is
-    irrelevant.
-    """
-    visible_idx = np.asarray(visible_idx, dtype=np.int64)
-    masked_idx = np.asarray(masked_idx, dtype=np.int64)
-    if visible_idx.size == 0:
-        raise EmptyVisibleSet("need at least one visible patch")
-    w_e, b_e, w_d, b_d = unpack_params(params, cfg)
-    q = positional_embeddings(cfg.num_patches, cfg.embed_dim)
-    z = visible_patches @ w_e.T + b_e + q[visible_idx]
-    h = np.tanh(z)
-    context = h.mean(axis=0)
-    phi = np.concatenate(
-        [np.broadcast_to(context, (masked_idx.size, cfg.embed_dim)), q[masked_idx]],
-        axis=1,
-    )
-    return phi @ w_d.T + b_d
-
-
 @dataclass(frozen=True)
 class PreparedBatch:
     """Stacked, pixel-scaled tensors for one or more samples with a common
     (V, M) split, used by the vectorized loss/grad path.
 
-    The optional full-grid fields exploit that q_masked rows repeat at
-    most L distinct embeddings: predictions are then formed over all L
-    positions at once from a single (L, E) product and masked down by a
-    0/1 weight, which is much cheaper per local step than per-row
-    matmuls. prepare_batch fills them; hand-built batches without them
-    use the plain dense path.
+    The loss uses the full-grid fields: q_masked rows repeat at most L
+    distinct embeddings, so predictions are formed over all L positions
+    at once from a single (L, E) product and masked down by a 0/1
+    weight, which is much cheaper per local step than per-row matmuls.
+    targets and q_masked hold the same data in dense per-masked-row form
+    and fix the masked count M.
     """
 
     visible: np.ndarray  # (n, V, N), scaled to [0, 1]
     targets: np.ndarray  # (n, M, N), scaled to [0, 1]
     q_visible: np.ndarray  # (n, V, E)
     q_masked: np.ndarray  # (n, M, E)
-    pe: np.ndarray | None = None  # (L, E) full embedding table
-    targets_full: np.ndarray | None = None  # (n, L, N), zero off-mask
-    mask_weight: np.ndarray | None = None  # (n, L, 1) 1 on masked positions
+    pe: np.ndarray  # (L, E) full embedding table
+    targets_full: np.ndarray  # (n, L, N), zero off-mask
+    mask_weight: np.ndarray  # (n, L, 1) 1 on masked positions
 
     @property
     def size(self) -> int:
@@ -201,25 +172,17 @@ def batch_loss_and_grad(
     h = np.tanh(z)
     context = h.mean(axis=1)  # (n, E)
     per_sample = context @ w_d_ctx.T + b_d  # (n, N) part of every prediction
-    if batch.pe is not None:
-        # Full-grid path: predictions at every position from one (L, N)
-        # product, off-mask rows zeroed by the weight.
-        resid = batch.pe @ w_d_pos.T + per_sample[:, None, :]
-        resid -= batch.targets_full
-        resid *= batch.mask_weight
-        flat_r = resid.ravel()
-        loss = float(np.dot(flat_r, flat_r) / (n * n_mask * patch_px))
-        r_per_sample = resid.sum(axis=1)  # (n, N)
-        d_w_d_pos = resid.sum(axis=0).T @ batch.pe
-    else:
-        flat_qm = batch.q_masked.reshape(n * n_mask, e)
-        resid = (flat_qm @ w_d_pos.T).reshape(n, n_mask, patch_px)
-        resid += per_sample[:, None, :]
-        resid -= batch.targets
-        flat_r = resid.ravel()
-        loss = float(np.dot(flat_r, flat_r) / (n * n_mask * patch_px))
-        r_per_sample = resid.sum(axis=1)  # (n, N)
-        d_w_d_pos = resid.reshape(n * n_mask, patch_px).T @ flat_qm
+    # Predictions at every position from one (L, N) product, off-mask
+    # rows zeroed by the weight.
+    resid = batch.pe @ w_d_pos.T + per_sample[:, None, :]
+    resid -= batch.targets_full
+    resid *= batch.mask_weight
+    flat_r = resid.ravel()
+    # einsum's own reduction, unlike BLAS dot, sums in an order that does
+    # not depend on the BLAS thread count.
+    loss = float(np.einsum("i,i->", flat_r, flat_r) / (n * n_mask * patch_px))
+    r_per_sample = resid.sum(axis=1)  # (n, N)
+    d_w_d_pos = resid.sum(axis=0).T @ batch.pe
     # Unscaled gradient w.r.t. predictions is just resid; the common factor
     # 2/(n*M*N) is applied once at the end.
     d_w_d_ctx = r_per_sample.T @ context
@@ -236,34 +199,6 @@ def batch_loss_and_grad(
     return loss, grad
 
 
-def loss_and_grad(
-    params: np.ndarray,
-    cfg: ModelConfig,
-    sample: tuple[PatchGrid, MaskPartition],
-) -> tuple[float, np.ndarray]:
-    """Single-sample reconstruction loss and exact analytic gradient."""
-    return batch_loss_and_grad(params, cfg, prepare_batch(cfg, [sample]))
-
-
-def finite_diff_grad(
-    loss_fn, params: np.ndarray, epsilon: float = 1e-6
-) -> np.ndarray:
-    """Central-difference gradient of a scalar loss over a flat vector."""
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    grad = np.zeros_like(params)
-    probe = params.copy()
-    for i in range(params.size):
-        orig = probe[i]
-        probe[i] = orig + epsilon
-        hi = loss_fn(probe)
-        probe[i] = orig - epsilon
-        lo = loss_fn(probe)
-        probe[i] = orig
-        grad[i] = (hi - lo) / (2.0 * epsilon)
-    return grad
-
-
 def lr_schedule(t: int, opt: OptimizerConfig) -> float:
     """Linear warmup from 0 to eta_max, then cosine annealing to eta_min."""
     opt.validate()
@@ -274,13 +209,6 @@ def lr_schedule(t: int, opt: OptimizerConfig) -> float:
     span = opt.total_rounds - opt.warmup_rounds
     frac = 0.0 if span == 0 else (t - opt.warmup_rounds) / span
     return opt.eta_min + 0.5 * (opt.eta_max - opt.eta_min) * (1.0 + math.cos(math.pi * frac))
-
-
-def sgd_step(params: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
-    """One plain gradient-descent update."""
-    if params.shape != grad.shape:
-        raise ShapeMismatch(f"params {params.shape} vs grad {grad.shape}")
-    return params - eta * grad
 
 
 def encode_features(
@@ -326,17 +254,3 @@ def probe_probabilities(
     exp = np.exp(logits)
     return exp / exp.sum()
 
-
-def probe_loss_and_grad(
-    probe_params: np.ndarray, feature: np.ndarray, label: int, num_classes: int
-) -> tuple[float, np.ndarray]:
-    """Softmax cross-entropy over one sample; exact probe gradient."""
-    if not (0 <= label < num_classes):
-        raise BadLabel(f"label {label} outside [0, {num_classes})")
-    probs = probe_probabilities(probe_params, feature, num_classes)
-    loss = -math.log(max(probs[label], 1e-300))
-    d_logits = probs.copy()
-    d_logits[label] -= 1.0
-    d_w = np.outer(d_logits, feature)
-    grad = np.concatenate([d_w.ravel(), d_logits])
-    return loss, grad

@@ -73,8 +73,9 @@ def apply_uim(
 ) -> tuple[PatchGrid, MaskPartition]:
     """Per-image pipeline: corrupt, then partition by the corrupted texture.
 
-    Scan-mode balancing happens at dataset level (see smat.balance_dataset);
-    this covers the per-image corruption + masking stages.
+    This covers only the per-image corruption and masking stages; no
+    pipeline stage balances scan modes (smat.balance_dataset is a
+    standalone helper).
     """
     corrupted = mixed_corrupt(img, corr_cfg, rng)
     grid = patchify(corrupted, patch_h, patch_w)

@@ -20,23 +20,28 @@ from fedmim.corrupt import (
     motion_blur_kernel,
     salt_pepper,
 )
-from fedmim.finetune import ProbeConfig, extract_features, probe_scores, train_probe
+from fedmim.finetune import (
+    ProbeConfig,
+    batch_probe_loss_and_grad,
+    extract_features,
+    probe_scores,
+    train_probe,
+)
 from fedmim.image import convolve2d
 from fedmim.model import (
     ModelConfig,
     OptimizerConfig,
     batch_loss_and_grad,
-    finite_diff_grad,
     init_params,
     init_probe,
     prepare_batch,
-    probe_loss_and_grad,
 )
 from fedmim.pipeline import PatchSpec, build_clients
 from fedmim.rng import Rng
 from fedmim.tgm import apply_uim, round_half_up, select_mask
 
 from conftest import record_criterion, random_sample
+from oracles import finite_diff_grad
 
 
 def rel_err(analytic, numeric, floor=1e-3):
@@ -82,12 +87,13 @@ def test_criterion_1_gradient_correctness():
         _, grad = batch_loss_and_grad(params, cfg, batch)
         fd = finite_diff_grad(make_loss_only(cfg, batch), params)
         worst = max(worst, float(rel_err(grad, fd).max()))
-        # Probe head gradient on a matching embedding size.
+        # Probe head gradient on a matching embedding size, one-sample batch.
         probe = init_probe(2, e, seed=i)
-        feature = rng.normal(size=e)
-        _, pgrad = probe_loss_and_grad(probe, feature, i % 2, 2)
+        feature = rng.normal(size=(1, e))
+        label = np.array([i % 2])
+        _, pgrad = batch_probe_loss_and_grad(probe, feature, label, 2)
         pfd = finite_diff_grad(
-            lambda p: probe_loss_and_grad(p, feature, i % 2, 2)[0], probe
+            lambda p: batch_probe_loss_and_grad(p, feature, label, 2)[0], probe
         )
         worst = max(worst, float(rel_err(pgrad, pfd).max()))
     elapsed = time.time() - t0

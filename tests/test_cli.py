@@ -1,13 +1,25 @@
 """Command-line interface: subcommands, config handling, exit codes."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedmim
 from fedmim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, load_config, main
 from fedmim.image import read_pgm, write_pgm
 from fedmim.metrics import auroc
+
+# sha256 of checkpoint.params from `fedmim --seed 7 pretrain` with the
+# default config. A change here means every default run's model changed.
+DEFAULT_PRETRAIN_PARAMS_SHA256 = (
+    "c0b3d82c7806edb82e3259ee2a77f1253aea249df6ec73d2e64539eecd2c9f29"
+)
 
 
 SMOKE = {
@@ -264,3 +276,49 @@ def test_threads_must_be_positive(workspace, tmp_path):
     _, cfg_path = workspace
     assert main(["--config", str(cfg_path), "--threads", "0",
                  "--out", str(tmp_path / "o"), "pretrain"]) == EXIT_CONFIG
+
+
+@pytest.fixture(scope="module")
+def default_runs(tmp_path_factory):
+    """`fedmim --seed 7 pretrain` with default settings, in fresh processes
+    with OpenBLAS pinned to 1 and to 2 threads; maps thread count to the
+    output directory."""
+    root = tmp_path_factory.mktemp("default")
+    src = str(Path(fedmim.__file__).resolve().parents[1])
+    runs = {}
+    for blas in (1, 2):
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas), PYTHONPATH=pythonpath)
+        out = root / f"blas{blas}"
+        subprocess.run(
+            [sys.executable, "-m", "fedmim.cli", "--seed", "7", "--out", str(out),
+             "pretrain"],
+            env=env, check=True, capture_output=True,
+        )
+        runs[blas] = out
+    return runs
+
+
+def test_default_pretrain_golden_hash(default_runs):
+    digest = hashlib.sha256(
+        (default_runs[1] / "checkpoint.params").read_bytes()).hexdigest()
+    assert digest == DEFAULT_PRETRAIN_PARAMS_SHA256
+
+
+def test_pretrain_outputs_independent_of_blas_threads(default_runs):
+    for name in ("loss_trace.csv", "checkpoint.params", "checkpoint.json"):
+        assert (default_runs[1] / name).read_bytes() == \
+            (default_runs[2] / name).read_bytes(), name
+
+
+def test_default_chain_bad_label_is_exit_2(default_runs, tmp_path, capsys):
+    # The default class mix emits label 2 (no lesion) against a 2-class probe.
+    data = tmp_path / "data"
+    assert main(["--seed", "7", "--out", str(data), "generate"]) == EXIT_OK
+    capsys.readouterr()
+    code = main(["--seed", "7", "--out", str(tmp_path / "ft"), "finetune",
+                 str(default_runs[1] / "checkpoint"), str(data)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: label 2 ")
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -154,18 +154,6 @@ def test_run_pretraining_trace_rounds():
     assert trace[0][2] == 0.0
 
 
-def test_run_pretraining_parallel_matches_serial():
-    cfg = small_cfg()
-    clients = [build_client(i, cfg, 2 + i, 100 * i) for i in range(4)]
-    opt = OptimizerConfig(1e-3, 1e-5, 2, 8)
-    serial_cfg = FederationConfig(4, 8, 2, opt, parallel_clients=False)
-    parallel_cfg = FederationConfig(4, 8, 2, opt, parallel_clients=True, max_workers=4)
-    p_serial, t_serial = run_pretraining(serial_cfg, cfg, clients, init_params(cfg))
-    p_par, t_par = run_pretraining(parallel_cfg, cfg, clients, init_params(cfg))
-    np.testing.assert_array_equal(p_serial, p_par)
-    assert t_serial == t_par
-
-
 def test_run_pretraining_client_order_irrelevant():
     cfg = small_cfg()
     clients = [build_client(i, cfg, 2, 7 * i) for i in range(3)]

@@ -11,13 +11,9 @@ from fedmim.finetune import (
     probe_scores,
     train_probe,
 )
-from fedmim.model import (
-    ModelConfig,
-    finite_diff_grad,
-    init_params,
-    init_probe,
-    probe_loss_and_grad,
-)
+from fedmim.model import ModelConfig, init_params, init_probe
+
+from oracles import finite_diff_grad, probe_loss_and_grad
 
 
 def toy_features(n=40, dim=4, seed=0):

@@ -5,29 +5,25 @@ import math
 import numpy as np
 import pytest
 
-from fedmim.errors import BadLabel, EmptyVisibleSet, ShapeMismatch
+from fedmim.errors import BadLabel, EmptyVisibleSet
+from fedmim.finetune import batch_probe_loss_and_grad
 from fedmim.model import (
     ModelConfig,
     OptimizerConfig,
-    PreparedBatch,
     batch_loss_and_grad,
     encode_features,
-    finite_diff_grad,
-    forward,
     init_params,
     init_probe,
-    loss_and_grad,
     lr_schedule,
     positional_embeddings,
     prepare_batch,
-    probe_loss_and_grad,
     probe_probabilities,
-    sgd_step,
     unpack_params,
 )
 from fedmim.rng import Rng
 
 from conftest import explicit_sample, random_sample
+from oracles import dense_loss_and_grad, finite_diff_grad, forward, loss_and_grad
 
 
 def rel_err(analytic, numeric, floor=1e-3):
@@ -78,18 +74,21 @@ def test_positional_embeddings_values():
 
 def test_forward_requires_visible():
     cfg = small_cfg()
+    sample = explicit_sample(cfg, np.zeros((4, 4)), masked=(0, 1, 2, 3), visible=())
     with pytest.raises(EmptyVisibleSet):
-        forward(init_params(cfg), cfg, np.zeros((0, 4)), [], [0])
+        batch_loss_and_grad(init_params(cfg), cfg, prepare_batch(cfg, [sample]))
 
 
 def test_forward_order_invariance():
     cfg = small_cfg()
     params = init_params(cfg)
-    rng = np.random.default_rng(0)
-    patches = rng.uniform(0.0, 1.0, (4, 4))
-    out_a = forward(params, cfg, patches[[0, 1]], [0, 1], [2, 3])
-    out_b = forward(params, cfg, patches[[1, 0]], [1, 0], [2, 3])
-    np.testing.assert_allclose(out_a, out_b, atol=1e-12)
+    patches = np.random.default_rng(0).uniform(0.0, 255.0, (4, 4))
+    sample_a = explicit_sample(cfg, patches, masked=(2, 3), visible=(0, 1))
+    sample_b = explicit_sample(cfg, patches, masked=(3, 2), visible=(1, 0))
+    loss_a, grad_a = batch_loss_and_grad(params, cfg, prepare_batch(cfg, [sample_a]))
+    loss_b, grad_b = batch_loss_and_grad(params, cfg, prepare_batch(cfg, [sample_b]))
+    assert loss_a == pytest.approx(loss_b, rel=1e-12)
+    np.testing.assert_allclose(grad_a, grad_b, atol=1e-12)
 
 
 def test_analytic_gradient_matches_finite_differences():
@@ -118,11 +117,17 @@ def test_full_grid_path_matches_dense_path():
     params = init_params(cfg)
     samples = [random_sample(cfg, Rng(i), 2, 4) for i in range(4)]
     batch = prepare_batch(cfg, samples)
-    dense = PreparedBatch(batch.visible, batch.targets, batch.q_visible, batch.q_masked)
     loss_a, grad_a = batch_loss_and_grad(params, cfg, batch)
-    loss_b, grad_b = batch_loss_and_grad(params, cfg, dense)
+    loss_b, grad_b = dense_loss_and_grad(params, cfg, batch)
     assert loss_a == pytest.approx(loss_b, rel=1e-14)
     np.testing.assert_allclose(grad_a, grad_b, atol=1e-14)
+    # The loss is the mean squared error of the single-sample forward pass.
+    sq_errs = []
+    for grid, part in samples:
+        pred = forward(params, cfg, grid.patches[list(part.visible)] / 255.0,
+                       part.visible, part.masked)
+        sq_errs.append(np.mean((pred - grid.patches[list(part.masked)] / 255.0) ** 2))
+    assert loss_a == pytest.approx(np.mean(sq_errs), rel=1e-12)
 
 
 def test_perfect_reconstruction_loss_zero():
@@ -178,16 +183,6 @@ def test_optimizer_validation():
         OptimizerConfig(warmup_rounds=20, total_rounds=10).validate()
 
 
-def test_sgd_step():
-    params = np.array([1.0, 2.0])
-    grad = np.array([0.5, -0.5])
-    np.testing.assert_array_equal(sgd_step(params, np.zeros(2), 0.1), params)
-    np.testing.assert_array_equal(sgd_step(params, grad, 0.0), params)
-    np.testing.assert_allclose(sgd_step(params, grad, 0.1), [0.95, 2.05])
-    with pytest.raises(ShapeMismatch):
-        sgd_step(params, np.zeros(3), 0.1)
-
-
 def test_encode_features_matches_manual():
     cfg = ModelConfig(patch_dim=4, embed_dim=3, num_patches=4, seed=2)
     params = init_params(cfg)
@@ -225,16 +220,17 @@ def test_probe_gradient_matches_finite_differences():
     rng = np.random.default_rng(4)
     for seed in range(5):
         probe = init_probe(3, 6, seed=seed)
-        feature = rng.normal(size=6)
-        label = seed % 3
-        _, grad = probe_loss_and_grad(probe, feature, label, 3)
+        features = rng.normal(size=(1, 6))
+        labels = np.array([seed % 3])
+        _, grad = batch_probe_loss_and_grad(probe, features, labels, 3)
         fd = finite_diff_grad(
-            lambda p: probe_loss_and_grad(p, feature, label, 3)[0], probe
+            lambda p: batch_probe_loss_and_grad(p, features, labels, 3)[0], probe
         )
         assert rel_err(grad, fd).max() < 1e-6
 
 
 def test_probe_rejects_bad_label():
     probe = init_probe(2, 4, seed=0)
-    with pytest.raises(BadLabel):
-        probe_loss_and_grad(probe, np.zeros(4), 2, 2)
+    for bad in (-1, 2):  # -1 would otherwise index the last class
+        with pytest.raises(BadLabel, match=f"label {bad} "):
+            batch_probe_loss_and_grad(probe, np.zeros((3, 4)), np.array([0, bad, 1]), 2)
