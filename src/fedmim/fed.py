@@ -49,11 +49,12 @@ class FederationConfig:
 
 @dataclass
 class ClientState:
-    """One client's frozen pre-processed dataset plus its latest params."""
+    """One client's frozen pre-processed dataset, plus the loss at the
+    parameters its last local_update started from."""
 
     client_id: int
     batch: PreparedBatch
-    params: np.ndarray | None = None
+    start_loss: float | None = None
 
     @property
     def num_samples(self) -> int:
@@ -77,10 +78,19 @@ def local_update(
     steps: int,
     eta: float,
 ) -> np.ndarray:
-    """E full-batch gradient steps on the client's local mean objective."""
+    """E full-batch gradient steps on the client's local mean objective.
+
+    The first step's loss, taken at global_params, goes to
+    client.start_loss. At eta 0 the steps are skipped, as they could not
+    move the parameters; the loss is still taken.
+    """
     params = global_params
-    for _ in range(steps):
-        _, grad = batch_loss_and_grad(params, model_cfg, client.batch)
+    for step in range(steps):
+        loss, grad = batch_loss_and_grad(params, model_cfg, client.batch)
+        if step == 0:
+            client.start_loss = loss
+            if eta == 0.0:
+                break
         params = params - eta * grad
     return params
 
@@ -101,16 +111,23 @@ def aggregate(local_results: list[tuple[np.ndarray, int]]) -> np.ndarray:
     return acc
 
 
+def _weighted_mean(losses: list[tuple[float, int]]) -> float:
+    """Sample-count-weighted mean of (loss, n_k) pairs, summed in list order."""
+    total = sum(n_k for _, n_k in losses)
+    acc = 0.0
+    for loss, n_k in losses:
+        acc += n_k * loss
+    return acc / total
+
+
 def global_loss(
     params: np.ndarray, model_cfg: ModelConfig, clients: list[ClientState]
 ) -> float:
     """Sample-count-weighted mean of the per-client mean losses."""
-    total = sum(c.num_samples for c in clients)
-    acc = 0.0
-    for client in sorted(clients, key=lambda c: c.client_id):
-        loss, _ = batch_loss_and_grad(params, model_cfg, client.batch)
-        acc += client.num_samples * loss
-    return acc / total
+    return _weighted_mean([
+        (batch_loss_and_grad(params, model_cfg, c.batch)[0], c.num_samples)
+        for c in sorted(clients, key=lambda c: c.client_id)
+    ])
 
 
 def run_pretraining(
@@ -122,22 +139,27 @@ def run_pretraining(
 ) -> tuple[np.ndarray, list[tuple[int, float, float]]]:
     """Run rounds start_round..total_rounds-1 of broadcast / local update /
     aggregate. Returns final params and a (round, global_loss, eta) trace;
-    the first trace row is the loss before any update in this call."""
+    the first trace row is the loss before any update in this call, and
+    each row's eta is the one of the round that led to it."""
     cfg.validate()
     if not clients:
         raise ValueError("need at least one client")
     clients = sorted(clients, key=lambda c: c.client_id)
     params = initial_params
-    trace: list[tuple[int, float, float]] = [
-        (start_round, global_loss(params, model_cfg, clients), 0.0)
-    ]
+    trace: list[tuple[int, float, float]] = []
+    prev_eta = 0.0
     for t in range(start_round, cfg.total_rounds):
         eta = lr_schedule(t, cfg.opt)
         params = aggregate([
             (local_update(params, c, model_cfg, cfg.local_steps, eta), c.num_samples)
             for c in clients
         ])
-        trace.append((t + 1, global_loss(params, model_cfg, clients), eta))
+        # Each client's first step took its loss at the broadcast params, so
+        # their weighted mean is the global loss this round started from.
+        start = _weighted_mean([(c.start_loss, c.num_samples) for c in clients])
+        trace.append((t, start, prev_eta))
+        prev_eta = eta
+    trace.append((cfg.total_rounds, global_loss(params, model_cfg, clients), prev_eta))
     return params, trace
 
 

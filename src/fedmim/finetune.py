@@ -49,13 +49,17 @@ def extract_features(
     )
 
 
+def _check_labels(labels: np.ndarray, num_classes: int) -> None:
+    out_of_range = (labels < 0) | (labels >= num_classes)
+    if out_of_range.any():
+        raise BadLabel(f"label {labels[out_of_range][0]} outside [0, {num_classes})")
+
+
 def batch_probe_loss_and_grad(
     probe_params: np.ndarray, features: np.ndarray, labels: np.ndarray, num_classes: int
 ) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy over the batch with its exact gradient."""
-    out_of_range = (labels < 0) | (labels >= num_classes)
-    if out_of_range.any():
-        raise BadLabel(f"label {labels[out_of_range][0]} outside [0, {num_classes})")
+    _check_labels(labels, num_classes)
     n, embed_dim = features.shape
     w_c, b_c = unpack_probe(probe_params, num_classes, embed_dim)
     logits = features @ w_c.T + b_c
@@ -92,6 +96,7 @@ def train_probe(
     features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig
 ) -> ProbeResult:
     """Train on a seeded split, keep the epoch with best validation accuracy."""
+    _check_labels(labels, cfg.num_classes)
     n = features.shape[0]
     n_val = int(round(cfg.val_fraction * n))
     if n_val < 1 or n - n_val < 1:

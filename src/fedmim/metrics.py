@@ -11,6 +11,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .errors import (
+    BadLabel,
     DegenerateMask,
     DegenerateVariance,
     EmptySet,
@@ -72,6 +73,9 @@ def auroc(scores, labels) -> float:
         raise LengthMismatch("scores and labels differ in length")
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
+    bad = labels[(labels != 0) & (labels != 1)]
+    if bad.size:
+        raise BadLabel(f"label {bad[0]} outside {{0, 1}}")
     if n_pos == 0 or n_neg == 0:
         raise OneClassOnly("need at least one positive and one negative")
     order = np.argsort(scores, kind="stable")

@@ -4,7 +4,9 @@ The model keeps the masked-image-modeling contract (encode visible
 patches only, reconstruct each masked patch at its position) while being
 small enough to differentiate by hand: a linear patch encoder with tanh,
 mean-pooled context over visible patches, and a per-masked-position
-linear decoder conditioned on [context ; positional embedding].
+linear decoder conditioned on [context ; positional embedding]. The
+decoder is linear, so its loss and gradients need the masked patches only
+through a few sums per client, which are computed once at setup.
 
 Parameter layout in the flat vector, all row-major:
     [W_e (E x N), b_e (E), W_d (N x 2E), b_d (N)]
@@ -98,24 +100,24 @@ def positional_embeddings(num_patches: int, embed_dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PreparedBatch:
-    """Stacked, pixel-scaled tensors for one or more samples with a common
-    (V, M) split, used by the vectorized loss/grad path.
-
-    The loss uses the full-grid fields: q_masked rows repeat at most L
-    distinct embeddings, so predictions are formed over all L positions
-    at once from a single (L, E) product and masked down by a 0/1
-    weight, which is much cheaper per local step than per-row matmuls.
-    targets and q_masked hold the same data in dense per-masked-row form
-    and fix the masked count M.
-    """
+    """Pixel-scaled tensors and masked-row sums (q: positional embedding,
+    t: target patch) for one or more samples with a common (V, M) split.
+    targets and q_masked keep the masked rows themselves and fix M."""
 
     visible: np.ndarray  # (n, V, N), scaled to [0, 1]
     targets: np.ndarray  # (n, M, N), scaled to [0, 1]
     q_visible: np.ndarray  # (n, V, E)
     q_masked: np.ndarray  # (n, M, E)
     pe: np.ndarray  # (L, E) full embedding table
-    targets_full: np.ndarray  # (n, L, N), zero off-mask
-    mask_weight: np.ndarray  # (n, L, 1) 1 on masked positions
+    q2: np.ndarray  # (E, E) sum of q q^T over all masked rows
+    s_q: np.ndarray  # (n, E) per-sample sum of q over masked rows
+    s_t: np.ndarray  # (n, N) per-sample sum of targets over masked rows
+    t_q: np.ndarray  # (N, E) sum of t q^T over all masked rows
+    t_sq: float  # sum of squared targets
+    # Always None; perfbench/tracer.py still reads these names when it
+    # sizes a batch.
+    targets_full: None = None
+    mask_weight: None = None
 
     @property
     def size(self) -> int:
@@ -127,11 +129,8 @@ def prepare_batch(
 ) -> PreparedBatch:
     """Stack (grid, partition) samples; all must share the same V/M counts."""
     q = positional_embeddings(cfg.num_patches, cfg.embed_dim)
-    n = len(samples)
-    tgt_full = np.zeros((n, cfg.num_patches, cfg.patch_dim))
-    weight = np.zeros((n, cfg.num_patches, 1))
     vis, tgt, qv, qm = [], [], [], []
-    for k, (grid, part) in enumerate(samples):
+    for grid, part in samples:
         if grid.num_patches != cfg.num_patches or grid.patch_dim != cfg.patch_dim:
             raise ShapeMismatch("grid does not match model config")
         v_idx = np.asarray(part.visible, dtype=np.int64)
@@ -140,11 +139,15 @@ def prepare_batch(
         tgt.append(grid.patches[m_idx] / PIXEL_SCALE)
         qv.append(q[v_idx])
         qm.append(q[m_idx])
-        tgt_full[k, m_idx] = tgt[-1]
-        weight[k, m_idx, 0] = 1.0
+    tgt, qm = np.stack(tgt), np.stack(qm)
+    flat_t = tgt.reshape(-1, cfg.patch_dim)
+    flat_q = qm.reshape(-1, cfg.embed_dim)
+    # einsum, unlike BLAS, sums in an order independent of the thread count.
     return PreparedBatch(
-        np.stack(vis), np.stack(tgt), np.stack(qv), np.stack(qm),
-        pe=q, targets_full=tgt_full, mask_weight=weight,
+        np.stack(vis), tgt, np.stack(qv), qm, pe=q,
+        q2=np.einsum("ri,rj->ij", flat_q, flat_q), s_q=qm.sum(axis=1),
+        s_t=tgt.sum(axis=1), t_q=np.einsum("ri,rj->ij", flat_t, flat_q),
+        t_sq=float(np.einsum("ri,ri->", flat_t, flat_t)),
     )
 
 
@@ -153,7 +156,13 @@ def batch_loss_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Mean per-sample reconstruction loss over the batch, with its exact
     gradient. Per-sample loss: (1/N_m) sum over masked patches of the
-    per-pixel mean squared error."""
+    per-pixel mean squared error.
+
+    With A = W_d[:, E:] and rows c_k = W_d[:, :E] ctx_k + b_d of C, the
+    masked-row residuals c_k + A q - t sum to R = M C + S_q A^T - S_t per
+    sample, the A-gradient is G = A Q2 + C^T S_q - T_q, and the squared
+    residual sum is <C, R - S_t> + <A, G - T_q> + |t|^2.
+    """
     w_e, b_e, w_d, b_d = unpack_params(params, cfg)
     n, n_vis, _ = batch.visible.shape
     n_mask = batch.targets.shape[1]
@@ -162,29 +171,20 @@ def batch_loss_and_grad(
     if n_vis == 0:
         raise EmptyVisibleSet("need at least one visible patch")
 
-    # Decoder input is [context ; q_masked]; keep the two blocks separate to
-    # avoid materializing the concatenated feature tensor.
-    w_d_ctx = w_d[:, :e]
-    w_d_pos = w_d[:, e:]
+    w_d_ctx, w_d_pos = w_d[:, :e], w_d[:, e:]
 
     flat_x = batch.visible.reshape(n * n_vis, patch_px)
     z = (flat_x @ w_e.T).reshape(n, n_vis, e) + b_e + batch.q_visible
     h = np.tanh(z)
     context = h.mean(axis=1)  # (n, E)
     per_sample = context @ w_d_ctx.T + b_d  # (n, N) part of every prediction
-    # Predictions at every position from one (L, N) product, off-mask
-    # rows zeroed by the weight.
-    resid = batch.pe @ w_d_pos.T + per_sample[:, None, :]
-    resid -= batch.targets_full
-    resid *= batch.mask_weight
-    flat_r = resid.ravel()
-    # einsum's own reduction, unlike BLAS dot, sums in an order that does
-    # not depend on the BLAS thread count.
-    loss = float(np.einsum("i,i->", flat_r, flat_r) / (n * n_mask * patch_px))
-    r_per_sample = resid.sum(axis=1)  # (n, N)
-    d_w_d_pos = resid.sum(axis=0).T @ batch.pe
-    # Unscaled gradient w.r.t. predictions is just resid; the common factor
-    # 2/(n*M*N) is applied once at the end.
+    r_per_sample = n_mask * per_sample + batch.s_q @ w_d_pos.T - batch.s_t
+    d_w_d_pos = w_d_pos @ batch.q2 + per_sample.T @ batch.s_q - batch.t_q
+    # einsum, unlike BLAS, sums in an order independent of the thread count.
+    sq_sum = (np.einsum("ij,ij->", per_sample, r_per_sample - batch.s_t)
+              + np.einsum("ij,ij->", w_d_pos, d_w_d_pos - batch.t_q) + batch.t_sq)
+    loss = float(sq_sum / (n * n_mask * patch_px))
+    # The factor 2/(n*M*N) common to every gradient is applied at the end.
     d_w_d_ctx = r_per_sample.T @ context
     d_b_d = r_per_sample.sum(axis=0)
     d_ctx = r_per_sample @ w_d_ctx  # (n, E)

@@ -56,7 +56,8 @@ def dense_loss_and_grad(
     params: np.ndarray, cfg: ModelConfig, batch: PreparedBatch
 ) -> tuple[float, np.ndarray]:
     """batch_loss_and_grad computed from the dense per-masked-row fields
-    (targets, q_masked) only, without the full-grid tensors."""
+    (targets, q_masked) only, as a direct sum of squared residuals rather
+    than from the batch's masked-row sums."""
     w_e, b_e, w_d, b_d = unpack_params(params, cfg)
     n, n_vis, _ = batch.visible.shape
     n_mask = batch.targets.shape[1]

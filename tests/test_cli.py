@@ -18,7 +18,7 @@ from fedmim.metrics import auroc
 # sha256 of checkpoint.params from `fedmim --seed 7 pretrain` with the
 # default config. A change here means every default run's model changed.
 DEFAULT_PRETRAIN_PARAMS_SHA256 = (
-    "c0b3d82c7806edb82e3259ee2a77f1253aea249df6ec73d2e64539eecd2c9f29"
+    "46bbe19e76ac0a5109bad176b83904a519a2b769c446108dded934bb38cd26ae"
 )
 
 
@@ -312,13 +312,19 @@ def test_pretrain_outputs_independent_of_blas_threads(default_runs):
 
 
 def test_default_chain_bad_label_is_exit_2(default_runs, tmp_path, capsys):
-    # The default class mix emits label 2 (no lesion) against a 2-class probe.
+    # The default class mix emits label 2 (no lesion) against a 2-class
+    # probe; it is rejected even when no training epoch runs.
     data = tmp_path / "data"
     assert main(["--seed", "7", "--out", str(data), "generate"]) == EXIT_OK
-    capsys.readouterr()
-    code = main(["--seed", "7", "--out", str(tmp_path / "ft"), "finetune",
-                 str(default_runs[1] / "checkpoint"), str(data)])
-    err = capsys.readouterr().err
-    assert code == EXIT_CONFIG
-    assert err.startswith("error: label 2 ")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    zero_epochs = tmp_path / "zero_epochs.json"
+    zero_epochs.write_text(json.dumps({"version": 1, "probe": {"epochs": 0}}))
+    for name, config in (("default", []), ("zero_epochs", ["--config", str(zero_epochs)])):
+        capsys.readouterr()
+        out = tmp_path / name
+        code = main(config + ["--seed", "7", "--out", str(out), "finetune",
+                              str(default_runs[1] / "checkpoint"), str(data)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, name
+        assert err.startswith("error: label 2 ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (out / "finetune_report.json").exists()

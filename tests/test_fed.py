@@ -24,6 +24,7 @@ from fedmim.model import (
     OptimizerConfig,
     batch_loss_and_grad,
     init_params,
+    lr_schedule,
     prepare_batch,
 )
 from fedmim.rng import Rng
@@ -152,6 +153,41 @@ def test_run_pretraining_trace_rounds():
     _, trace = run_pretraining(fed_cfg, cfg, clients, init_params(cfg))
     assert [row[0] for row in trace] == [0, 1, 2, 3]
     assert trace[0][2] == 0.0
+
+
+def test_run_pretraining_warmup_round_is_plain_average(monkeypatch):
+    # lr_schedule(0) is 0 under warmup: round 1 takes no steps, and the
+    # unchanged parameters still go through aggregate.
+    cfg = small_cfg()
+    clients = [build_client(i, cfg, i + 1, 5 * i) for i in range(3)]
+    fed_cfg = FederationConfig(3, 1, 4, OptimizerConfig(1e-3, 1e-5, 1, 5))
+    params0 = init_params(cfg)
+    calls = []
+    monkeypatch.setattr(
+        fed, "batch_loss_and_grad", lambda *a: calls.append(a) or batch_loss_and_grad(*a))
+    params, trace = run_pretraining(fed_cfg, cfg, clients, params0)
+    assert len(calls) == 2 * len(clients)  # one loss each before and after
+    expected = aggregate([(params0, c.num_samples) for c in clients])
+    assert params.tobytes() == expected.tobytes()
+    assert trace[0][1] == trace[1][1]
+
+
+def test_run_pretraining_trace_is_global_loss(monkeypatch):
+    cfg = small_cfg()
+    clients = [build_client(i, cfg, 2 + i, 3 * i) for i in range(3)]
+    fed_cfg = FederationConfig(3, 4, 2, OptimizerConfig(1e-2, 1e-5, 1, 4))
+    calls = []
+    monkeypatch.setattr(fed, "global_loss", lambda *a: calls.append(a) or global_loss(*a))
+    params, trace = run_pretraining(fed_cfg, cfg, clients, init_params(cfg))
+    assert len(calls) == 1  # the other rows come from the local steps
+    params = init_params(cfg)
+    expected = [global_loss(params, cfg, clients)]
+    for t in range(fed_cfg.total_rounds):
+        eta = lr_schedule(t, fed_cfg.opt)
+        params = aggregate([(local_update(params, c, cfg, 2, eta), c.num_samples)
+                            for c in clients])
+        expected.append(global_loss(params, cfg, clients))
+    assert [row[1] for row in trace] == expected
 
 
 def test_run_pretraining_client_order_irrelevant():

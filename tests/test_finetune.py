@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fedmim.errors import TooFewSamples
+from fedmim.errors import BadLabel, TooFewSamples
 from fedmim.finetune import (
     ProbeConfig,
     batch_probe_loss_and_grad,
@@ -100,3 +100,14 @@ def test_train_probe_rejects_tiny_dataset():
     features, labels = toy_features(2)
     with pytest.raises(TooFewSamples):
         train_probe(features, labels, ProbeConfig(num_classes=2, val_fraction=0.2))
+
+
+def test_train_probe_rejects_bad_label_in_either_split():
+    features, labels = toy_features()
+    split = train_probe(features, labels, ProbeConfig(num_classes=2, epochs=0, seed=3))
+    for where in (split.val_indices[0], split.train_indices[0]):
+        for epochs in (0, 3):
+            bad = labels.copy()
+            bad[where] = 2
+            with pytest.raises(BadLabel, match="label 2 "):
+                train_probe(features, bad, ProbeConfig(num_classes=2, epochs=epochs, seed=3))

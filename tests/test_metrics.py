@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmim.errors import (
+    BadLabel,
     DegenerateMask,
     DegenerateVariance,
     EmptySet,
@@ -109,6 +110,8 @@ def test_auroc_errors():
         auroc([0.1, 0.2], [1, 1])
     with pytest.raises(LengthMismatch):
         auroc([0.1, 0.2], [1])
+    with pytest.raises(BadLabel, match="label 2 "):
+        auroc([0.1, 0.2, 0.3], [0, 2, 1])
 
 
 def test_dsc_cases():
