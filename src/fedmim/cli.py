@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fed, metrics, model, smat, synth
 from .corrupt import CorruptionConfig, mixed_corrupt
-from .errors import FedmimError
+from .errors import FedmimError, MalformedFile
 from .finetune import ProbeConfig, extract_features, probe_scores, train_probe
 from .image import PatchGrid, depatchify, read_pgm, write_pgm
 from .pipeline import PatchSpec, build_clients
@@ -36,7 +36,9 @@ class ConfigError(FedmimError):
     """Raised for malformed or contradictory run configuration."""
 
 
-# Default run configuration; a config file overrides leaf values.
+# Default run configuration; a config file overrides leaf values. The
+# "model", "patch", "corruption", "optimizer" and "probe" sections hold
+# exactly the fields of the config class each one builds.
 _DEFAULTS: dict = {
     "version": 1,
     "seed": 0,
@@ -92,33 +94,20 @@ def load_config(path: str | None) -> dict:
 
 
 def _model_config(cfg: dict) -> model.ModelConfig:
-    m = cfg["model"]
-    return model.ModelConfig(
-        patch_dim=m["patch_dim"], embed_dim=m["embed_dim"],
-        num_patches=m["num_patches"], seed=cfg["seed"],
-    ).validate()
+    return model.ModelConfig(**cfg["model"], seed=cfg["seed"]).validate()
 
 
 def _patch_spec(cfg: dict) -> PatchSpec:
-    p = cfg["patch"]
-    return PatchSpec(p["patch_h"], p["patch_w"], p["mask_ratio"])
+    return PatchSpec(**cfg["patch"])
 
 
 def _corruption(cfg: dict) -> CorruptionConfig:
-    c = cfg["corruption"]
-    return CorruptionConfig(
-        p=c["p"], motion_d=c["motion_d"],
-        p_salt=c["p_salt"], p_pepper=c["p_pepper"],
-    ).validate()
+    return CorruptionConfig(**cfg["corruption"]).validate()
 
 
 def _optimizer(cfg: dict) -> model.OptimizerConfig:
-    o = cfg["optimizer"]
     return model.OptimizerConfig(
-        eta_max=o["eta_max"], eta_min=o["eta_min"],
-        warmup_rounds=o["warmup_rounds"],
-        total_rounds=cfg["federation"]["total_rounds"],
-    ).validate()
+        **cfg["optimizer"], total_rounds=cfg["federation"]["total_rounds"]).validate()
 
 
 def _federation(cfg: dict) -> fed.FederationConfig:
@@ -212,14 +201,18 @@ def cmd_pretrain(cfg: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _load_labeled_dir(labeled_dir: Path) -> tuple[list[np.ndarray], np.ndarray, list[str]]:
-    manifest = json.loads((labeled_dir / "labels.json").read_text(encoding="utf-8"))
-    images, labels, modes = [], [], []
-    for rec in manifest["samples"]:
-        images.append(read_pgm(labeled_dir / f"img_{rec['index']:04d}.pgm"))
-        labels.append(rec["label"])
-        modes.append(rec["mode"])
-    return images, np.array(labels, dtype=np.int64), modes
+def _load_labeled_dir(labeled_dir: Path) -> tuple[list[np.ndarray], np.ndarray]:
+    path = labeled_dir / "labels.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    samples = manifest.get("samples") if isinstance(manifest, dict) else None
+    if not isinstance(samples, list):
+        raise MalformedFile(f"{path}: root must be an object with a \"samples\" list")
+    for i, rec in enumerate(samples):
+        for key in ("index", "label"):
+            if not isinstance(rec, dict) or type(rec.get(key)) is not int:
+                raise MalformedFile(f"{path}: sample {i} has no integer {key!r} field")
+    images = [read_pgm(labeled_dir / f"img_{rec['index']:04d}.pgm") for rec in samples]
+    return images, np.array([rec["label"] for rec in samples], dtype=np.int64)
 
 
 def cmd_finetune(cfg: dict, checkpoint: Path, labeled_dir: Path, out_dir: Path) -> int:
@@ -230,33 +223,27 @@ def cmd_finetune(cfg: dict, checkpoint: Path, labeled_dir: Path, out_dir: Path) 
     ckpt = fed.load_checkpoint(str(checkpoint))
     if ckpt.model_cfg != model_cfg:
         raise ConfigError("checkpoint model config does not match run config")
-    images, labels, _ = _load_labeled_dir(labeled_dir)
+    images, labels = _load_labeled_dir(labeled_dir)
     patch = _patch_spec(cfg)
     feats = extract_features(ckpt.params, model_cfg, images, patch.patch_h, patch.patch_w)
-    p = cfg["probe"]
-    probe_cfg = ProbeConfig(
-        num_classes=p["num_classes"], epochs=p["epochs"],
-        val_fraction=p["val_fraction"],
-        opt=model.OptimizerConfig(p["eta_max"], p["eta_min"],
-                                  p["warmup_rounds"], p["epochs"]),
-        seed=cfg["seed"],
-    )
+    probe_cfg = ProbeConfig(**cfg["probe"], seed=cfg["seed"])
     result = train_probe(feats, labels, probe_cfg)
-    scores = probe_scores(result.probe_params, feats, p["num_classes"])
+    num_classes = probe_cfg.num_classes
+    scores = probe_scores(result.probe_params, feats, num_classes)
     with open(out_dir / "scores.csv", "w", encoding="utf-8") as fh:
         fh.write("index,label,split," +
-                 ",".join(f"p{c}" for c in range(p["num_classes"])) + "\n")
+                 ",".join(f"p{c}" for c in range(num_classes)) + "\n")
         val = set(int(i) for i in result.val_indices)
         for i, (row, label) in enumerate(zip(scores, labels)):
             split = "val" if i in val else "train"
             fh.write(f"{i},{label},{split}," +
                      ",".join(repr(float(v)) for v in row) + "\n")
-    val_scores = scores[result.val_indices][:, 1] if p["num_classes"] == 2 else None
+    val_idx = result.val_indices
     report = {
         "version": 1,
         "val_accuracy": result.val_accuracy,
-        "val_auroc": (metrics.auroc(val_scores, labels[result.val_indices])
-                      if val_scores is not None else None),
+        "val_auroc": (metrics.auroc(scores[val_idx, 1], labels[val_idx])
+                      if num_classes == 2 else None),
     }
     np.save(out_dir / "probe_params.npy", result.probe_params)
     (out_dir / "finetune_report.json").write_text(

@@ -29,13 +29,12 @@ SIGMA_RANGE = (0.5, 2.5)
 
 @dataclass(frozen=True)
 class CorruptionConfig:
-    """Knobs for mixed_corrupt; phi=None / sigma=None draw fresh per image."""
+    """Knobs for mixed_corrupt; the motion angle phi, and sigma when it is
+    None, are drawn fresh per image."""
 
     p: float = 0.5
     motion_d: int = 7
-    motion_phi: float | None = None
     gaussian_sigma: float | None = None
-    gaussian_radius: int | None = None  # None -> ceil(3 sigma)
     p_salt: float = 0.02
     p_pepper: float = 0.02
 
@@ -87,11 +86,9 @@ def gaussian_taps(sigma: float, radius: int) -> np.ndarray:
     return np.exp(-(u * u + v * v) / (2.0 * sigma * sigma)) / (2.0 * math.pi * sigma * sigma)
 
 
-def gaussian_kernel(sigma: float, radius: int | None = None) -> np.ndarray:
-    """Normalized Gaussian kernel; default truncation radius is ceil(3 sigma)."""
-    if radius is None:
-        radius = max(1, math.ceil(3.0 * sigma))
-    taps = gaussian_taps(sigma, radius)
+def gaussian_kernel(sigma: float) -> np.ndarray:
+    """Normalized Gaussian kernel truncated at radius max(1, ceil(3 sigma))."""
+    taps = gaussian_taps(sigma, max(1, math.ceil(3.0 * sigma)))
     return taps / taps.sum()
 
 
@@ -130,12 +127,12 @@ def mixed_corrupt(img: np.ndarray, cfg: CorruptionConfig, rng: Rng) -> np.ndarra
     out = img
     for op in ops:
         if op == MOTION:
-            phi = cfg.motion_phi if cfg.motion_phi is not None else rng.uniform(*PHI_RANGE)
+            phi = rng.uniform(*PHI_RANGE)
             out = convolve2d(out, motion_blur_kernel(cfg.motion_d, phi))
         elif op == GAUSSIAN:
             sigma = (cfg.gaussian_sigma if cfg.gaussian_sigma is not None
                      else rng.uniform(*SIGMA_RANGE))
-            out = convolve2d(out, gaussian_kernel(sigma, cfg.gaussian_radius))
+            out = convolve2d(out, gaussian_kernel(sigma))
         else:
             out = salt_pepper(out, cfg.p_salt, cfg.p_pepper, rng)
     return out

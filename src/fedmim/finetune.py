@@ -1,39 +1,35 @@
-"""Linear-probe fine-tuning on a frozen encoder: feature extraction,
-seeded train/validation split, full-batch gradient descent with the
-warmup+cosine schedule, best-validation-accuracy checkpointing."""
+"""Linear-probe fine-tuning on a frozen encoder: feature extraction, the
+probe head (one linear layer + softmax), seeded train/validation split,
+full-batch gradient descent with the warmup+cosine schedule,
+best-validation-accuracy checkpointing."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadLabel, TooFewSamples
-from .model import (
-    ModelConfig,
-    OptimizerConfig,
-    encode_features,
-    init_probe,
-    lr_schedule,
-    probe_probabilities,
-    unpack_probe,
-)
+from .image import patchify
+from .model import ModelConfig, OptimizerConfig, encode_features, lr_schedule
 from .rng import Rng
 
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Probe uses the same schedule shape as pre-training but gradient
-    descent on the convex probe objective tolerates a much larger step."""
+    """One field per key of the config's "probe" section, plus the seed.
+
+    The probe follows the pre-training schedule shape over `epochs`
+    rounds, but gradient descent on the convex probe objective tolerates
+    a much larger step."""
 
     num_classes: int = 2
     epochs: int = 200
     val_fraction: float = 0.2
-    opt: OptimizerConfig = field(
-        default_factory=lambda: OptimizerConfig(
-            eta_max=0.5, eta_min=1e-3, warmup_rounds=10, total_rounds=200
-        )
-    )
+    eta_max: float = 0.5
+    eta_min: float = 1e-3
+    warmup_rounds: int = 10
     seed: int = 0
 
 
@@ -44,9 +40,18 @@ def extract_features(
     patch_h: int,
     patch_w: int,
 ) -> np.ndarray:
-    return np.stack(
-        [encode_features(params, model_cfg, img, patch_h, patch_w) for img in images]
-    )
+    patches = np.stack([patchify(img, patch_h, patch_w).patches for img in images])
+    return encode_features(params, model_cfg, patches)
+
+
+def init_probe(num_classes: int, embed_dim: int, seed: int) -> np.ndarray:
+    """Flat probe parameters [W_c (C x E), b_c (C)], weights uniform small."""
+    rng = Rng(seed)
+    bound = 1.0 / math.sqrt(embed_dim)
+    params = np.zeros(num_classes * embed_dim + num_classes)
+    for i in range(num_classes * embed_dim):
+        params[i] = rng.uniform(-bound, bound)
+    return params
 
 
 def _check_labels(labels: np.ndarray, num_classes: int) -> None:
@@ -55,33 +60,32 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> None:
         raise BadLabel(f"label {labels[out_of_range][0]} outside [0, {num_classes})")
 
 
+def probe_scores(
+    probe_params: np.ndarray, features: np.ndarray, num_classes: int
+) -> np.ndarray:
+    """Per-sample class probability matrix, shape (n, C): the softmax of
+    the logits features W_c^T + b_c."""
+    split = num_classes * features.shape[1]
+    w_c = probe_params[:split].reshape(num_classes, features.shape[1])
+    logits = features @ w_c.T + probe_params[split:]
+    logits -= logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits)
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
 def batch_probe_loss_and_grad(
     probe_params: np.ndarray, features: np.ndarray, labels: np.ndarray, num_classes: int
 ) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy over the batch with its exact gradient."""
     _check_labels(labels, num_classes)
-    n, embed_dim = features.shape
-    w_c, b_c = unpack_probe(probe_params, num_classes, embed_dim)
-    logits = features @ w_c.T + b_c
-    logits -= logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    picked = probs[np.arange(n), labels]
+    n = features.shape[0]
+    d_logits = probe_scores(probe_params, features, num_classes)
+    picked = d_logits[np.arange(n), labels]
     loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
-    d_logits = probs.copy()
     d_logits[np.arange(n), labels] -= 1.0
     d_logits /= n
     d_w = d_logits.T @ features
     return loss, np.concatenate([d_w.ravel(), d_logits.sum(axis=0)])
-
-
-def probe_scores(
-    probe_params: np.ndarray, features: np.ndarray, num_classes: int
-) -> np.ndarray:
-    """Per-sample class probability matrix, shape (n, C)."""
-    return np.stack(
-        [probe_probabilities(probe_params, f, num_classes) for f in features]
-    )
 
 
 @dataclass(frozen=True)
@@ -109,12 +113,7 @@ def train_probe(
     x_val, y_val = features[val_idx], labels[val_idx]
 
     probe = init_probe(cfg.num_classes, features.shape[1], cfg.seed)
-    opt = OptimizerConfig(
-        eta_max=cfg.opt.eta_max,
-        eta_min=cfg.opt.eta_min,
-        warmup_rounds=cfg.opt.warmup_rounds,
-        total_rounds=cfg.epochs,
-    )
+    opt = OptimizerConfig(cfg.eta_max, cfg.eta_min, cfg.warmup_rounds, cfg.epochs)
 
     def val_accuracy(p: np.ndarray) -> float:
         scores = probe_scores(p, x_val, cfg.num_classes)

@@ -102,18 +102,20 @@ def positional_embeddings(num_patches: int, embed_dim: int) -> np.ndarray:
 class PreparedBatch:
     """Pixel-scaled tensors and masked-row sums (q: positional embedding,
     t: target patch) for one or more samples with a common (V, M) split.
-    targets and q_masked keep the masked rows themselves and fix M."""
+    targets and q_masked keep the masked rows themselves and fix M. The
+    second-order sums q2, t_q and t_sq are taken over rows centred on
+    their sample's masked-row mean (q_c = q - s_q/M, t_c = t - s_t/M)."""
 
     visible: np.ndarray  # (n, V, N), scaled to [0, 1]
     targets: np.ndarray  # (n, M, N), scaled to [0, 1]
     q_visible: np.ndarray  # (n, V, E)
     q_masked: np.ndarray  # (n, M, E)
     pe: np.ndarray  # (L, E) full embedding table
-    q2: np.ndarray  # (E, E) sum of q q^T over all masked rows
+    q2: np.ndarray  # (E, E) sum of q_c q_c^T over all masked rows
     s_q: np.ndarray  # (n, E) per-sample sum of q over masked rows
     s_t: np.ndarray  # (n, N) per-sample sum of targets over masked rows
-    t_q: np.ndarray  # (N, E) sum of t q^T over all masked rows
-    t_sq: float  # sum of squared targets
+    t_q: np.ndarray  # (N, E) sum of t_c q_c^T over all masked rows
+    t_sq: float  # sum of |t_c|^2 over all masked rows
     # Always None; perfbench/tracer.py still reads these names when it
     # sizes a batch.
     targets_full: None = None
@@ -140,15 +142,25 @@ def prepare_batch(
         qv.append(q[v_idx])
         qm.append(q[m_idx])
     tgt, qm = np.stack(tgt), np.stack(qm)
-    flat_t = tgt.reshape(-1, cfg.patch_dim)
-    flat_q = qm.reshape(-1, cfg.embed_dim)
+    n_mask = tgt.shape[1]
+    s_q, s_t = qm.sum(axis=1), tgt.sum(axis=1)
+    # Centred rows keep the loss from being a small difference of large sums.
+    flat_t = (tgt - s_t[:, None, :] / n_mask).reshape(-1, cfg.patch_dim)
+    flat_q = (qm - s_q[:, None, :] / n_mask).reshape(-1, cfg.embed_dim)
     # einsum, unlike BLAS, sums in an order independent of the thread count.
     return PreparedBatch(
         np.stack(vis), tgt, np.stack(qv), qm, pe=q,
-        q2=np.einsum("ri,rj->ij", flat_q, flat_q), s_q=qm.sum(axis=1),
-        s_t=tgt.sum(axis=1), t_q=np.einsum("ri,rj->ij", flat_t, flat_q),
+        q2=np.einsum("ri,rj->ij", flat_q, flat_q), s_q=s_q, s_t=s_t,
+        t_q=np.einsum("ri,rj->ij", flat_t, flat_q),
         t_sq=float(np.einsum("ri,ri->", flat_t, flat_t)),
     )
+
+
+def _encode(w_e: np.ndarray, b_e: np.ndarray, x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Encoder activations tanh(x W_e^T + b_e + q) for x of shape (n, V, N)."""
+    n, v, patch_px = x.shape
+    z = (x.reshape(n * v, patch_px) @ w_e.T).reshape(n, v, w_e.shape[0])
+    return np.tanh(z + b_e + q)
 
 
 def batch_loss_and_grad(
@@ -160,8 +172,11 @@ def batch_loss_and_grad(
 
     With A = W_d[:, E:] and rows c_k = W_d[:, :E] ctx_k + b_d of C, the
     masked-row residuals c_k + A q - t sum to R = M C + S_q A^T - S_t per
-    sample, the A-gradient is G = A Q2 + C^T S_q - T_q, and the squared
-    residual sum is <C, R - S_t> + <A, G - T_q> + |t|^2.
+    sample. Each residual is its sample's mean R_k/M plus A q_c - t_c,
+    and the centred parts sum to zero per sample, so with G_c = A Q2 - T_q
+    the squared residual sum is |R|^2/M + <A, G_c - T_q> + |t_c|^2 and the
+    A-gradient is G = G_c + R^T S_q / M, where Q2, T_q and |t_c|^2 are the
+    batch's centred sums.
     """
     w_e, b_e, w_d, b_d = unpack_params(params, cfg)
     n, n_vis, _ = batch.visible.shape
@@ -173,16 +188,15 @@ def batch_loss_and_grad(
 
     w_d_ctx, w_d_pos = w_d[:, :e], w_d[:, e:]
 
-    flat_x = batch.visible.reshape(n * n_vis, patch_px)
-    z = (flat_x @ w_e.T).reshape(n, n_vis, e) + b_e + batch.q_visible
-    h = np.tanh(z)
+    h = _encode(w_e, b_e, batch.visible, batch.q_visible)
     context = h.mean(axis=1)  # (n, E)
     per_sample = context @ w_d_ctx.T + b_d  # (n, N) part of every prediction
     r_per_sample = n_mask * per_sample + batch.s_q @ w_d_pos.T - batch.s_t
-    d_w_d_pos = w_d_pos @ batch.q2 + per_sample.T @ batch.s_q - batch.t_q
+    g_centred = w_d_pos @ batch.q2 - batch.t_q
+    d_w_d_pos = g_centred + r_per_sample.T @ (batch.s_q / n_mask)
     # einsum, unlike BLAS, sums in an order independent of the thread count.
-    sq_sum = (np.einsum("ij,ij->", per_sample, r_per_sample - batch.s_t)
-              + np.einsum("ij,ij->", w_d_pos, d_w_d_pos - batch.t_q) + batch.t_sq)
+    sq_sum = (np.einsum("ij,ij->", r_per_sample, r_per_sample) / n_mask
+              + np.einsum("ij,ij->", w_d_pos, g_centred - batch.t_q) + batch.t_sq)
     loss = float(sq_sum / (n * n_mask * patch_px))
     # The factor 2/(n*M*N) common to every gradient is applied at the end.
     d_w_d_ctx = r_per_sample.T @ context
@@ -190,7 +204,7 @@ def batch_loss_and_grad(
     d_ctx = r_per_sample @ w_d_ctx  # (n, E)
     d_z = (d_ctx[:, None, :] / n_vis) * (1.0 - h * h)  # (n, V, E)
     flat_dz = d_z.reshape(n * n_vis, e)
-    d_w_e = flat_dz.T @ flat_x
+    d_w_e = flat_dz.T @ batch.visible.reshape(n * n_vis, patch_px)
     d_b_e = flat_dz.sum(axis=0)
 
     d_w_d = np.concatenate([d_w_d_ctx, d_w_d_pos], axis=1)
@@ -211,46 +225,11 @@ def lr_schedule(t: int, opt: OptimizerConfig) -> float:
     return opt.eta_min + 0.5 * (opt.eta_max - opt.eta_min) * (1.0 + math.cos(math.pi * frac))
 
 
-def encode_features(
-    params: np.ndarray, cfg: ModelConfig, img: np.ndarray, patch_h: int, patch_w: int
-) -> np.ndarray:
-    """Context vector with every patch visible (fine-tune time: no masking)."""
-    from .image import patchify
-
-    grid = patchify(img, patch_h, patch_w)
-    if grid.num_patches != cfg.num_patches or grid.patch_dim != cfg.patch_dim:
-        raise ShapeMismatch("image does not match model config")
+def encode_features(params: np.ndarray, cfg: ModelConfig, patches: np.ndarray) -> np.ndarray:
+    """Context vectors (n, E) of raw (n, L, N) patches with every patch
+    visible (fine-tune time: no masking)."""
+    if patches.shape[1:] != (cfg.num_patches, cfg.patch_dim):
+        raise ShapeMismatch("patches do not match model config")
     w_e, b_e, _, _ = unpack_params(params, cfg)
     q = positional_embeddings(cfg.num_patches, cfg.embed_dim)
-    z = (grid.patches / PIXEL_SCALE) @ w_e.T + b_e + q
-    return np.tanh(z).mean(axis=0)
-
-
-# Linear probe (single linear layer + softmax) for fine-tuning.
-
-
-def init_probe(num_classes: int, embed_dim: int, seed: int) -> np.ndarray:
-    """Flat probe parameters [W_c (C x E), b_c (C)], weights uniform small."""
-    rng = Rng(seed)
-    bound = 1.0 / math.sqrt(embed_dim)
-    params = np.zeros(num_classes * embed_dim + num_classes)
-    for i in range(num_classes * embed_dim):
-        params[i] = rng.uniform(-bound, bound)
-    return params
-
-
-def unpack_probe(probe_params: np.ndarray, num_classes: int, embed_dim: int):
-    w_c = probe_params[: num_classes * embed_dim].reshape(num_classes, embed_dim)
-    b_c = probe_params[num_classes * embed_dim :]
-    return w_c, b_c
-
-
-def probe_probabilities(
-    probe_params: np.ndarray, feature: np.ndarray, num_classes: int
-) -> np.ndarray:
-    w_c, b_c = unpack_probe(probe_params, num_classes, feature.size)
-    logits = w_c @ feature + b_c
-    logits = logits - logits.max()
-    exp = np.exp(logits)
-    return exp / exp.sum()
-
+    return _encode(w_e, b_e, patches / PIXEL_SCALE, q).mean(axis=1)

@@ -81,22 +81,3 @@ def convex_to_linear(img: np.ndarray, geom: ScanGeometry, out_w: int, out_h: int
     sy = geom.apex_y + r * np.cos(theta)
     return bilinear_sample_grid(img, sx, sy)
 
-
-def balance_dataset(
-    tagged: list[tuple[np.ndarray, str]], geom: ScanGeometry
-) -> list[tuple[np.ndarray, str]]:
-    """Return the originals plus each image's opposite-mode transform.
-
-    Output size is exactly twice the input and per-mode counts are equal.
-    """
-    out: list[tuple[np.ndarray, str]] = []
-    for img, mode in tagged:
-        if mode not in (LINEAR, CONVEX):
-            raise ValueError(f"unknown mode tag {mode!r}")
-        h, w = img.shape
-        out.append((img, mode))
-        if mode == LINEAR:
-            out.append((linear_to_convex(img, geom, w, h), CONVEX))
-        else:
-            out.append((convex_to_linear(img, geom, w, h), LINEAR))
-    return out

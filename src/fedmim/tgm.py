@@ -74,8 +74,7 @@ def apply_uim(
     """Per-image pipeline: corrupt, then partition by the corrupted texture.
 
     This covers only the per-image corruption and masking stages; no
-    pipeline stage balances scan modes (smat.balance_dataset is a
-    standalone helper).
+    pipeline stage balances scan modes.
     """
     corrupted = mixed_corrupt(img, corr_cfg, rng)
     grid = patchify(corrupted, patch_h, patch_w)

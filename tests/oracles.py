@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.stats import rankdata
 
 from fedmim.errors import BadLabel, EmptyVisibleSet
 from fedmim.model import (
@@ -18,7 +19,6 @@ from fedmim.model import (
     batch_loss_and_grad,
     positional_embeddings,
     prepare_batch,
-    probe_probabilities,
     unpack_params,
 )
 
@@ -124,7 +124,10 @@ def probe_loss_and_grad(
     """Softmax cross-entropy over one sample; exact probe gradient."""
     if not (0 <= label < num_classes):
         raise BadLabel(f"label {label} outside [0, {num_classes})")
-    probs = probe_probabilities(probe_params, feature, num_classes)
+    w_c = probe_params[: num_classes * feature.size].reshape(num_classes, feature.size)
+    logits = w_c @ feature + probe_params[num_classes * feature.size :]
+    exp = np.exp(logits - logits.max())
+    probs = exp / exp.sum()
     loss = -math.log(max(probs[label], 1e-300))
     d_logits = probs.copy()
     d_logits[label] -= 1.0
@@ -147,3 +150,19 @@ def bilinear_sample(img: np.ndarray, x: float, y: float) -> float:
     top = (1.0 - fx) * img[y0, x0] + fx * img[y0, x1]
     bot = (1.0 - fx) * img[y1, x0] + fx * img[y1, x1]
     return float((1.0 - fy) * top + fy * bot)
+
+
+def hausdorff_brute(pred: set, truth: set) -> float:
+    """Symmetric Hausdorff distance from the full |P| x |T| distance table."""
+    p_arr = np.array(sorted(pred), dtype=np.float64)
+    t_arr = np.array(sorted(truth), dtype=np.float64)
+    d2 = ((p_arr[:, None, :] - t_arr[None, :, :]) ** 2).sum(axis=2)
+    return float(max(np.sqrt(d2.min(axis=1)).max(), np.sqrt(d2.min(axis=0)).max()))
+
+
+def rank_auroc(scores, labels) -> float:
+    """AUROC as the Mann-Whitney U of scipy's average ranks over n_pos * n_neg."""
+    labels = np.asarray(labels)
+    n_pos, n_neg = int(np.sum(labels == 1)), int(np.sum(labels == 0))
+    rank_sum = float(np.sum(rankdata(scores, method="average")[labels == 1]))
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)

@@ -24,6 +24,7 @@ from fedmim.finetune import (
     ProbeConfig,
     batch_probe_loss_and_grad,
     extract_features,
+    init_probe,
     probe_scores,
     train_probe,
 )
@@ -33,7 +34,6 @@ from fedmim.model import (
     OptimizerConfig,
     batch_loss_and_grad,
     init_params,
-    init_probe,
     prepare_batch,
 )
 from fedmim.pipeline import PatchSpec, build_clients

@@ -18,7 +18,7 @@ from fedmim.metrics import auroc
 # sha256 of checkpoint.params from `fedmim --seed 7 pretrain` with the
 # default config. A change here means every default run's model changed.
 DEFAULT_PRETRAIN_PARAMS_SHA256 = (
-    "46bbe19e76ac0a5109bad176b83904a519a2b769c446108dded934bb38cd26ae"
+    "d4c5a98df69c92b30e465defd39b2478e5e55ee6eccc90ab9a37030aacf71805"
 )
 
 
@@ -196,6 +196,29 @@ def test_finetune_mismatched_model_is_exit_2(workspace, tmp_path):
                  "--out", str(tmp_path / "mft"), "finetune",
                  str(root / "run" / "checkpoint"),
                  str(root / "data")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("manifest, missing", [
+    ({"version": 1, "samples": [{"index": 0, "label": 0}, {"label": 1}]},
+     "sample 1 has no integer 'index' field"),
+    ({"version": 1, "samples": [{"index": 0}]}, "sample 0 has no integer 'label' field"),
+    ([{"index": 0, "label": 0}], 'root must be an object with a "samples" list'),
+    ({"version": 1, "samples": [{"index": 0, "label": 1.7}]},
+     "sample 0 has no integer 'label' field"),
+    ({"version": 1, "samples": [{"index": "0", "label": 0}]},
+     "sample 0 has no integer 'index' field"),
+], ids=["no-index", "no-label", "root-not-object", "fractional-label", "string-index"])
+def test_finetune_malformed_labels_is_exit_2(workspace, tmp_path, capsys, manifest, missing):
+    root, cfg_path = workspace
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "labels.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = main(["--config", str(cfg_path), "--seed", "5", "--out", str(tmp_path / "ft"),
+                 "finetune", str(root / "run" / "checkpoint"), str(data)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err == f"error: {data / 'labels.json'}: {missing}\n"
 
 
 def test_eval_identical_masks(workspace, tmp_path):

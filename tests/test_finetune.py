@@ -8,10 +8,11 @@ from fedmim.finetune import (
     ProbeConfig,
     batch_probe_loss_and_grad,
     extract_features,
+    init_probe,
     probe_scores,
     train_probe,
 )
-from fedmim.model import ModelConfig, init_params, init_probe
+from fedmim.model import ModelConfig, init_params
 
 from oracles import finite_diff_grad, probe_loss_and_grad
 
@@ -32,6 +33,10 @@ def test_extract_features_shape_and_determinism():
     feats = extract_features(params, cfg, images, 4, 4)
     assert feats.shape == (3, 6)
     np.testing.assert_array_equal(feats, extract_features(params, cfg, images, 4, 4))
+    # Each row is that image's features alone: batching does not mix rows.
+    for img, row in zip(images, feats):
+        np.testing.assert_allclose(
+            extract_features(params, cfg, [img], 4, 4)[0], row, rtol=1e-14)
 
 
 def test_batch_probe_grad_matches_per_sample_mean():
@@ -58,10 +63,12 @@ def test_batch_probe_grad_matches_finite_differences():
 
 def test_probe_scores_rows_are_distributions():
     features, _ = toy_features(8, 3, 4)
-    probe = init_probe(2, 3, seed=0)
-    scores = probe_scores(probe, features, 2)
-    assert scores.shape == (8, 2)
-    np.testing.assert_allclose(scores.sum(axis=1), 1.0, atol=1e-12)
+    for num_classes in (2, 3):
+        probe = init_probe(num_classes, 3, seed=0)
+        scores = probe_scores(probe, features, num_classes)
+        assert scores.shape == (8, num_classes)
+        assert np.all(scores > 0.0)
+        np.testing.assert_allclose(scores.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_train_probe_zero_epochs_returns_init():

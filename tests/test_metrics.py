@@ -1,6 +1,7 @@
 """Metrics: confusion scores, AUROC, Dice/Hausdorff/MAE, AoP, CI, t-test."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from fedmim.metrics import (
     recall,
     t_test,
 )
+
+from oracles import hausdorff_brute, rank_auroc
 
 
 def test_confusion_perfect():
@@ -103,6 +106,7 @@ def test_auroc_matches_pairwise_oracle(seed, n, quantize):
     assert auroc(scores, labels) == pytest.approx(
         pairwise_auroc(scores, labels), abs=1e-12
     )
+    assert auroc(scores, labels) == rank_auroc(scores, labels)
 
 
 def test_auroc_errors():
@@ -127,6 +131,30 @@ def test_hausdorff_cases():
     assert hausdorff({(0, 0)}, {(3, 4)}) == 5.0
     with pytest.raises(EmptySet):
         hausdorff(set(), {(0, 0)})
+
+
+@given(st.integers(0, 2**31), st.integers(1, 60), st.integers(1, 60), st.integers(1, 40))
+@settings(max_examples=200, deadline=None)
+def test_hausdorff_bit_equal_to_brute_force(seed, n_pred, n_truth, extent):
+    rng = np.random.default_rng(seed)
+    pred = {tuple(p) for p in rng.integers(0, extent, size=(n_pred, 2)).tolist()}
+    truth = {tuple(p) for p in rng.integers(0, extent, size=(n_truth, 2)).tolist()}
+    assert hausdorff(pred, truth) == hausdorff_brute(pred, truth)
+
+
+def test_hausdorff_memory_does_not_grow_with_pair_count():
+    # About 3,000 points each; a |P| x |T| x 2 float64 table would be 150 MB.
+    pred = mask_points(disc_mask(128, 128, 60.0, 60.0, 31.0))
+    truth = mask_points(disc_mask(128, 128, 66.0, 62.0, 31.0))
+    assert len(pred) > 2900 and len(truth) > 2900
+    hausdorff({(0, 0)}, {(1, 1)})  # the first call imports scipy.spatial
+    tracemalloc.start()
+    try:
+        hausdorff(pred, truth)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_mae_cases():

@@ -10,7 +10,6 @@ from fedmim.smat import (
     CONVEX,
     LINEAR,
     ScanGeometry,
-    balance_dataset,
     convex_to_linear,
     linear_to_convex,
 )
@@ -18,6 +17,24 @@ from fedmim.smat import (
 
 def default_geom(w=64, h=64):
     return ScanGeometry.default_for(w, h)
+
+
+def balance_dataset(
+    tagged: list[tuple[np.ndarray, str]], geom: ScanGeometry
+) -> list[tuple[np.ndarray, str]]:
+    """The originals plus each image's opposite-mode transform, so the two
+    warps compose into a mode-balanced set twice the input's size."""
+    out: list[tuple[np.ndarray, str]] = []
+    for img, mode in tagged:
+        if mode not in (LINEAR, CONVEX):
+            raise ValueError(f"unknown mode tag {mode!r}")
+        h, w = img.shape
+        out.append((img, mode))
+        if mode == LINEAR:
+            out.append((linear_to_convex(img, geom, w, h), CONVEX))
+        else:
+            out.append((convex_to_linear(img, geom, w, h), LINEAR))
+    return out
 
 
 def test_geometry_validation():
