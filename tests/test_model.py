@@ -11,7 +11,7 @@ from fedmim import synth
 from fedmim.corrupt import CorruptionConfig
 from fedmim.errors import BadLabel, EmptyVisibleSet, ShapeMismatch
 from fedmim.fed import FederationConfig, run_pretraining
-from fedmim.finetune import batch_probe_loss_and_grad, init_probe
+from fedmim.finetune import batch_probe_loss_and_grad, init_probe, probe_scores
 from fedmim.image import patchify
 from fedmim.model import (
     ModelConfig,
@@ -247,6 +247,15 @@ def test_encode_features_deterministic():
         encode_features(params, cfg, patches),
         encode_features(params, cfg, patches),
     )
+
+
+def test_probe_probabilities_simplex():
+    probe = init_probe(3, 5, seed=0)
+    features = np.random.default_rng(0).normal(size=(1, 5))
+    probs = probe_scores(probe, features, 3)[0]
+    assert probs.shape == (3,)
+    assert np.all(probs > 0.0)
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_probe_gradient_matches_finite_differences():
