@@ -2,8 +2,9 @@
 probe fine-tuning, metric evaluation, and single-image transforms.
 
 Configuration is UTF-8 JSON with a top-level ``"version": 1``; unknown
-keys anywhere are an error so typos fail loudly. Exit codes: 0 success,
-2 configuration/validation error, 3 I/O error, 4 numeric failure.
+keys anywhere are an error so typos fail loudly, and each value must have
+its default's JSON type. Exit codes: 0 success, 2 configuration/validation
+error, 3 I/O error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ _DEFAULTS: dict = {
                    "alpha": 0.5},
     "optimizer": {"eta_max": 5e-4, "eta_min": 1e-6, "warmup_rounds": 10},
     "corruption": {"p": 0.5, "motion_d": 7, "p_salt": 0.02, "p_pepper": 0.02},
-    "synth": {"n": 64, "width": 64, "height": 64, "background_level": 150,
+    "synth": {"n": 64, "width": 64, "height": 64, "background_level": 150.0,
               "speckle_strength": 0.25,
               "class_mix": [0.35, 0.35, 0.3],
               "lesion": {"intensity_delta": -60.0,
@@ -63,17 +64,39 @@ _DEFAULTS: dict = {
 }
 
 
+# What each null default takes besides null, as a default of that type.
+_NULLABLE = {"resume_from": "", "synth.lesion.malignant_delta": 0.0}
+_KINDS = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _same_type(default, value) -> bool:
+    """Whether value has default's JSON type: a float takes any number, an
+    int an int but not a bool, and a list a list of as many numbers."""
+    if isinstance(default, float):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, list):
+        return (isinstance(value, list) and len(value) == len(default)
+                and all(_same_type(d, v) for d, v in zip(default, value)))
+    return type(value) is type(default)
+
+
 def _merge(defaults: dict, override: dict, path: str = "") -> dict:
     out = dict(defaults)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in defaults:
             raise ConfigError(f"unknown config key: {where}")
-        if isinstance(defaults[key], dict) and defaults[key]:
+        if isinstance(defaults[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{where} must be an object")
             out[key] = _merge(defaults[key], value, where)
         else:
+            expect = _NULLABLE.get(where, defaults[key])
+            nulled = value is None and defaults[key] is None
+            if not (nulled or _same_type(expect, value)):
+                kind = (_KINDS.get(type(expect))
+                        or f"a list of {len(expect)} numbers")
+                raise ConfigError(f"{where} must be {kind}, got {value!r}")
             out[key] = value
     return out
 
@@ -119,23 +142,12 @@ def _federation(cfg: dict) -> fed.FederationConfig:
 
 
 def _generate(cfg: dict) -> list[synth.LabeledSample]:
+    # The "lesion" keys are random_lesion's keyword parameters.
     s = cfg["synth"]
-    base = synth.PhantomSpec(
-        width=s["width"], height=s["height"],
-        background_level=s["background_level"],
-        speckle_strength=s["speckle_strength"],
-    )
-    lesion = s["lesion"]
-    kwargs = {
-        "intensity_delta": lesion["intensity_delta"],
-        "irregularity_range": tuple(lesion["irregularity_range"]),
-        "axis_range": tuple(lesion["axis_range"]),
-        "malignant_delta": lesion["malignant_delta"],
-    }
-    return synth.generate_dataset(
-        s["n"], tuple(s["class_mix"]), Rng(cfg["seed"]), base,
-        lesion_kwargs=kwargs,
-    )
+    base = synth.PhantomSpec(**{key: s[key] for key in (
+        "width", "height", "background_level", "speckle_strength")})
+    return synth.generate_dataset(s["n"], tuple(s["class_mix"]), Rng(cfg["seed"]),
+                                  base, lesion_kwargs=s["lesion"])
 
 
 def cmd_generate(cfg: dict, out_dir: Path) -> int:
@@ -203,7 +215,10 @@ def cmd_pretrain(cfg: dict, out_dir: Path) -> int:
 
 def _load_labeled_dir(labeled_dir: Path) -> tuple[list[np.ndarray], np.ndarray]:
     path = labeled_dir / "labels.json"
-    manifest = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise MalformedFile(f"{path}: not valid JSON: {exc}") from exc
     samples = manifest.get("samples") if isinstance(manifest, dict) else None
     if not isinstance(samples, list):
         raise MalformedFile(f"{path}: root must be an object with a \"samples\" list")
@@ -272,14 +287,9 @@ def cmd_eval(pred_path: Path, gt_path: Path, out_path: Path) -> int:
 def cmd_transform(cfg: dict, direction: str, in_path: Path, out_path: Path) -> int:
     img = read_pgm(in_path)
     h, w = img.shape
-    geom = ScanGeometry.default_for(w, h)
-    if direction == "linear-to-convex":
-        out = smat.linear_to_convex(img, geom, w, h)
-    elif direction == "convex-to-linear":
-        out = smat.convex_to_linear(img, geom, w, h)
-    else:
-        raise ConfigError(f"unknown direction: {direction}")
-    write_pgm(out, out_path)
+    warp = (smat.linear_to_convex if direction == "linear-to-convex"
+            else smat.convex_to_linear)
+    write_pgm(warp(img, ScanGeometry.default_for(w, h), w, h), out_path)
     return EXIT_OK
 
 
@@ -369,9 +379,8 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_transform(cfg, args.direction, Path(args.input), Path(args.output))
         if args.command == "corrupt":
             return cmd_corrupt(cfg, Path(args.input), Path(args.output))
-        if args.command == "mask-preview":
-            return cmd_mask_preview(cfg, Path(args.input), Path(args.output))
-        raise ConfigError(f"unknown command {args.command}")
+        # argparse admits no command but the ones above and mask-preview.
+        return cmd_mask_preview(cfg, Path(args.input), Path(args.output))
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

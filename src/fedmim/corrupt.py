@@ -22,19 +22,18 @@ GAUSSIAN = "gaussian"
 SALTPEPPER = "saltpepper"
 _OPS = (MOTION, GAUSSIAN, SALTPEPPER)
 
-# Parameter ranges used when the config leaves phi / sigma free.
+# Ranges the per-image motion angle phi and blur sigma are drawn from.
 PHI_RANGE = (0.0, math.pi)
 SIGMA_RANGE = (0.5, 2.5)
 
 
 @dataclass(frozen=True)
 class CorruptionConfig:
-    """Knobs for mixed_corrupt; the motion angle phi, and sigma when it is
-    None, are drawn fresh per image."""
+    """Knobs for mixed_corrupt; the motion angle phi and the blur sigma are
+    drawn fresh per image."""
 
     p: float = 0.5
     motion_d: int = 7
-    gaussian_sigma: float | None = None
     p_salt: float = 0.02
     p_pepper: float = 0.02
 
@@ -46,8 +45,6 @@ class CorruptionConfig:
             raise ValueError("salt/pepper probabilities invalid")
         if self.motion_d < 1 or self.motion_d % 2 == 0:
             raise ValueError(f"motion_d must be odd and >= 1, got {self.motion_d}")
-        if self.gaussian_sigma is not None and self.gaussian_sigma <= 0.0:
-            raise ValueError("gaussian_sigma must be positive")
         return self
 
 
@@ -130,9 +127,7 @@ def mixed_corrupt(img: np.ndarray, cfg: CorruptionConfig, rng: Rng) -> np.ndarra
             phi = rng.uniform(*PHI_RANGE)
             out = convolve2d(out, motion_blur_kernel(cfg.motion_d, phi))
         elif op == GAUSSIAN:
-            sigma = (cfg.gaussian_sigma if cfg.gaussian_sigma is not None
-                     else rng.uniform(*SIGMA_RANGE))
-            out = convolve2d(out, gaussian_kernel(sigma))
+            out = convolve2d(out, gaussian_kernel(rng.uniform(*SIGMA_RANGE)))
         else:
             out = salt_pepper(out, cfg.p_salt, cfg.p_pepper, rng)
     return out

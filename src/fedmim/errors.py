@@ -37,10 +37,6 @@ class BadLabel(FedmimError):
     """Class label outside the configured range."""
 
 
-class UndefinedMetric(FedmimError):
-    """Metric denominator is zero."""
-
-
 class OneClassOnly(FedmimError):
     """AUROC needs at least one positive and one negative."""
 

@@ -1,14 +1,12 @@
-"""Evaluation metrics: confusion-matrix scores, AUROC, Dice, Hausdorff
-distance, MAE, the angle-of-progression landmark geometry, 95% confidence
-intervals, and Welch two-sided t-tests."""
+"""Evaluation metrics: AUROC, Dice, Hausdorff distance, MAE, the
+angle-of-progression landmark geometry, 95% confidence intervals, and
+Welch two-sided t-tests."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import (
     BadLabel,
@@ -18,47 +16,7 @@ from .errors import (
     LengthMismatch,
     OneClassOnly,
     TooFewSamples,
-    UndefinedMetric,
 )
-
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-
-    def __post_init__(self):
-        if min(self.tp, self.tn, self.fp, self.fn) < 0:
-            raise ValueError("confusion counts must be non-negative")
-
-
-def accuracy(c: ConfusionCounts) -> float:
-    total = c.tp + c.tn + c.fp + c.fn
-    if total == 0:
-        raise UndefinedMetric("accuracy undefined on empty counts")
-    return (c.tp + c.tn) / total
-
-
-def precision(c: ConfusionCounts) -> float:
-    if c.tp + c.fp == 0:
-        raise UndefinedMetric("precision undefined: no predicted positives")
-    return c.tp / (c.tp + c.fp)
-
-
-def recall(c: ConfusionCounts) -> float:
-    if c.tp + c.fn == 0:
-        raise UndefinedMetric("recall undefined: no actual positives")
-    return c.tp / (c.tp + c.fn)
-
-
-def f1(c: ConfusionCounts) -> float:
-    p = precision(c)
-    r = recall(c)
-    if p + r == 0.0:
-        raise UndefinedMetric("F1 undefined: precision + recall is zero")
-    return 2.0 * p * r / (p + r)
 
 
 def auroc(scores, labels) -> float:
@@ -208,6 +166,9 @@ def ci95(samples) -> tuple[float, float]:
 
 def t_test(a, b) -> float:
     """Two-sided Welch t-test p-value via the regularized incomplete beta."""
+    # Imported here: scipy.special adds about 0.3 s to every command's start.
+    from scipy.special import betainc
+
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.size < 2 or b.size < 2:

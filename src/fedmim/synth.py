@@ -18,6 +18,7 @@ MALIGNANT = 1
 NONE = 2
 
 _RAYLEIGH_MEAN = math.sqrt(math.pi / 2.0)
+_PARTITION_TRIES = 1000
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,6 @@ def generate_dataset(
     class_mix: tuple[float, float, float],
     rng: Rng,
     base_spec: PhantomSpec = PhantomSpec(),
-    geom: ScanGeometry | None = None,
     lesion_kwargs: dict | None = None,
 ) -> list[LabeledSample]:
     """n phantoms with labels per class_mix and 50/50 linear/convex modes.
@@ -152,8 +152,7 @@ def generate_dataset(
     """
     if abs(sum(class_mix) - 1.0) > 1e-9 or any(p < 0 for p in class_mix):
         raise ValueError(f"class_mix must be a probability vector, got {class_mix}")
-    if geom is None:
-        geom = ScanGeometry.default_for(base_spec.width, base_spec.height)
+    geom = ScanGeometry.default_for(base_spec.width, base_spec.height)
     samples: list[LabeledSample] = []
     for i in range(n):
         child = rng.spawn(i)
@@ -187,7 +186,7 @@ def generate_dataset(
 
 
 def partition_clients(
-    dataset: list, num_clients: int, alpha: float, rng: Rng, max_tries: int = 1000
+    dataset: list, num_clients: int, alpha: float, rng: Rng
 ) -> list[list]:
     """Dirichlet(alpha) non-IID split by class; every client gets >= 1 item."""
     if num_clients < 1:
@@ -206,7 +205,7 @@ def partition_clients(
         label = getattr(sample, "label", 0)
         by_class.setdefault(label, []).append(idx)
 
-    for _ in range(max_tries):
+    for _ in range(_PARTITION_TRIES):
         assignment: list[list[int]] = [[] for _ in range(num_clients)]
         for label in sorted(by_class):
             proportions = rng.dirichlet(alpha, num_clients)
@@ -219,5 +218,5 @@ def partition_clients(
             return [[dataset[i] for i in client_idx] for client_idx in assignment]
     raise TooFewSamples(
         f"could not give every one of {num_clients} clients a sample in "
-        f"{max_tries} tries"
+        f"{_PARTITION_TRIES} tries"
     )

@@ -5,14 +5,16 @@ The slow criteria (4, 5) run scaled-down but real federated pre-training
 on the synthetic phantom corpus; expect a few minutes total.
 """
 
+import inspect
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedmim import fed, metrics, model, smat, synth
+from fedmim import cli, fed, metrics, model, smat, synth
 from fedmim.cli import EXIT_OK, main as cli_main
 from fedmim.corrupt import (
     CorruptionConfig,
@@ -42,6 +44,8 @@ from fedmim.tgm import apply_uim, round_half_up, select_mask
 
 from conftest import record_criterion, random_sample
 from oracles import finite_diff_grad
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def rel_err(analytic, numeric, floor=1e-3):
@@ -176,17 +180,29 @@ def test_criterion_3_weighted_aggregation_exactness():
     )
 
 
+def _criterion_4_run() -> dict:
+    """Criterion 4's run at seed 7, on synth.PhantomSpec() phantoms with
+    random_lesion's default lesions."""
+    return dict(
+        n=512, class_mix=(0.35, 0.35, 0.3), alpha=0.5,
+        model=ModelConfig(patch_dim=64, embed_dim=32, num_patches=64, seed=7),
+        corruption=CorruptionConfig(), patch=PatchSpec(8, 8, 0.75),
+        federation=fed.FederationConfig(
+            num_clients=8, total_rounds=200, local_steps=48,
+            opt=OptimizerConfig(5e-4, 1e-6, 10, 200), seed=7,
+        ),
+    )
+
+
 def test_criterion_4_pretraining_descent():
     t0 = time.time()
+    run = _criterion_4_run()
     base = synth.PhantomSpec()
-    dataset = synth.generate_dataset(512, (0.35, 0.35, 0.3), Rng(7), base)
-    model_cfg = ModelConfig(patch_dim=64, embed_dim=32, num_patches=64, seed=7)
+    dataset = synth.generate_dataset(run["n"], run["class_mix"], Rng(7), base)
+    model_cfg, fed_cfg = run["model"], run["federation"]
     clients = build_clients(
-        dataset, 8, 0.5, model_cfg, CorruptionConfig(), PatchSpec(8, 8, 0.75), 7
-    )
-    fed_cfg = fed.FederationConfig(
-        num_clients=8, total_rounds=200, local_steps=48,
-        opt=OptimizerConfig(5e-4, 1e-6, 10, 200), seed=7,
+        dataset, fed_cfg.num_clients, run["alpha"], model_cfg, run["corruption"],
+        run["patch"], 7,
     )
     _, trace = fed.run_pretraining(fed_cfg, model_cfg, clients, init_params(model_cfg))
     elapsed = time.time() - t0
@@ -202,6 +218,31 @@ def test_criterion_4_pretraining_descent():
         f"ratio {ratio:.3f} (< 0.30), worst post-warmup rise {worst_rise:.1e} "
         f"(< 1e-4), {elapsed:.0f}s (< 300s)",
     )
+
+
+def test_pretrain_experiment_config_is_criterion_4():
+    # The README runs criterion 4 as `fedmim --config <this> --seed 7 pretrain`.
+    cfg = cli.load_config(str(REPO / "scripts" / "pretrain_experiment.json"))
+    cfg["seed"] = 7
+    run = _criterion_4_run()
+    assert cli._model_config(cfg) == run["model"]
+    assert cli._federation(cfg) == run["federation"]
+    assert cli._corruption(cfg) == run["corruption"]
+    assert cli._patch_spec(cfg) == run["patch"]
+    s = cfg["synth"]
+    assert s["n"] == run["n"]
+    assert tuple(s["class_mix"]) == run["class_mix"]
+    assert cfg["federation"]["alpha"] == run["alpha"]
+    base = synth.PhantomSpec()
+    for key in ("width", "height", "background_level", "speckle_strength"):
+        assert s[key] == getattr(base, key), key
+    lesion_defaults = {
+        name: param.default
+        for name, param in inspect.signature(synth.random_lesion).parameters.items()
+        if param.default is not param.empty
+    }
+    assert {key: tuple(v) if isinstance(v, list) else v
+            for key, v in s["lesion"].items()} == lesion_defaults
 
 
 def _mode_normalized_images(samples, geom):

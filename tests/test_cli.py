@@ -54,10 +54,12 @@ def test_load_config_defaults():
 
 def test_load_config_merges_leaves(tmp_path):
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({"version": 1, "model": {"embed_dim": 4}}))
+    path.write_text(json.dumps({"version": 1, "model": {"embed_dim": 4},
+                                "optimizer": {"eta_max": 1}}))
     cfg = load_config(str(path))
     assert cfg["model"]["embed_dim"] == 4
     assert cfg["model"]["patch_dim"] == 64  # untouched default
+    assert cfg["optimizer"]["eta_max"] == 1  # an integer where a float is due
 
 
 def test_unknown_config_key_is_exit_2(tmp_path):
@@ -65,6 +67,26 @@ def test_unknown_config_key_is_exit_2(tmp_path):
     path.write_text(json.dumps({"version": 1, "modle": {}}))
     assert main(["--config", str(path), "--out", str(tmp_path / "o"),
                  "generate"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("override, key", [
+    ({"federation": {"num_clients": "4"}}, "federation.num_clients"),
+    ({"federation": {"num_clients": True}}, "federation.num_clients"),
+    ({"seed": 7.5}, "seed"),
+    ({"synth": {"class_mix": "0.5,0.5,0"}}, "synth.class_mix"),
+    ({"resume_from": 3}, "resume_from"),
+    ({"synth": {"lesion": {"axis_range": [0.2]}}}, "synth.lesion.axis_range"),
+], ids=["string-int", "bool-int", "float-seed", "string-list", "number-resume",
+        "short-range"])
+def test_config_value_of_wrong_type_is_exit_2(tmp_path, capsys, override, key):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dict(override, version=1)))
+    capsys.readouterr()
+    assert main(["--config", str(path), "--out", str(tmp_path / "o"),
+                 "pretrain"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {key} must be ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_wrong_version_is_exit_2(tmp_path):
@@ -207,12 +229,16 @@ def test_finetune_mismatched_model_is_exit_2(workspace, tmp_path):
      "sample 0 has no integer 'label' field"),
     ({"version": 1, "samples": [{"index": "0", "label": 0}]},
      "sample 0 has no integer 'index' field"),
-], ids=["no-index", "no-label", "root-not-object", "fractional-label", "string-index"])
+    ('{"version": 1, "samples": [',
+     "not valid JSON: Expecting value: line 1 column 28 (char 27)"),
+], ids=["no-index", "no-label", "root-not-object", "fractional-label", "string-index",
+        "truncated"])
 def test_finetune_malformed_labels_is_exit_2(workspace, tmp_path, capsys, manifest, missing):
     root, cfg_path = workspace
     data = tmp_path / "data"
     data.mkdir()
-    (data / "labels.json").write_text(json.dumps(manifest))
+    text = manifest if isinstance(manifest, str) else json.dumps(manifest)
+    (data / "labels.json").write_text(text)
     capsys.readouterr()
     code = main(["--config", str(cfg_path), "--seed", "5", "--out", str(tmp_path / "ft"),
                  "finetune", str(root / "run" / "checkpoint"), str(data)])

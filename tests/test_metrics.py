@@ -1,13 +1,18 @@
-"""Metrics: confusion scores, AUROC, Dice/Hausdorff/MAE, AoP, CI, t-test."""
+"""Metrics: AUROC, Dice/Hausdorff/MAE, AoP, CI, t-test."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedmim
 from fedmim.errors import (
     BadLabel,
     DegenerateMask,
@@ -16,54 +21,20 @@ from fedmim.errors import (
     LengthMismatch,
     OneClassOnly,
     TooFewSamples,
-    UndefinedMetric,
 )
 from fedmim.metrics import (
-    ConfusionCounts,
-    accuracy,
     aop,
     auroc,
     ci95,
     dsc,
-    f1,
     hausdorff,
     mae,
     mask_boundary,
     mask_points,
-    precision,
-    recall,
     t_test,
 )
 
 from oracles import hausdorff_brute, rank_auroc
-
-
-def test_confusion_perfect():
-    c = ConfusionCounts(tp=5, tn=5, fp=0, fn=0)
-    assert accuracy(c) == 1.0
-    assert precision(c) == 1.0
-    assert recall(c) == 1.0
-    assert f1(c) == 1.0
-
-
-def test_confusion_mixed():
-    c = ConfusionCounts(tp=3, tn=2, fp=1, fn=4)
-    assert accuracy(c) == pytest.approx(0.5)
-    assert precision(c) == pytest.approx(0.75)
-    assert recall(c) == pytest.approx(3 / 7)
-    p, r = 0.75, 3 / 7
-    assert f1(c) == pytest.approx(2 * p * r / (p + r))
-
-
-def test_confusion_undefined():
-    with pytest.raises(UndefinedMetric):
-        accuracy(ConfusionCounts(0, 0, 0, 0))
-    with pytest.raises(UndefinedMetric):
-        precision(ConfusionCounts(0, 1, 0, 1))
-    with pytest.raises(UndefinedMetric):
-        recall(ConfusionCounts(0, 1, 1, 0))
-    with pytest.raises(ValueError):
-        ConfusionCounts(-1, 0, 0, 0)
 
 
 def test_auroc_worked_example():
@@ -155,6 +126,20 @@ def test_hausdorff_memory_does_not_grow_with_pair_count():
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
+
+
+def test_cli_import_leaves_scipy_submodules_unloaded():
+    # Every command pays for what `import fedmim.cli` loads; hausdorff and
+    # t_test import their scipy parts when first called.
+    src = str(Path(fedmim.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = ("import sys, fedmim.cli; "
+             "print(sorted(m for m in ('scipy.special', 'scipy.spatial') "
+             "if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, check=True,
+                            env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert result.stdout == "[]\n"
 
 
 def test_mae_cases():
