@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,6 @@ class ConfigError(FedmimError):
 _DEFAULTS: dict = {
     "version": 1,
     "seed": 0,
-    "threads": 1,
     "model": {"patch_dim": 64, "embed_dim": 32, "num_patches": 64},
     "patch": {"patch_h": 8, "patch_w": 8, "mask_ratio": 0.75},
     "federation": {"num_clients": 4, "total_rounds": 10, "local_steps": 1,
@@ -117,7 +117,7 @@ def load_config(path: str | None) -> dict:
 
 
 def _model_config(cfg: dict) -> model.ModelConfig:
-    return model.ModelConfig(**cfg["model"], seed=cfg["seed"]).validate()
+    return model.ModelConfig(**cfg["model"], seed=cfg["seed"])
 
 
 def _patch_spec(cfg: dict) -> PatchSpec:
@@ -125,12 +125,12 @@ def _patch_spec(cfg: dict) -> PatchSpec:
 
 
 def _corruption(cfg: dict) -> CorruptionConfig:
-    return CorruptionConfig(**cfg["corruption"]).validate()
+    return CorruptionConfig(**cfg["corruption"])
 
 
 def _optimizer(cfg: dict) -> model.OptimizerConfig:
     return model.OptimizerConfig(
-        **cfg["optimizer"], total_rounds=cfg["federation"]["total_rounds"]).validate()
+        **cfg["optimizer"], total_rounds=cfg["federation"]["total_rounds"])
 
 
 def _federation(cfg: dict) -> fed.FederationConfig:
@@ -138,7 +138,7 @@ def _federation(cfg: dict) -> fed.FederationConfig:
     return fed.FederationConfig(
         num_clients=f["num_clients"], total_rounds=f["total_rounds"],
         local_steps=f["local_steps"], opt=_optimizer(cfg), seed=cfg["seed"],
-    ).validate()
+    )
 
 
 def _generate(cfg: dict) -> list[synth.LabeledSample]:
@@ -151,8 +151,6 @@ def _generate(cfg: dict) -> list[synth.LabeledSample]:
 
 
 def cmd_generate(cfg: dict, out_dir: Path) -> int:
-    if not out_dir.parent.exists():
-        raise OSError(f"parent of output directory does not exist: {out_dir}")
     out_dir.mkdir(exist_ok=True)
     dataset = _generate(cfg)
     records = []
@@ -169,8 +167,6 @@ def cmd_generate(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_pretrain(cfg: dict, out_dir: Path) -> int:
-    if not out_dir.parent.exists():
-        raise OSError(f"parent of output directory does not exist: {out_dir}")
     out_dir.mkdir(exist_ok=True)
     model_cfg = _model_config(cfg)
     fed_cfg = _federation(cfg)
@@ -231,12 +227,11 @@ def _load_labeled_dir(labeled_dir: Path) -> tuple[list[np.ndarray], np.ndarray]:
 
 
 def cmd_finetune(cfg: dict, checkpoint: Path, labeled_dir: Path, out_dir: Path) -> int:
-    if not out_dir.parent.exists():
-        raise OSError(f"parent of output directory does not exist: {out_dir}")
     out_dir.mkdir(exist_ok=True)
     model_cfg = _model_config(cfg)
     ckpt = fed.load_checkpoint(str(checkpoint))
-    if ckpt.model_cfg != model_cfg:
+    # The init seed does not shape the encoder, so any probe seed may use it.
+    if replace(ckpt.model_cfg, seed=model_cfg.seed) != model_cfg:
         raise ConfigError("checkpoint model config does not match run config")
     images, labels = _load_labeled_dir(labeled_dir)
     patch = _patch_spec(cfg)
@@ -359,11 +354,10 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
-        # --threads / "threads" are validated for compatibility but have no
-        # effect: clients always run serially.
-        threads = args.threads if args.threads is not None else cfg["threads"]
-        if threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {threads}")
+        # --threads is checked for compatibility but has no effect: clients
+        # always run serially.
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         out_dir = Path(args.out)
         if args.command == "generate":
             return cmd_generate(cfg, out_dir)

@@ -37,7 +37,7 @@ class CorruptionConfig:
     p_salt: float = 0.02
     p_pepper: float = 0.02
 
-    def validate(self) -> "CorruptionConfig":
+    def __post_init__(self):
         if not (0.0 <= self.p <= 1.0):
             raise ValueError(f"p must be in [0,1], got {self.p}")
         if not (0.0 <= self.p_salt <= 1.0 and 0.0 <= self.p_pepper <= 1.0
@@ -45,7 +45,6 @@ class CorruptionConfig:
             raise ValueError("salt/pepper probabilities invalid")
         if self.motion_d < 1 or self.motion_d % 2 == 0:
             raise ValueError(f"motion_d must be odd and >= 1, got {self.motion_d}")
-        return self
 
 
 def motion_blur_kernel(d: int, phi: float) -> np.ndarray:
@@ -112,7 +111,6 @@ def salt_pepper(img: np.ndarray, p_salt: float, p_pepper: float, rng: Rng) -> np
 
 def mixed_corrupt(img: np.ndarray, cfg: CorruptionConfig, rng: Rng) -> np.ndarray:
     """Apply 1-3 distinct corruption ops in draw order, w.p. cfg.p overall."""
-    cfg.validate()
     img = as_image(img)
     if rng.random() >= cfg.p:
         return img.copy()

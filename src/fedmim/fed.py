@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -36,15 +36,13 @@ class FederationConfig:
     opt: OptimizerConfig = field(default_factory=OptimizerConfig)
     seed: int = 0
 
-    def validate(self) -> "FederationConfig":
+    def __post_init__(self):
         if self.num_clients < 1:
             raise ValueError(f"num_clients must be >= 1, got {self.num_clients}")
         if self.total_rounds < 1:
             raise ValueError(f"total_rounds must be >= 1, got {self.total_rounds}")
         if self.local_steps < 1:
             raise ValueError(f"local_steps must be >= 1, got {self.local_steps}")
-        self.opt.validate()
-        return self
 
 
 @dataclass
@@ -141,7 +139,6 @@ def run_pretraining(
     aggregate. Returns final params and a (round, global_loss, eta) trace;
     the first trace row is the loss before any update in this call, and
     each row's eta is the one of the round that led to it."""
-    cfg.validate()
     if not clients:
         raise ValueError("need at least one client")
     clients = sorted(clients, key=lambda c: c.client_id)
@@ -183,12 +180,7 @@ def _payload_bytes(params: np.ndarray) -> bytes:
 def save_checkpoint(path_prefix: str, cp: Checkpoint) -> None:
     payload = _payload_bytes(cp.params)
     manifest = {
-        "model": {
-            "patch_dim": cp.model_cfg.patch_dim,
-            "embed_dim": cp.model_cfg.embed_dim,
-            "num_patches": cp.model_cfg.num_patches,
-            "seed": cp.model_cfg.seed,
-        },
+        "model": asdict(cp.model_cfg),
         "federation": {
             "num_clients": cp.fed_cfg.num_clients,
             "total_rounds": cp.fed_cfg.total_rounds,
@@ -211,24 +203,18 @@ def save_checkpoint(path_prefix: str, cp: Checkpoint) -> None:
 
 
 def load_checkpoint(path_prefix: str) -> Checkpoint:
+    """Read <path_prefix>.json and .params. A missing or unreadable file
+    raises its OSError; bad contents raise MalformedFile naming the file."""
     try:
         with open(f"{path_prefix}.json", "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise MalformedFile(f"cannot read manifest {path_prefix}.json: {exc}") from exc
-    try:
-        with open(f"{path_prefix}.params", "rb") as fh:
-            payload = fh.read()
-    except OSError as exc:
-        raise MalformedFile(f"cannot read payload {path_prefix}.params: {exc}") from exc
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise MalformedFile(f"{path_prefix}.json: not valid JSON: {exc}") from exc
+    with open(f"{path_prefix}.params", "rb") as fh:
+        payload = fh.read()
 
     try:
-        model_cfg = ModelConfig(
-            patch_dim=manifest["model"]["patch_dim"],
-            embed_dim=manifest["model"]["embed_dim"],
-            num_patches=manifest["model"]["num_patches"],
-            seed=manifest["model"]["seed"],
-        )
+        model_cfg = ModelConfig(**manifest["model"])
         fed = manifest["federation"]
         fed_cfg = FederationConfig(
             num_clients=fed["num_clients"],
@@ -246,8 +232,8 @@ def load_checkpoint(path_prefix: str) -> Checkpoint:
         crc = manifest["crc32"]
         round_index = manifest["round"]
         seed = manifest["seed"]
-    except (KeyError, TypeError) as exc:
-        raise MalformedFile(f"manifest {path_prefix}.json missing field: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedFile(f"{path_prefix}.json: bad field: {exc}") from exc
 
     if param_count != model_cfg.param_count:
         raise ConfigMismatch(

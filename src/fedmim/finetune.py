@@ -113,7 +113,6 @@ def train_probe(
     x_val, y_val = features[val_idx], labels[val_idx]
 
     probe = init_probe(cfg.num_classes, features.shape[1], cfg.seed)
-    opt = OptimizerConfig(cfg.eta_max, cfg.eta_min, cfg.warmup_rounds, cfg.epochs)
 
     def val_accuracy(p: np.ndarray) -> float:
         scores = probe_scores(p, x_val, cfg.num_classes)
@@ -121,6 +120,10 @@ def train_probe(
 
     best_probe = probe.copy()
     best_acc = val_accuracy(probe)
+    # A schedule of 0 epochs cannot hold its warmup; the initial probe stands.
+    if cfg.epochs == 0:
+        return ProbeResult(best_probe, best_acc, val_idx, train_idx)
+    opt = OptimizerConfig(cfg.eta_max, cfg.eta_min, cfg.warmup_rounds, cfg.epochs)
     for epoch in range(cfg.epochs):
         eta = lr_schedule(epoch, opt)
         _, grad = batch_probe_loss_and_grad(probe, x_train, y_train, cfg.num_classes)

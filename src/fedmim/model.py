@@ -32,12 +32,11 @@ class ModelConfig:
     patch_dim: int  # N: pixels per patch
     embed_dim: int  # E
     num_patches: int  # L
-    seed: int = 0
+    seed: int  # init_params draws the weights from Rng(seed)
 
-    def validate(self) -> "ModelConfig":
+    def __post_init__(self):
         if self.patch_dim < 1 or self.embed_dim < 1 or self.num_patches < 1:
             raise ValueError("patch_dim, embed_dim, num_patches must all be >= 1")
-        return self
 
     @property
     def param_count(self) -> int:
@@ -52,12 +51,11 @@ class OptimizerConfig:
     warmup_rounds: int = 10
     total_rounds: int = 600
 
-    def validate(self) -> "OptimizerConfig":
+    def __post_init__(self):
         if not (0.0 <= self.eta_min <= self.eta_max):
             raise ValueError("need 0 <= eta_min <= eta_max")
         if not (0 <= self.warmup_rounds <= self.total_rounds):
             raise ValueError("need 0 <= warmup_rounds <= total_rounds")
-        return self
 
 
 def unpack_params(params: np.ndarray, cfg: ModelConfig):
@@ -75,7 +73,6 @@ def unpack_params(params: np.ndarray, cfg: ModelConfig):
 
 def init_params(cfg: ModelConfig) -> np.ndarray:
     """Weights i.i.d. uniform in [-1/sqrt(N), 1/sqrt(N)], biases zero."""
-    cfg.validate()
     rng = Rng(cfg.seed)
     bound = 1.0 / math.sqrt(cfg.patch_dim)
     params = np.zeros(cfg.param_count)
@@ -215,7 +212,6 @@ def batch_loss_and_grad(
 
 def lr_schedule(t: int, opt: OptimizerConfig) -> float:
     """Linear warmup from 0 to eta_max, then cosine annealing to eta_min."""
-    opt.validate()
     if not (0 <= t <= opt.total_rounds):
         raise ValueError(f"round {t} outside [0, {opt.total_rounds}]")
     if t < opt.warmup_rounds:

@@ -31,12 +31,11 @@ class ScanGeometry:
     r_max: float
     half_angle: float
 
-    def validate(self) -> "ScanGeometry":
+    def __post_init__(self):
         if not (0.0 <= self.r_min < self.r_max):
             raise InvalidGeometry(f"need 0 <= r_min < r_max, got {self.r_min}, {self.r_max}")
         if not (0.0 < self.half_angle < np.pi / 2):
             raise InvalidGeometry(f"half_angle must be in (0, pi/2), got {self.half_angle}")
-        return self
 
     @staticmethod
     def default_for(width: int, height: int) -> "ScanGeometry":
@@ -54,7 +53,6 @@ class ScanGeometry:
 def linear_to_convex(img: np.ndarray, geom: ScanGeometry, out_w: int, out_h: int) -> np.ndarray:
     """Warp a rectangular image onto the sector; pixels outside are exactly 0."""
     img = as_image(img)
-    geom.validate()
     h_src, w_src = img.shape
     ys, xs = np.mgrid[0:out_h, 0:out_w].astype(np.float64)
     dx = xs - geom.apex_x
@@ -71,7 +69,6 @@ def linear_to_convex(img: np.ndarray, geom: ScanGeometry, out_w: int, out_h: int
 def convex_to_linear(img: np.ndarray, geom: ScanGeometry, out_w: int, out_h: int) -> np.ndarray:
     """Unwarp a sector image back to a rectangle (angle -> column, radius -> row)."""
     img = as_image(img)
-    geom.validate()
     if out_w < 2 or out_h < 2:
         raise InvalidGeometry("output must be at least 2x2")
     ys, xs = np.mgrid[0:out_h, 0:out_w].astype(np.float64)

@@ -150,6 +150,8 @@ def generate_dataset(
     Every per-sample choice comes from an rng derived from (seed, index),
     so the dataset is reproducible and order-independent.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if abs(sum(class_mix) - 1.0) > 1e-9 or any(p < 0 for p in class_mix):
         raise ValueError(f"class_mix must be a probability vector, got {class_mix}")
     geom = ScanGeometry.default_for(base_spec.width, base_spec.height)

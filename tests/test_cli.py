@@ -62,9 +62,11 @@ def test_load_config_merges_leaves(tmp_path):
     assert cfg["optimizer"]["eta_max"] == 1  # an integer where a float is due
 
 
-def test_unknown_config_key_is_exit_2(tmp_path):
+@pytest.mark.parametrize("override", [{"modle": {}}, {"threads": 1}],
+                         ids=["typo", "threads"])
+def test_unknown_config_key_is_exit_2(tmp_path, override):
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({"version": 1, "modle": {}}))
+    path.write_text(json.dumps(dict(override, version=1)))
     assert main(["--config", str(path), "--out", str(tmp_path / "o"),
                  "generate"]) == EXIT_CONFIG
 
@@ -116,11 +118,24 @@ def test_generate_deterministic(workspace, tmp_path):
             (root / "data" / name).read_bytes()
 
 
-def test_generate_missing_parent_is_exit_3(workspace, tmp_path):
-    _, cfg_path = workspace
-    assert main(["--config", str(cfg_path),
+@pytest.mark.parametrize("command", ["generate", "pretrain", "finetune"])
+def test_generate_missing_parent_is_exit_3(workspace, tmp_path, command):
+    root, cfg_path = workspace
+    inputs = ([str(root / "run" / "checkpoint"), str(root / "data")]
+              if command == "finetune" else [])
+    assert main(["--config", str(cfg_path), "--seed", "5",
                  "--out", str(tmp_path / "no" / "such" / "dir"),
-                 "generate"]) == EXIT_IO
+                 command] + inputs) == EXIT_IO
+
+
+def test_generate_negative_n_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"version": 1, "synth": {"n": -3}}))
+    capsys.readouterr()
+    assert main(["--config", str(path), "--out", str(tmp_path / "o"),
+                 "generate"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "configuration error: n must be >= 0, got -3\n"
+    assert not (tmp_path / "o" / "labels.json").exists()
 
 
 def test_pretrain_trace_rows(workspace):
@@ -207,6 +222,41 @@ def test_finetune_zero_epochs_still_reports(workspace, tmp_path):
                  "--out", str(tmp_path / "zft"), "finetune",
                  str(root / "run" / "checkpoint"), str(root / "data")]) == EXIT_OK
     assert (tmp_path / "zft" / "finetune_report.json").exists()
+
+
+@pytest.mark.parametrize("epochs", [-1, 5])
+def test_finetune_epochs_out_of_range_is_exit_2(workspace, tmp_path, capsys, epochs):
+    # The probe schedule's warmup is 10 rounds, so it needs 0 or >= 10 epochs.
+    root, _ = workspace
+    cfg = dict(SMOKE, probe=dict(SMOKE["probe"], epochs=epochs))
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    out = tmp_path / "eft"
+    assert main(["--config", str(path), "--seed", "5",
+                 "--out", str(out), "finetune",
+                 str(root / "run" / "checkpoint"), str(root / "data")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "configuration error: need 0 <= warmup_rounds <= total_rounds\n"
+    assert not (out / "finetune_report.json").exists()
+
+
+def test_finetune_at_other_seed_than_checkpoint(workspace, tmp_path):
+    # The checkpoint was pre-trained at seed 5; a probe may use any seed.
+    root, cfg_path = workspace
+    assert main(["--config", str(cfg_path), "--seed", "8",
+                 "--out", str(tmp_path / "ft8"), "finetune",
+                 str(root / "run" / "checkpoint"), str(root / "data")]) == EXIT_OK
+    assert (tmp_path / "ft8" / "finetune_report.json").exists()
+
+
+def test_finetune_missing_checkpoint_is_exit_3(workspace, tmp_path, capsys):
+    root, cfg_path = workspace
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "ft"), "finetune",
+                 str(tmp_path / "nosuch" / "checkpoint"),
+                 str(root / "data")]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("I/O error: [Errno 2] No such file")
 
 
 def test_finetune_mismatched_model_is_exit_2(workspace, tmp_path):

@@ -141,8 +141,10 @@ def test_mixed_corrupt_op_inclusion_frequency(monkeypatch):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        CorruptionConfig(p=1.5).validate()
-    with pytest.raises(ValueError):
-        CorruptionConfig(motion_d=4).validate()
-    CorruptionConfig().validate()
+    with pytest.raises(ValueError, match=r"^p must be in \[0,1\], got 1.5$"):
+        CorruptionConfig(p=1.5)
+    with pytest.raises(ValueError, match="^salt/pepper probabilities invalid$"):
+        CorruptionConfig(p_salt=0.6, p_pepper=0.6)
+    with pytest.raises(ValueError, match="^motion_d must be odd and >= 1, got 4$"):
+        CorruptionConfig(motion_d=4)
+    CorruptionConfig()

@@ -201,12 +201,12 @@ def test_run_pretraining_client_order_irrelevant():
 
 
 def test_federation_config_validation():
-    with pytest.raises(ValueError):
-        FederationConfig(0, 1).validate()
-    with pytest.raises(ValueError):
-        FederationConfig(1, 0).validate()
-    with pytest.raises(ValueError):
-        FederationConfig(1, 1, local_steps=0).validate()
+    with pytest.raises(ValueError, match="^num_clients must be >= 1, got 0$"):
+        FederationConfig(0, 1)
+    with pytest.raises(ValueError, match="^total_rounds must be >= 1, got 0$"):
+        FederationConfig(1, 0)
+    with pytest.raises(ValueError, match="^local_steps must be >= 1, got 0$"):
+        FederationConfig(1, 1, local_steps=0)
 
 
 def checkpoint_fixture(cfg):
@@ -281,9 +281,44 @@ def test_checkpoint_manifest_wrong_count(tmp_path):
         load_checkpoint(prefix)
 
 
+def test_checkpoint_manifest_model_section_is_model_config(tmp_path):
+    import json
+
+    prefix = str(tmp_path / "ck")
+    save_checkpoint(prefix, checkpoint_fixture(small_cfg(5)))
+    model = json.loads((tmp_path / "ck.json").read_text())["model"]
+    assert model == {"patch_dim": 4, "embed_dim": 3, "num_patches": 4, "seed": 5}
+
+
 def test_checkpoint_missing_manifest(tmp_path):
-    with pytest.raises(MalformedFile):
+    with pytest.raises(FileNotFoundError):
         load_checkpoint(str(tmp_path / "nope"))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m["model"].update(embed_dim=0), "bad field: patch_dim, embed_dim"),
+    (lambda m: m["federation"].update(warmup_rounds=99), "bad field: need 0 <= warmup"),
+    (lambda m: m["model"].pop("seed"), "bad field: ModelConfig.__init__() missing"),
+], ids=["model-range", "optimizer-range", "model-key"])
+def test_checkpoint_bad_manifest_field(tmp_path, edit, message):
+    import json
+
+    prefix = str(tmp_path / "ck")
+    save_checkpoint(prefix, checkpoint_fixture(small_cfg()))
+    manifest = json.loads((tmp_path / "ck.json").read_text())
+    edit(manifest)
+    (tmp_path / "ck.json").write_text(json.dumps(manifest))
+    with pytest.raises(MalformedFile) as err:
+        load_checkpoint(prefix)
+    assert str(err.value).startswith(f"{prefix}.json: {message}")
+
+
+def test_checkpoint_manifest_not_utf8(tmp_path):
+    prefix = str(tmp_path / "ck")
+    save_checkpoint(prefix, checkpoint_fixture(small_cfg()))
+    (tmp_path / "ck.json").write_bytes(b"\xff{}")
+    with pytest.raises(MalformedFile, match="ck.json: not valid JSON"):
+        load_checkpoint(prefix)
 
 
 def test_resume_matches_uninterrupted(tmp_path):

@@ -216,10 +216,12 @@ def test_lr_schedule_rejects_out_of_range():
 
 
 def test_optimizer_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(eta_max=1e-4, eta_min=1e-3).validate()
-    with pytest.raises(ValueError):
-        OptimizerConfig(warmup_rounds=20, total_rounds=10).validate()
+    with pytest.raises(ValueError, match="^need 0 <= eta_min <= eta_max$"):
+        OptimizerConfig(eta_max=1e-4, eta_min=1e-3)
+    with pytest.raises(ValueError, match="^need 0 <= warmup_rounds <= total_rounds$"):
+        OptimizerConfig(warmup_rounds=20, total_rounds=10)
+    with pytest.raises(ValueError, match="^patch_dim, embed_dim, num_patches must all be >= 1$"):
+        ModelConfig(patch_dim=4, embed_dim=0, num_patches=4, seed=0)
 
 
 def test_encode_features_matches_manual():

@@ -38,11 +38,11 @@ def balance_dataset(
 
 
 def test_geometry_validation():
-    with pytest.raises(InvalidGeometry):
-        ScanGeometry(0, 0, 10.0, 5.0, 0.5).validate()
-    with pytest.raises(InvalidGeometry):
-        ScanGeometry(0, 0, 1.0, 5.0, 2.0).validate()
-    default_geom().validate()
+    with pytest.raises(InvalidGeometry, match="^need 0 <= r_min < r_max, got 10.0, 5.0$"):
+        ScanGeometry(0, 0, 10.0, 5.0, 0.5)
+    with pytest.raises(InvalidGeometry, match=r"^half_angle must be in \(0, pi/2\), got 2.0$"):
+        ScanGeometry(0, 0, 1.0, 5.0, 2.0)
+    default_geom()
 
 
 def test_sector_exterior_exactly_zero():
