@@ -62,11 +62,17 @@ def test_load_config_merges_leaves(tmp_path):
     assert cfg["optimizer"]["eta_max"] == 1  # an integer where a float is due
 
 
-@pytest.mark.parametrize("override", [{"modle": {}}, {"threads": 1}],
-                         ids=["typo", "threads"])
-def test_unknown_config_key_is_exit_2(tmp_path, override):
+def test_unknown_config_key_is_exit_2(tmp_path):
     path = tmp_path / "c.json"
-    path.write_text(json.dumps(dict(override, version=1)))
+    path.write_text(json.dumps({"version": 1, "modle": {}}))
+    assert main(["--config", str(path), "--out", str(tmp_path / "o"),
+                 "generate"]) == EXIT_CONFIG
+
+
+def test_threads_config_key_is_exit_2(tmp_path):
+    # The thread count is a command-line flag, not a configuration key.
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"version": 1, "threads": 1}))
     assert main(["--config", str(path), "--out", str(tmp_path / "o"),
                  "generate"]) == EXIT_CONFIG
 
@@ -118,8 +124,15 @@ def test_generate_deterministic(workspace, tmp_path):
             (root / "data" / name).read_bytes()
 
 
-@pytest.mark.parametrize("command", ["generate", "pretrain", "finetune"])
-def test_generate_missing_parent_is_exit_3(workspace, tmp_path, command):
+def test_generate_missing_parent_is_exit_3(workspace, tmp_path):
+    _, cfg_path = workspace
+    assert main(["--config", str(cfg_path),
+                 "--out", str(tmp_path / "no" / "such" / "dir"),
+                 "generate"]) == EXIT_IO
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_train_missing_parent_is_exit_3(workspace, tmp_path, command):
     root, cfg_path = workspace
     inputs = ([str(root / "run" / "checkpoint"), str(root / "data")]
               if command == "finetune" else [])
