@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from .image import PatchGrid, depatchify, read_pgm, write_pgm
 from .pipeline import PatchSpec, build_clients
 from .rng import Rng
 from .smat import ScanGeometry
-from .tgm import apply_uim
+from .tgm import apply_uim, round_half_up
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,28 +38,35 @@ class ConfigError(FedmimError):
     """Raised for malformed or contradictory run configuration."""
 
 
+def _fields(defaults, *drop: str) -> dict:
+    """The field defaults of a config class instance, minus drop."""
+    return {k: v for k, v in asdict(defaults).items() if k not in drop}
+
+
+# The phantom keys of the "synth" section: PhantomSpec's fields but the
+# per-sample lesion and label.
+_PHANTOM = _fields(synth.PhantomSpec(), "lesion", "class_label")
+
 # Default run configuration; a config file overrides leaf values. The
-# "model", "patch", "corruption", "optimizer" and "probe" sections hold
-# exactly the fields of the config class each one builds.
+# "patch", "corruption", "optimizer" and "probe" sections hold the fields
+# of the config class each one builds, with that class's defaults. The
+# model shape follows from "patch" and "synth" (see _model_config).
 _DEFAULTS: dict = {
     "version": 1,
     "seed": 0,
-    "model": {"patch_dim": 64, "embed_dim": 32, "num_patches": 64},
-    "patch": {"patch_h": 8, "patch_w": 8, "mask_ratio": 0.75},
+    "model": {"embed_dim": 32},
+    "patch": _fields(PatchSpec()),
     "federation": {"num_clients": 4, "total_rounds": 10, "local_steps": 1,
                    "alpha": 0.5},
-    "optimizer": {"eta_max": 5e-4, "eta_min": 1e-6, "warmup_rounds": 10},
-    "corruption": {"p": 0.5, "motion_d": 7, "p_salt": 0.02, "p_pepper": 0.02},
-    "synth": {"n": 64, "width": 64, "height": 64, "background_level": 150.0,
-              "speckle_strength": 0.25,
+    "optimizer": _fields(model.OptimizerConfig(), "total_rounds"),
+    "corruption": _fields(CorruptionConfig()),
+    "synth": {"n": 64, **_PHANTOM,
               "class_mix": [0.35, 0.35, 0.3],
               "lesion": {"intensity_delta": -60.0,
                          "malignant_delta": None,
                          "irregularity_range": [0.45, 0.85],
                          "axis_range": [0.14, 0.24]}},
-    "probe": {"num_classes": 2, "epochs": 200, "val_fraction": 0.2,
-              "eta_max": 0.5, "eta_min": 1e-3, "warmup_rounds": 10},
-    "checkpoint_name": "checkpoint",
+    "probe": _fields(ProbeConfig(), "seed"),
     "resume_from": None,
 }
 
@@ -117,11 +124,32 @@ def load_config(path: str | None) -> dict:
 
 
 def _model_config(cfg: dict) -> model.ModelConfig:
-    return model.ModelConfig(**cfg["model"], seed=cfg["seed"])
+    """The model of the config's patches and phantoms: an H x W image in
+    p_h x p_w patches has L = (H/p_h)(W/p_w) patches of N = p_h p_w pixels,
+    of which round_half_up(mask_ratio L) are masked."""
+    patch, phantom = _patch_spec(cfg), _phantom_spec(cfg)
+    if phantom.height % patch.patch_h or phantom.width % patch.patch_w:
+        raise ConfigError(
+            f"patch.patch_h x patch.patch_w ({patch.patch_h}x{patch.patch_w}) "
+            f"does not tile synth.height x synth.width "
+            f"({phantom.height}x{phantom.width})")
+    num_patches = (phantom.height // patch.patch_h) * (phantom.width // patch.patch_w)
+    masked = round_half_up(patch.mask_ratio * num_patches)
+    if not 0 < masked < num_patches:
+        raise ConfigError(
+            f"patch.mask_ratio {patch.mask_ratio} masks {masked} of the "
+            f"{num_patches} patches; it must mask some but not all")
+    return model.ModelConfig(patch.patch_h * patch.patch_w,
+                             cfg["model"]["embed_dim"], num_patches,
+                             seed=cfg["seed"])
 
 
 def _patch_spec(cfg: dict) -> PatchSpec:
     return PatchSpec(**cfg["patch"])
+
+
+def _phantom_spec(cfg: dict) -> synth.PhantomSpec:
+    return synth.PhantomSpec(**{key: cfg["synth"][key] for key in _PHANTOM})
 
 
 def _corruption(cfg: dict) -> CorruptionConfig:
@@ -144,10 +172,8 @@ def _federation(cfg: dict) -> fed.FederationConfig:
 def _generate(cfg: dict) -> list[synth.LabeledSample]:
     # The "lesion" keys are random_lesion's keyword parameters.
     s = cfg["synth"]
-    base = synth.PhantomSpec(**{key: s[key] for key in (
-        "width", "height", "background_level", "speckle_strength")})
     return synth.generate_dataset(s["n"], tuple(s["class_mix"]), Rng(cfg["seed"]),
-                                  base, lesion_kwargs=s["lesion"])
+                                  _phantom_spec(cfg), lesion_kwargs=s["lesion"])
 
 
 def cmd_generate(cfg: dict, out_dir: Path) -> int:
@@ -200,7 +226,7 @@ def cmd_pretrain(cfg: dict, out_dir: Path) -> int:
         for rnd, loss, eta in rows:
             fh.write(f"{rnd},{loss!r},{eta!r}\n")
     fed.save_checkpoint(
-        str(out_dir / cfg["checkpoint_name"]),
+        str(out_dir / "checkpoint"),
         fed.Checkpoint(model_cfg, fed_cfg, fed_cfg.total_rounds,
                        cfg["seed"], final),
     )
@@ -209,7 +235,9 @@ def cmd_pretrain(cfg: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _load_labeled_dir(labeled_dir: Path) -> tuple[list[np.ndarray], np.ndarray]:
+def _load_samples(labeled_dir: Path) -> list[dict]:
+    """The "samples" records of labeled_dir's labels.json, each checked to
+    have an integer index and label."""
     path = labeled_dir / "labels.json"
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
@@ -222,31 +250,36 @@ def _load_labeled_dir(labeled_dir: Path) -> tuple[list[np.ndarray], np.ndarray]:
         for key in ("index", "label"):
             if not isinstance(rec, dict) or type(rec.get(key)) is not int:
                 raise MalformedFile(f"{path}: sample {i} has no integer {key!r} field")
-    images = [read_pgm(labeled_dir / f"img_{rec['index']:04d}.pgm") for rec in samples]
-    return images, np.array([rec["label"] for rec in samples], dtype=np.int64)
+    return samples
 
 
 def cmd_finetune(cfg: dict, checkpoint: Path, labeled_dir: Path, out_dir: Path) -> int:
     out_dir.mkdir(exist_ok=True)
     model_cfg = _model_config(cfg)
+    probe_cfg = ProbeConfig(**cfg["probe"], seed=cfg["seed"])
+    num_classes = probe_cfg.num_classes
     ckpt = fed.load_checkpoint(str(checkpoint))
     # The init seed does not shape the encoder, so any probe seed may use it.
     if replace(ckpt.model_cfg, seed=model_cfg.seed) != model_cfg:
         raise ConfigError("checkpoint model config does not match run config")
-    images, labels = _load_labeled_dir(labeled_dir)
+    samples = _load_samples(labeled_dir)
+    # A 2-class probe tells benign from malignant lesions; a phantom with
+    # no lesion is neither, so it is left out rather than rejected.
+    kept = [rec for rec in samples
+            if not (num_classes == 2 and rec["label"] == synth.NONE)]
+    images = [read_pgm(labeled_dir / f"img_{rec['index']:04d}.pgm") for rec in kept]
+    labels = np.array([rec["label"] for rec in kept], dtype=np.int64)
     patch = _patch_spec(cfg)
     feats = extract_features(ckpt.params, model_cfg, images, patch.patch_h, patch.patch_w)
-    probe_cfg = ProbeConfig(**cfg["probe"], seed=cfg["seed"])
     result = train_probe(feats, labels, probe_cfg)
-    num_classes = probe_cfg.num_classes
     scores = probe_scores(result.probe_params, feats, num_classes)
     with open(out_dir / "scores.csv", "w", encoding="utf-8") as fh:
         fh.write("index,label,split," +
                  ",".join(f"p{c}" for c in range(num_classes)) + "\n")
         val = set(int(i) for i in result.val_indices)
-        for i, (row, label) in enumerate(zip(scores, labels)):
+        for i, (rec, row) in enumerate(zip(kept, scores)):
             split = "val" if i in val else "train"
-            fh.write(f"{i},{label},{split}," +
+            fh.write(f"{rec['index']},{rec['label']},{split}," +
                      ",".join(repr(float(v)) for v in row) + "\n")
     val_idx = result.val_indices
     report = {
@@ -254,6 +287,7 @@ def cmd_finetune(cfg: dict, checkpoint: Path, labeled_dir: Path, out_dir: Path) 
         "val_accuracy": result.val_accuracy,
         "val_auroc": (metrics.auroc(scores[val_idx, 1], labels[val_idx])
                       if num_classes == 2 else None),
+        "no_lesion_left_out": len(samples) - len(kept),
     }
     np.save(out_dir / "probe_params.npy", result.probe_params)
     (out_dir / "finetune_report.json").write_text(

@@ -128,6 +128,9 @@ class Rng:
         """Symmetric Dirichlet(alpha) over k components."""
         draws = [self.gamma(alpha) for _ in range(k)]
         total = sum(draws)
+        if total == 0.0:
+            raise ValueError(f"Dirichlet alpha {alpha} is so small that all "
+                             f"{k} Gamma draws underflow to 0")
         return [d / total for d in draws]
 
     def shuffle(self, items: list) -> None:

@@ -40,6 +40,14 @@ class PhantomSpec:
     lesion: Lesion | None = None
     class_label: int = NONE
 
+    def __post_init__(self):
+        if self.width < 1 or self.height < 1:
+            raise ValueError(f"width and height must be >= 1, got "
+                             f"{self.width}x{self.height}")
+        if self.speckle_strength < 0.0:
+            raise ValueError(
+                f"speckle_strength must be >= 0, got {self.speckle_strength}")
+
 
 @dataclass(frozen=True)
 class LabeledSample:

@@ -446,7 +446,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     cfg = {
         "version": 1,
         "synth": {"n": 48, "width": 32, "height": 32},
-        "model": {"patch_dim": 64, "embed_dim": 8, "num_patches": 16},
+        "model": {"embed_dim": 8},
         "federation": {"num_clients": 4, "total_rounds": 6, "local_steps": 2},
         "optimizer": {"warmup_rounds": 2},
     }

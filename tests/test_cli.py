@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import fedmim
-from fedmim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, load_config, main
+from fedmim import synth
+from fedmim.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, _NULLABLE,
+                        load_config, main)
 from fedmim.image import read_pgm, write_pgm
 from fedmim.metrics import auroc
 
@@ -25,7 +27,7 @@ DEFAULT_PRETRAIN_PARAMS_SHA256 = (
 SMOKE = {
     "version": 1,
     "synth": {"n": 40, "width": 32, "height": 32, "class_mix": [0.5, 0.5, 0.0]},
-    "model": {"patch_dim": 64, "embed_dim": 8, "num_patches": 16},
+    "model": {"embed_dim": 8},
     "federation": {"num_clients": 2, "total_rounds": 3, "local_steps": 2},
     "optimizer": {"warmup_rounds": 1},
     "probe": {"epochs": 30},
@@ -58,7 +60,7 @@ def test_load_config_merges_leaves(tmp_path):
                                 "optimizer": {"eta_max": 1}}))
     cfg = load_config(str(path))
     assert cfg["model"]["embed_dim"] == 4
-    assert cfg["model"]["patch_dim"] == 64  # untouched default
+    assert cfg["patch"]["patch_h"] == 8  # untouched default
     assert cfg["optimizer"]["eta_max"] == 1  # an integer where a float is due
 
 
@@ -95,6 +97,46 @@ def test_config_value_of_wrong_type_is_exit_2(tmp_path, capsys, override, key):
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {key} must be ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("override, key", [
+    ({"model": {"patch_dim": 64}}, "model.patch_dim"),
+    ({"model": {"num_patches": 64}}, "model.num_patches"),
+    ({"checkpoint_name": "checkpoint"}, "checkpoint_name"),
+])
+def test_removed_config_key_is_exit_2(tmp_path, capsys, override, key):
+    # The model shape follows from the patch and image sizes, and the
+    # checkpoint is always <out>/checkpoint.
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dict(override, version=1)))
+    capsys.readouterr()
+    assert main(["--config", str(path), "--out", str(tmp_path / "o"),
+                 "pretrain"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: unknown config key: {key}\n"
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"synth": {"width": 60}},
+     "patch.patch_h x patch.patch_w (8x8) does not tile synth.height x synth.width (64x60)"),
+    ({"patch": {"patch_w": 5}},
+     "patch.patch_h x patch.patch_w (8x5) does not tile synth.height x synth.width (64x64)"),
+    ({"patch": {"mask_ratio": 0.005}},
+     "patch.mask_ratio 0.005 masks 0 of the 64 patches; it must mask some but not all"),
+    ({"patch": {"mask_ratio": 0.995}},
+     "patch.mask_ratio 0.995 masks 64 of the 64 patches; it must mask some but not all"),
+], ids=["width", "patch-w", "mask-none", "mask-all"])
+def test_bad_model_shape_is_exit_2_before_synthesis(tmp_path, capsys, monkeypatch,
+                                                    override, message):
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("synthesized phantoms for an invalid config")
+
+    monkeypatch.setattr(synth, "generate_dataset", no_synthesis)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dict(override, version=1)))
+    capsys.readouterr()
+    assert main(["--config", str(path), "--out", str(tmp_path / "o"),
+                 "pretrain"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
 def test_wrong_version_is_exit_2(tmp_path):
@@ -180,14 +222,14 @@ def test_pretrain_thread_count_invariance(workspace, tmp_path):
 
 def test_pretrain_resume_matches_full_run(workspace, tmp_path):
     root, _ = workspace
-    head_cfg = dict(SMOKE, federation=dict(SMOKE["federation"], total_rounds=1),
-                    checkpoint_name="head")
+    head_cfg = dict(SMOKE, federation=dict(SMOKE["federation"], total_rounds=1))
     head_path = tmp_path / "head.json"
     head_path.write_text(json.dumps(head_cfg))
     out = tmp_path / "seg"
     assert main(["--config", str(head_path), "--seed", "5",
                  "--out", str(out), "pretrain"]) == EXIT_OK
-    tail_cfg = dict(SMOKE, resume_from=str(out / "head"))
+    # The resumed run reads <out>/checkpoint before it writes the new one.
+    tail_cfg = dict(SMOKE, resume_from=str(out / "checkpoint"))
     tail_path = tmp_path / "tail.json"
     tail_path.write_text(json.dumps(tail_cfg))
     assert main(["--config", str(tail_path), "--seed", "5",
@@ -423,11 +465,34 @@ def test_pretrain_outputs_independent_of_blas_threads(default_runs):
             (default_runs[2] / name).read_bytes(), name
 
 
-def test_default_chain_bad_label_is_exit_2(default_runs, tmp_path, capsys):
-    # The default class mix emits label 2 (no lesion) against a 2-class
-    # probe; it is rejected even when no training epoch runs.
+def test_default_chain_leaves_out_no_lesion_samples(default_runs, tmp_path):
+    # The default class mix emits label 2 (no lesion); a 2-class probe
+    # leaves those samples out and keeps each row's labels.json index.
     data = tmp_path / "data"
     assert main(["--seed", "7", "--out", str(data), "generate"]) == EXIT_OK
+    out = tmp_path / "ft"
+    assert main(["--seed", "7", "--out", str(out), "finetune",
+                 str(default_runs[1] / "checkpoint"), str(data)]) == EXIT_OK
+    report = json.loads((out / "finetune_report.json").read_text())
+    samples = json.loads((data / "labels.json").read_text())["samples"]
+    no_lesion = [rec["index"] for rec in samples if rec["label"] == synth.NONE]
+    assert report["no_lesion_left_out"] == len(no_lesion) == 22
+    rows = [row.split(",") for row in
+            (out / "scores.csv").read_text().splitlines()[1:]]
+    labels = {rec["index"]: rec["label"] for rec in samples}
+    assert [int(r[0]) for r in rows] == sorted(set(labels) - set(no_lesion))
+    assert all(int(r[1]) == labels[int(r[0])] for r in rows)
+    assert {r[1] for r in rows if r[2] == "val"} == {"0", "1"}
+
+
+def test_default_chain_bad_label_is_exit_2(default_runs, tmp_path, capsys):
+    # Only label 2 is left out; any other label outside [0, 2) is
+    # rejected, even when no training epoch runs.
+    data = tmp_path / "data"
+    assert main(["--seed", "7", "--out", str(data), "generate"]) == EXIT_OK
+    manifest = json.loads((data / "labels.json").read_text())
+    manifest["samples"][5]["label"] = 3
+    (data / "labels.json").write_text(json.dumps(manifest))
     zero_epochs = tmp_path / "zero_epochs.json"
     zero_epochs.write_text(json.dumps({"version": 1, "probe": {"epochs": 0}}))
     for name, config in (("default", []), ("zero_epochs", ["--config", str(zero_epochs)])):
@@ -437,6 +502,82 @@ def test_default_chain_bad_label_is_exit_2(default_runs, tmp_path, capsys):
                               str(default_runs[1] / "checkpoint"), str(data)])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG, name
-        assert err.startswith("error: label 2 ")
-        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err == "error: label 3 outside [0, 2)\n"
         assert not (out / "finetune_report.json").exists()
+
+
+# A cheap run at the default 64x64 phantoms and 8x8 patches: no speckle,
+# eight samples, two clients, two rounds.
+SWEEP_BASE = {
+    "version": 1,
+    "model": {"embed_dim": 4},
+    "federation": {"num_clients": 2, "total_rounds": 2},
+    "optimizer": {"warmup_rounds": 1},
+    "synth": {"n": 8, "speckle_strength": 0.0, "class_mix": [0.5, 0.5, 0.0]},
+    "probe": {"epochs": 10, "val_fraction": 0.5},
+}
+SWEEP_INTS = [-1, 0, 1, 2, 3]
+SWEEP_FLOATS = [-1.0, 0.0, 1e-9, 0.005, 0.995, 1.0, 2.0, 1e6]
+
+
+def _numeric_leaves(section: dict, path: str = ""):
+    """(dotted key, default) of every number or list leaf; a null default
+    stands for a number when the key takes one."""
+    for key, value in section.items():
+        where = f"{path}.{key}" if path else key
+        if isinstance(value, dict):
+            yield from _numeric_leaves(value, where)
+        elif where != "version":
+            value = _NULLABLE.get(where, value)
+            if isinstance(value, (int, float, list)):
+                yield where, value
+
+
+def _with_leaf(cfg: dict, where: str, value) -> dict:
+    out = json.loads(json.dumps(cfg))
+    *parents, key = where.split(".")
+    node = out
+    for name in parents:
+        node = node.setdefault(name, {})
+    node[key] = value
+    return out
+
+
+def test_config_leaf_sweep_exits_cleanly(tmp_path, capsys):
+    # Every numeric config leaf at edge values ends in a documented exit
+    # code with at most a one-line message: pretrain for each leaf outside
+    # "probe", finetune on one fixed dataset and checkpoint for each probe
+    # leaf.
+    def run(cfg: dict, argv: list[str]) -> tuple[int | str, str]:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        try:
+            code = main(["--config", str(path), "--seed", "3"] + argv)
+        except Exception as exc:  # an exception escaping main is the failure
+            code = f"{type(exc).__name__}: {exc}"
+        return code, capsys.readouterr().err
+
+    data, ckpt = tmp_path / "data", tmp_path / "run" / "checkpoint"
+    finetune = ["finetune", str(ckpt), str(data)]
+    for argv in (["--out", str(data), "generate"],
+                 ["--out", str(ckpt.parent), "pretrain"],
+                 ["--out", str(tmp_path / "ft")] + finetune):
+        assert run(SWEEP_BASE, argv) == (EXIT_OK, "")
+
+    bad = []
+    leaves = list(_numeric_leaves(load_config(None)))
+    for where, default in leaves:
+        if isinstance(default, list):
+            values = [[v] * len(default) for v in (-1, 0, 1, 2)]
+        else:
+            values = SWEEP_INTS if isinstance(default, int) else SWEEP_FLOATS
+        for i, value in enumerate(values):
+            out = ["--out", str(tmp_path / f"{where}-{i}")]
+            argv = out + (finetune if where.startswith("probe.") else ["pretrain"])
+            code, err = run(_with_leaf(SWEEP_BASE, where, value), argv)
+            if (code not in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC)
+                    or err.count("\n") != (code != EXIT_OK) or "Traceback" in err):
+                bad.append(f"{where}={value!r}: exit {code}, stderr {err!r}")
+    assert not bad, "\n".join(bad)
+    assert len(leaves) == 32  # all 34 leaves but version and resume_from

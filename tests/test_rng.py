@@ -118,6 +118,12 @@ def test_dirichlet_simplex(seed, k):
     assert abs(sum(draws) - 1.0) < 1e-12
 
 
+def test_dirichlet_underflow_names_alpha():
+    # Gamma(1e-9) is 0.0 in double precision for nearly every draw.
+    with pytest.raises(ValueError, match="alpha 1e-09 .* underflow"):
+        Rng(0).dirichlet(1e-9, 2)
+
+
 def test_shuffle_is_permutation():
     rng = Rng(3)
     items = list(range(100))

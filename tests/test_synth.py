@@ -30,6 +30,16 @@ def test_no_speckle_no_lesion_is_constant():
     assert sample.mode == LINEAR
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"width": 0}, "width and height must be >= 1, got 0x64"),
+    ({"height": -1}, "width and height must be >= 1, got 64x-1"),
+    ({"speckle_strength": -5.0}, "speckle_strength must be >= 0, got -5.0"),
+])
+def test_phantom_spec_rejects_out_of_range(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PhantomSpec(**kwargs)
+
+
 def test_benign_lesion_is_exact_ellipse():
     lesion = Lesion(16.0, 16.0, 6.0, 4.0, -60.0, 0.0)
     spec = PhantomSpec(32, 32, 150.0, 0.0, lesion, BENIGN)
