@@ -20,13 +20,13 @@ import numpy as np
 
 from . import fed, metrics, model, smat, synth
 from .corrupt import CorruptionConfig, mixed_corrupt
-from .errors import FedmimError, MalformedFile
+from .errors import FedmimError, MalformedFile, TooFewSamples
 from .finetune import ProbeConfig, extract_features, probe_scores, train_probe
 from .image import PatchGrid, depatchify, read_pgm, write_pgm
 from .pipeline import PatchSpec, build_clients
 from .rng import Rng
 from .smat import ScanGeometry
-from .tgm import apply_uim, round_half_up
+from .tgm import apply_uim, mask_count
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -73,6 +73,9 @@ _DEFAULTS: dict = {
 
 # What each null default takes besides null, as a default of that type.
 _NULLABLE = {"resume_from": "", "synth.lesion.malignant_delta": 0.0}
+# Model shape keys that have no default, each with a value of its type: a
+# config may still set them, but only to what _model_config derives.
+_SHAPE_KEYS = {"model.patch_dim": 0, "model.num_patches": 0}
 _KINDS = {int: "an integer", float: "a number", str: "a string"}
 
 
@@ -91,15 +94,19 @@ def _merge(defaults: dict, override: dict, path: str = "") -> dict:
     out = dict(defaults)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
-        if key not in defaults:
+        if key in defaults:
+            default = defaults[key]
+        elif where in _SHAPE_KEYS:
+            default = _SHAPE_KEYS[where]
+        else:
             raise ConfigError(f"unknown config key: {where}")
-        if isinstance(defaults[key], dict):
+        if isinstance(default, dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{where} must be an object")
-            out[key] = _merge(defaults[key], value, where)
+            out[key] = _merge(default, value, where)
         else:
-            expect = _NULLABLE.get(where, defaults[key])
-            nulled = value is None and defaults[key] is None
+            expect = _NULLABLE.get(where, default)
+            nulled = value is None and default is None
             if not (nulled or _same_type(expect, value)):
                 kind = (_KINDS.get(type(expect))
                         or f"a list of {len(expect)} numbers")
@@ -126,7 +133,7 @@ def load_config(path: str | None) -> dict:
 def _model_config(cfg: dict) -> model.ModelConfig:
     """The model of the config's patches and phantoms: an H x W image in
     p_h x p_w patches has L = (H/p_h)(W/p_w) patches of N = p_h p_w pixels,
-    of which round_half_up(mask_ratio L) are masked."""
+    of which mask_count(mask_ratio, L) are masked: some, but not all."""
     patch, phantom = _patch_spec(cfg), _phantom_spec(cfg)
     if phantom.height % patch.patch_h or phantom.width % patch.patch_w:
         raise ConfigError(
@@ -134,13 +141,18 @@ def _model_config(cfg: dict) -> model.ModelConfig:
             f"does not tile synth.height x synth.width "
             f"({phantom.height}x{phantom.width})")
     num_patches = (phantom.height // patch.patch_h) * (phantom.width // patch.patch_w)
-    masked = round_half_up(patch.mask_ratio * num_patches)
+    masked = mask_count(patch.mask_ratio, num_patches)
     if not 0 < masked < num_patches:
         raise ConfigError(
             f"patch.mask_ratio {patch.mask_ratio} masks {masked} of the "
             f"{num_patches} patches; it must mask some but not all")
-    return model.ModelConfig(patch.patch_h * patch.patch_w,
-                             cfg["model"]["embed_dim"], num_patches,
+    shape = {"patch_dim": patch.patch_h * patch.patch_w, "num_patches": num_patches}
+    for key, value in shape.items():
+        if cfg["model"].get(key, value) != value:
+            raise ConfigError(
+                f"model.{key} {cfg['model'][key]} does not match the {value} "
+                f"that the patch and synth sections give")
+    return model.ModelConfig(embed_dim=cfg["model"]["embed_dim"], **shape,
                              seed=cfg["seed"])
 
 
@@ -218,6 +230,13 @@ def cmd_pretrain(cfg: dict, out_dir: Path) -> int:
     if not all(math.isfinite(row[1]) for row in trace):
         print("non-finite global loss", file=sys.stderr)
         return EXIT_NUMERIC
+    # The checkpoint goes first: a save that fails leaves the checkpoint
+    # and trace this run resumed from as they were, ready for a retry.
+    fed.save_checkpoint(
+        str(out_dir / "checkpoint"),
+        fed.Checkpoint(model_cfg, fed_cfg, fed_cfg.total_rounds,
+                       cfg["seed"], final),
+    )
     rows = trace[1:] if resume is not None else trace
     with open(trace_path, "a" if resume is not None else "w",
               encoding="utf-8") as fh:
@@ -225,11 +244,6 @@ def cmd_pretrain(cfg: dict, out_dir: Path) -> int:
             fh.write("round,global_loss,eta\n")
         for rnd, loss, eta in rows:
             fh.write(f"{rnd},{loss!r},{eta!r}\n")
-    fed.save_checkpoint(
-        str(out_dir / "checkpoint"),
-        fed.Checkpoint(model_cfg, fed_cfg, fed_cfg.total_rounds,
-                       cfg["seed"], final),
-    )
     print(f"pre-trained {fed_cfg.total_rounds} rounds; "
           f"final global loss {trace[-1][1]:.6f}")
     return EXIT_OK
@@ -267,6 +281,12 @@ def cmd_finetune(cfg: dict, checkpoint: Path, labeled_dir: Path, out_dir: Path) 
     # no lesion is neither, so it is left out rather than rejected.
     kept = [rec for rec in samples
             if not (num_classes == 2 and rec["label"] == synth.NONE)]
+    left_out = len(samples) - len(kept)
+    if len(kept) < 2:
+        raise TooFewSamples(
+            f"{labeled_dir / 'labels.json'}: the probe needs at least 2 samples, "
+            f"got {len(kept)}" + (f" after leaving out {left_out} with no lesion"
+                                  if left_out else ""))
     images = [read_pgm(labeled_dir / f"img_{rec['index']:04d}.pgm") for rec in kept]
     labels = np.array([rec["label"] for rec in kept], dtype=np.int64)
     patch = _patch_spec(cfg)
@@ -287,7 +307,7 @@ def cmd_finetune(cfg: dict, checkpoint: Path, labeled_dir: Path, out_dir: Path) 
         "val_accuracy": result.val_accuracy,
         "val_auroc": (metrics.auroc(scores[val_idx, 1], labels[val_idx])
                       if num_classes == 2 else None),
-        "no_lesion_left_out": len(samples) - len(kept),
+        "no_lesion_left_out": left_out,
     }
     np.save(out_dir / "probe_params.npy", result.probe_params)
     (out_dir / "finetune_report.json").write_text(

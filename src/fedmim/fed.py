@@ -10,6 +10,7 @@ seed produce byte-identical checkpoints.
 from __future__ import annotations
 
 import json
+import os
 import zlib
 from dataclasses import asdict, dataclass, field
 
@@ -195,11 +196,19 @@ def save_checkpoint(path_prefix: str, cp: Checkpoint) -> None:
         "param_count": int(cp.params.size),
         "crc32": zlib.crc32(payload),
     }
-    with open(f"{path_prefix}.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(f"{path_prefix}.params", "wb") as fh:
-        fh.write(payload)
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    # Both files are written in full under temporary names before either
+    # replaces the old one, so a save that fails while writing leaves the
+    # previous checkpoint at path_prefix loadable. A process killed between
+    # the two renames leaves new params under the old manifest, whose CRC
+    # load_checkpoint then rejects.
+    files = ((f"{path_prefix}.params", payload),
+             (f"{path_prefix}.json", text.encode("utf-8")))
+    for path, data in files:
+        with open(f"{path}.tmp", "wb") as fh:
+            fh.write(data)
+    for path, _ in files:
+        os.replace(f"{path}.tmp", path)
 
 
 def load_checkpoint(path_prefix: str) -> Checkpoint:

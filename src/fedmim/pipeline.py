@@ -24,11 +24,10 @@ class PatchSpec:
     mask_ratio: float = 0.75
 
     def __post_init__(self):
+        # tgm.mask_count checks mask_ratio against the patch count.
         if self.patch_h < 1 or self.patch_w < 1:
             raise ValueError(f"patch_h and patch_w must be >= 1, got "
                              f"{self.patch_h}x{self.patch_w}")
-        if not (0.0 < self.mask_ratio < 1.0):
-            raise ValueError(f"mask_ratio must be in (0,1), got {self.mask_ratio}")
 
 
 def prepare_samples(

@@ -21,6 +21,14 @@ def round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
+def mask_count(mask_ratio: float, num_patches: int) -> int:
+    """How many of num_patches patches a mask ratio in (0,1) masks:
+    round_half_up(mask_ratio * num_patches)."""
+    if not (0.0 < mask_ratio < 1.0):
+        raise InvalidRatio(f"mask ratio must be in (0,1), got {mask_ratio}")
+    return round_half_up(mask_ratio * num_patches)
+
+
 @dataclass(frozen=True)
 class MaskPartition:
     """Disjoint masked/visible patch index sets covering 0..L-1."""
@@ -52,11 +60,9 @@ def select_mask(scores: np.ndarray, mask_ratio: float) -> MaskPartition:
     Ties break toward the lower patch index, so the partition is a pure
     function of the score vector.
     """
-    if not (0.0 < mask_ratio < 1.0):
-        raise InvalidRatio(f"mask ratio must be in (0,1), got {mask_ratio}")
     scores = np.asarray(scores, dtype=np.float64)
     num_patches = scores.size
-    n_masked = round_half_up(mask_ratio * num_patches)
+    n_masked = mask_count(mask_ratio, num_patches)
     order = sorted(range(num_patches), key=lambda i: (-scores[i], i))
     masked = tuple(sorted(order[:n_masked]))
     visible = tuple(sorted(order[n_masked:]))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fedmim
-from fedmim import synth
+from fedmim import fed, synth
 from fedmim.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, _NULLABLE,
                         load_config, main)
 from fedmim.image import read_pgm, write_pgm
@@ -99,44 +99,64 @@ def test_config_value_of_wrong_type_is_exit_2(tmp_path, capsys, override, key):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("override, key", [
-    ({"model": {"patch_dim": 64}}, "model.patch_dim"),
-    ({"model": {"num_patches": 64}}, "model.num_patches"),
-    ({"checkpoint_name": "checkpoint"}, "checkpoint_name"),
-])
-def test_removed_config_key_is_exit_2(tmp_path, capsys, override, key):
-    # The model shape follows from the patch and image sizes, and the
-    # checkpoint is always <out>/checkpoint.
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(dict(override, version=1)))
-    capsys.readouterr()
-    assert main(["--config", str(path), "--out", str(tmp_path / "o"),
-                 "pretrain"]) == EXIT_CONFIG
-    assert capsys.readouterr().err == f"configuration error: unknown config key: {key}\n"
-
-
 @pytest.mark.parametrize("override, message", [
-    ({"synth": {"width": 60}},
-     "patch.patch_h x patch.patch_w (8x8) does not tile synth.height x synth.width (64x60)"),
-    ({"patch": {"patch_w": 5}},
-     "patch.patch_h x patch.patch_w (8x5) does not tile synth.height x synth.width (64x64)"),
-    ({"patch": {"mask_ratio": 0.005}},
-     "patch.mask_ratio 0.005 masks 0 of the 64 patches; it must mask some but not all"),
-    ({"patch": {"mask_ratio": 0.995}},
-     "patch.mask_ratio 0.995 masks 64 of the 64 patches; it must mask some but not all"),
-], ids=["width", "patch-w", "mask-none", "mask-all"])
-def test_bad_model_shape_is_exit_2_before_synthesis(tmp_path, capsys, monkeypatch,
-                                                    override, message):
-    def no_synthesis(*args, **kwargs):
-        raise AssertionError("synthesized phantoms for an invalid config")
-
-    monkeypatch.setattr(synth, "generate_dataset", no_synthesis)
+    ({"model": {"patch_dim": 63}},
+     "model.patch_dim 63 does not match the 64 that the patch and synth sections give"),
+    ({"model": {"num_patches": 16}},
+     "model.num_patches 16 does not match the 64 that the patch and synth sections give"),
+    ({"model": {"num_patches": 64.0}}, "model.num_patches must be an integer, got 64.0"),
+    ({"checkpoint_name": "checkpoint"}, "unknown config key: checkpoint_name"),
+], ids=["patch_dim", "num_patches", "num_patches-float", "checkpoint_name"])
+def test_removed_config_key_is_exit_2(tmp_path, capsys, monkeypatch, override, message):
+    # The model shape follows from the patch and image sizes: a config may
+    # state it, but only as it follows. The checkpoint is always
+    # <out>/checkpoint.
+    monkeypatch.setattr(synth, "generate_dataset", _no_synthesis)
     path = tmp_path / "c.json"
     path.write_text(json.dumps(dict(override, version=1)))
     capsys.readouterr()
     assert main(["--config", str(path), "--out", str(tmp_path / "o"),
                  "pretrain"]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+def test_model_shape_keys_that_follow_are_accepted(workspace, tmp_path):
+    # SMOKE's 32x32 phantoms in 8x8 patches give 16 patches of 64 pixels.
+    root, _ = workspace
+    cfg = dict(SMOKE, model=dict(SMOKE["model"], patch_dim=64, num_patches=16))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path), "--seed", "5", "--out", str(tmp_path / "run"),
+                 "pretrain"]) == EXIT_OK
+    for name in ("loss_trace.csv", "checkpoint.json", "checkpoint.params"):
+        assert (tmp_path / "run" / name).read_bytes() == \
+            (root / "run" / name).read_bytes(), name
+
+
+def _no_synthesis(*args, **kwargs):
+    raise AssertionError("synthesized phantoms for an invalid config")
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"synth": {"width": 60}}, "configuration error: "
+     "patch.patch_h x patch.patch_w (8x8) does not tile synth.height x synth.width (64x60)"),
+    ({"patch": {"patch_w": 5}}, "configuration error: "
+     "patch.patch_h x patch.patch_w (8x5) does not tile synth.height x synth.width (64x64)"),
+    ({"patch": {"mask_ratio": 0.005}}, "configuration error: "
+     "patch.mask_ratio 0.005 masks 0 of the 64 patches; it must mask some but not all"),
+    ({"patch": {"mask_ratio": 0.995}}, "configuration error: "
+     "patch.mask_ratio 0.995 masks 64 of the 64 patches; it must mask some but not all"),
+    ({"patch": {"mask_ratio": 1.0}}, "error: mask ratio must be in (0,1), got 1.0"),
+], ids=["width", "patch-w", "mask-none", "mask-all", "mask-ratio-1"])
+def test_bad_model_shape_is_exit_2_before_synthesis(tmp_path, capsys, monkeypatch,
+                                                    override, message):
+    monkeypatch.setattr(synth, "generate_dataset", _no_synthesis)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dict(override, version=1)))
+    capsys.readouterr()
+    assert main(["--config", str(path), "--out", str(tmp_path / "o"),
+                 "pretrain"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"{message}\n"
 
 
 def test_wrong_version_is_exit_2(tmp_path):
@@ -220,8 +240,9 @@ def test_pretrain_thread_count_invariance(workspace, tmp_path):
             (root / "run" / name).read_bytes()
 
 
-def test_pretrain_resume_matches_full_run(workspace, tmp_path):
-    root, _ = workspace
+def _pretrain_head(tmp_path) -> tuple[Path, list[str]]:
+    """Pre-train SMOKE's first round into <tmp>/seg; return that directory
+    and the argv that resumes the remaining rounds there."""
     head_cfg = dict(SMOKE, federation=dict(SMOKE["federation"], total_rounds=1))
     head_path = tmp_path / "head.json"
     head_path.write_text(json.dumps(head_cfg))
@@ -232,12 +253,45 @@ def test_pretrain_resume_matches_full_run(workspace, tmp_path):
     tail_cfg = dict(SMOKE, resume_from=str(out / "checkpoint"))
     tail_path = tmp_path / "tail.json"
     tail_path.write_text(json.dumps(tail_cfg))
-    assert main(["--config", str(tail_path), "--seed", "5",
-                 "--out", str(out), "pretrain"]) == EXIT_OK
+    return out, ["--config", str(tail_path), "--seed", "5", "--out", str(out), "pretrain"]
+
+
+def test_pretrain_resume_matches_full_run(workspace, tmp_path):
+    root, _ = workspace
+    out, tail = _pretrain_head(tmp_path)
+    assert main(tail) == EXIT_OK
     assert (out / "loss_trace.csv").read_bytes() == \
         (root / "run" / "loss_trace.csv").read_bytes()
     assert (out / "checkpoint.params").read_bytes() == \
         (root / "run" / "checkpoint.params").read_bytes()
+
+
+def test_pretrain_resume_failed_save_keeps_head(workspace, tmp_path, monkeypatch):
+    # A resumed run that fails while saving leaves the checkpoint and trace
+    # it resumed from, and a retry then matches an uninterrupted run.
+    root, _ = workspace
+    out, tail = _pretrain_head(tmp_path)
+    names = ("loss_trace.csv", "checkpoint.json", "checkpoint.params")
+    head = {name: (out / name).read_bytes() for name in names}
+
+    # The disk fills up as the save opens its second file for writing.
+    writes = []
+
+    def open_until_disk_full(path, mode="r", *args, **kwargs):
+        if "w" in mode:
+            writes.append(path)
+            if len(writes) == 2:
+                raise OSError(28, "No space left on device")
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(fed, "open", open_until_disk_full, raising=False)
+    assert main(tail) == EXIT_IO
+    monkeypatch.undo()
+    assert {name: (out / name).read_bytes() for name in names} == head
+    assert fed.load_checkpoint(str(out / "checkpoint")).round_index == 1
+    assert main(tail) == EXIT_OK
+    for name in names:
+        assert (out / name).read_bytes() == (root / "run" / name).read_bytes(), name
 
 
 def test_finetune_outputs_and_auroc_recompute(workspace):
@@ -336,8 +390,14 @@ def test_finetune_mismatched_model_is_exit_2(workspace, tmp_path):
      "sample 0 has no integer 'index' field"),
     ('{"version": 1, "samples": [',
      "not valid JSON: Expecting value: line 1 column 28 (char 27)"),
+    # A 2-class probe leaves out the no-lesion samples (label 2); fewer
+    # than two left cannot be split.
+    ({"version": 1, "samples": [{"index": i, "label": 2} for i in range(3)]},
+     "the probe needs at least 2 samples, got 0 after leaving out 3 with no lesion"),
+    ({"version": 1, "samples": [{"index": 0, "label": 1}]},
+     "the probe needs at least 2 samples, got 1"),
 ], ids=["no-index", "no-label", "root-not-object", "fractional-label", "string-index",
-        "truncated"])
+        "truncated", "all-no-lesion", "one-sample"])
 def test_finetune_malformed_labels_is_exit_2(workspace, tmp_path, capsys, manifest, missing):
     root, cfg_path = workspace
     data = tmp_path / "data"

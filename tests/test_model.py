@@ -153,7 +153,7 @@ def test_stats_path_matches_dense_path(n, n_vis, n_mask, patch_dim, embed_dim, s
     assert loss_a == pytest.approx(np.mean(sq_errs), rel=1e-12)
 
 
-@pytest.mark.parametrize("args", [(0, 8, 0.75), (8, -1, 0.75), (8, 8, 0.0), (8, 8, 1.0)])
+@pytest.mark.parametrize("args", [(0, 8, 0.75), (8, -1, 0.75)])
 def test_patch_spec_rejects_out_of_range(args):
     with pytest.raises(ValueError):
         PatchSpec(*args)

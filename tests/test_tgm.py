@@ -12,6 +12,7 @@ from fedmim.rng import Rng
 from fedmim.tgm import (
     MaskPartition,
     apply_uim,
+    mask_count,
     patch_scores,
     round_half_up,
     select_mask,
@@ -90,6 +91,15 @@ def test_select_mask_count_matches_round_half_up():
         scores = np.arange(float(n))
         part = select_mask(scores, 0.75)
         assert len(part.masked) == round_half_up(0.75 * n)
+
+
+def test_mask_count():
+    assert mask_count(0.75, 64) == 48
+    assert mask_count(0.75, 2) == 2  # round_half_up(1.5) masks both
+    assert mask_count(0.005, 64) == 0
+    for ratio in (0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(InvalidRatio):
+            mask_count(ratio, 64)
 
 
 def test_select_mask_rejects_bad_ratio():
