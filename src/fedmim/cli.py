@@ -189,8 +189,8 @@ def _generate(cfg: dict) -> list[synth.LabeledSample]:
 
 
 def cmd_generate(cfg: dict, out_dir: Path) -> int:
-    out_dir.mkdir(exist_ok=True)
     dataset = _generate(cfg)
+    out_dir.mkdir(exist_ok=True)
     records = []
     for i, sample in enumerate(dataset):
         write_pgm(sample.image, out_dir / f"img_{i:04d}.pgm")
@@ -205,7 +205,6 @@ def cmd_generate(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_pretrain(cfg: dict, out_dir: Path) -> int:
-    out_dir.mkdir(exist_ok=True)
     model_cfg = _model_config(cfg)
     fed_cfg = _federation(cfg)
     dataset = _generate(cfg)
@@ -232,6 +231,7 @@ def cmd_pretrain(cfg: dict, out_dir: Path) -> int:
         return EXIT_NUMERIC
     # The checkpoint goes first: a save that fails leaves the checkpoint
     # and trace this run resumed from as they were, ready for a retry.
+    out_dir.mkdir(exist_ok=True)
     fed.save_checkpoint(
         str(out_dir / "checkpoint"),
         fed.Checkpoint(model_cfg, fed_cfg, fed_cfg.total_rounds,
@@ -268,7 +268,6 @@ def _load_samples(labeled_dir: Path) -> list[dict]:
 
 
 def cmd_finetune(cfg: dict, checkpoint: Path, labeled_dir: Path, out_dir: Path) -> int:
-    out_dir.mkdir(exist_ok=True)
     model_cfg = _model_config(cfg)
     probe_cfg = ProbeConfig(**cfg["probe"], seed=cfg["seed"])
     num_classes = probe_cfg.num_classes
@@ -293,6 +292,7 @@ def cmd_finetune(cfg: dict, checkpoint: Path, labeled_dir: Path, out_dir: Path) 
     feats = extract_features(ckpt.params, model_cfg, images, patch.patch_h, patch.patch_w)
     result = train_probe(feats, labels, probe_cfg)
     scores = probe_scores(result.probe_params, feats, num_classes)
+    out_dir.mkdir(exist_ok=True)
     with open(out_dir / "scores.csv", "w", encoding="utf-8") as fh:
         fh.write("index,label,split," +
                  ",".join(f"p{c}" for c in range(num_classes)) + "\n")

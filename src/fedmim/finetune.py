@@ -32,6 +32,21 @@ class ProbeConfig:
     warmup_rounds: int = 10
     seed: int = 0
 
+    def __post_init__(self):
+        if self.num_classes < 2:
+            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
+        if not 0.0 <= self.eta_min <= self.eta_max:
+            raise ValueError(f"need 0 <= eta_min <= eta_max, got eta_min "
+                             f"{self.eta_min} and eta_max {self.eta_max}")
+        # 0 epochs train nothing, so no warmup has to fit in them.
+        if self.warmup_rounds < 0 or 0 < self.epochs < self.warmup_rounds:
+            raise ValueError(f"need 0 <= warmup_rounds <= epochs, got warmup_rounds "
+                             f"{self.warmup_rounds} and epochs {self.epochs}")
+
 
 def extract_features(
     params: np.ndarray,

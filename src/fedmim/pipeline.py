@@ -6,15 +6,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .corrupt import CorruptionConfig
+from .corrupt import CorruptionConfig, apply_corruption, draw_corruptions
 from .fed import ClientState, make_client
-from .image import PatchGrid
 from .model import ModelConfig
 from .rng import Rng
 from .synth import LabeledSample, partition_clients
-from .tgm import MaskPartition, apply_uim
+from .tgm import partition_image
 
 
 @dataclass(frozen=True)
@@ -30,32 +27,6 @@ class PatchSpec:
                              f"{self.patch_h}x{self.patch_w}")
 
 
-def prepare_samples(
-    images: list[np.ndarray],
-    corr_cfg: CorruptionConfig,
-    patch: PatchSpec,
-    seed: int,
-    client_id: int = 0,
-) -> list[tuple[PatchGrid, MaskPartition]]:
-    """Freeze the corruption + mask partition of every image.
-
-    Each sample's rng derives from (seed, client_id, sample index), so the
-    objective is identical across rounds and across parallelism choices.
-    """
-    root = Rng(seed)
-    return [
-        apply_uim(
-            img,
-            corr_cfg,
-            patch.patch_h,
-            patch.patch_w,
-            patch.mask_ratio,
-            root.spawn(client_id, idx),
-        )
-        for idx, img in enumerate(images)
-    ]
-
-
 def build_clients(
     dataset: list[LabeledSample],
     num_clients: int,
@@ -65,12 +36,25 @@ def build_clients(
     patch: PatchSpec,
     seed: int,
 ) -> list[ClientState]:
-    """Dirichlet-partition the dataset and build frozen client states."""
+    """Dirichlet-partition the dataset and build frozen client states.
+
+    The corruption and mask partition of every image are frozen here.
+    Sample idx of client cid corrupts with the rng derived from
+    (seed, cid, idx), so the objective is identical across rounds and
+    however the work is scheduled. Every client's corruption is drawn in
+    one lockstep call, and each client's images are corrupted as it is
+    built.
+    """
     shards = partition_clients(dataset, num_clients, alpha, Rng(seed).spawn(-1))
+    root = Rng(seed)
+    plans = iter(draw_corruptions(
+        [s.image.shape for shard in shards for s in shard], corr_cfg,
+        [root.spawn(cid, idx) for cid, shard in enumerate(shards)
+         for idx in range(len(shard))]))
     clients = []
     for cid, shard in enumerate(shards):
-        prepared = prepare_samples(
-            [s.image for s in shard], corr_cfg, patch, seed, client_id=cid
-        )
+        prepared = [partition_image(apply_corruption(s.image, next(plans), corr_cfg),
+                                    patch.patch_h, patch.patch_w, patch.mask_ratio)
+                    for s in shard]
         clients.append(make_client(cid, model_cfg, prepared))
     return clients

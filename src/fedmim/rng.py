@@ -4,13 +4,28 @@ xoshiro256** with splitmix64 seeding. Pure integer arithmetic masked to
 64 bits, so the stream is identical on every platform regardless of the
 host libc or numpy build. All stochastic behaviour in the package flows
 through this generator.
+
+Per-pixel draws step many streams together: ``lockstep_random`` and
+``lockstep_rayleigh`` hold n streams' states as one (4, n) uint64 array
+and advance them as one, the way parallel-stream generators step
+independent xoshiro lanes (Blackman & Vigna, ACM TOMS 2021; Salmon et
+al., SC 2011). Each lane gets exactly the draws its ``Rng`` would give
+alone and is left at the same end state.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _MASK = 0xFFFFFFFFFFFFFFFF
+# Steps times lanes per block of lockstep draws: bounds the uint64
+# history one block holds (128 KiB).
+_BLOCK_WORDS = 1 << 14
+_UNIT = 1.0 / (1 << 53)
+# Shift counts as uint64 arrays: a Python int costs a conversion per call.
+_SHIFT_17, _SHIFT_19, _SHIFT_45 = (np.array(k, dtype=np.uint64) for k in (17, 19, 45))
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -138,3 +153,87 @@ class Rng:
         for i in range(len(items) - 1, 0, -1):
             j = self.randint(i + 1)
             items[i], items[j] = items[j], items[i]
+
+
+def _scramble(s1: np.ndarray) -> np.ndarray:
+    """Turn each s1 into the 53 high bits of xoshiro256**'s output for it
+    (next_u64 >> 11), in place. Returns s1."""
+    s1 *= np.uint64(5)
+    high = s1 >> np.uint64(57)
+    s1 <<= np.uint64(7)
+    s1 |= high
+    s1 *= np.uint64(9)
+    s1 >>= np.uint64(11)
+    return s1
+
+
+def _lockstep_draws(rngs: list[Rng], count: int):
+    """Yield (start, bits) for the next count draws of every rng in blocks:
+    bits[j, i] is next_u64() >> 11 of rngs[i]'s draw start + j. The states
+    are held as one (4, n) uint64 array and stepped together, and each Rng
+    is left at its lane's end state after the last block. Every block but
+    the last has an even number of draws."""
+    n = len(rngs)
+    s = np.array([rng._s for rng in rngs], dtype=np.uint64).T.copy()
+    s1, s2, s3 = s[1], s[2], s[3]
+    low, high, swapped = s[0:2], s[2:4], s[3:1:-1]
+    t = np.empty_like(s1)
+    xor, lsh, rsh, bor = np.bitwise_xor, np.left_shift, np.right_shift, np.bitwise_or
+    step = max(2, _BLOCK_WORDS // n) & ~1
+    for start in range(0, count, step):
+        hist = np.empty((min(step, count - start), n), dtype=np.uint64)
+        for row in hist:  # row = s1 before the step, which fixes its draw
+            row[...] = s1
+            lsh(s1, _SHIFT_17, t)
+            xor(high, low, high)  # s2 ^= s0, s3 ^= s1
+            xor(low, swapped, low)  # s0 ^= s3, s1 ^= s2
+            xor(s2, t, s2)
+            lsh(s3, _SHIFT_45, t)  # s3 = rotl(s3, 45)
+            rsh(s3, _SHIFT_19, s3)
+            bor(s3, t, s3)
+        yield start, _scramble(hist)
+    for rng, state in zip(rngs, s.T.tolist()):
+        rng._s = state
+
+
+def lockstep_random(rngs: list[Rng], out: np.ndarray) -> np.ndarray:
+    """Fill row i of the (n, count) float64 array out with the next count
+    values of rngs[i].random(), stepping the n streams together. Returns out."""
+    if rngs:
+        for start, bits in _lockstep_draws(rngs, out.shape[1]):
+            np.multiply(bits.T, _UNIT, out=out[:, start:start + len(bits)])
+    return out
+
+
+def lockstep_rayleigh(rngs: list[Rng], out: np.ndarray) -> np.ndarray:
+    """Fill row i of the (n, count) float64 array out with count Rayleigh(1)
+    radii sqrt(-2 ln u1), each from one Box-Muller pair (u1, u2) of
+    rngs[i], as Rng.normal draws a pair; u2 is drawn to stay in step.
+
+    A lane that draws u1 == 0, which Rng.normal draws again (about 2**-53
+    a draw), is redone on the scalar path. Returns out.
+    """
+    if not rngs:
+        return out
+    count = out.shape[1]
+    starts = [list(rng._s) for rng in rngs]
+    retry: set[int] = set()
+    for start, bits in _lockstep_draws(rngs, 2 * count):
+        u1 = bits[0::2]
+        retry.update(np.flatnonzero((u1 == 0).any(axis=0)).tolist())
+        block = out[:, start // 2:start // 2 + len(u1)]
+        np.multiply(u1.T, _UNIT, out=block)
+        with np.errstate(divide="ignore"):  # a retry lane's u1 == 0
+            np.log(block, out=block)
+        block *= -2.0
+        np.sqrt(block, out=block)
+    for lane in retry:
+        rng = rngs[lane]
+        rng._s = starts[lane]
+        for i in range(count):
+            u1 = rng.random()
+            while u1 == 0.0:
+                u1 = rng.random()
+            rng.random()
+            out[lane, i] = math.sqrt(-2.0 * math.log(u1))
+    return out

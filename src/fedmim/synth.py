@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import LesionOutOfBounds, TooFewSamples
-from .rng import Rng
+from .rng import Rng, lockstep_rayleigh
 from .smat import CONVEX, LINEAR, ScanGeometry, linear_to_convex
 
 BENIGN = 0
@@ -94,25 +94,41 @@ def _lesion_mask(spec: PhantomSpec, rng: Rng) -> np.ndarray:
     return (radial <= limit * limit).astype(np.float64)
 
 
+def _render(specs: list[PhantomSpec], masks: list[np.ndarray],
+            rngs: list[Rng]) -> np.ndarray:
+    """The (n, H, W) linear-mode images of phantoms that share their size
+    and speckle strength, each given its lesion mask and the rng that drew
+    it: background plus lesion contrast, times Rayleigh speckle.
+
+    Each pixel's speckle envelope is the radius of one Box-Muller pair of
+    its phantom's rng, drawn in lockstep with the other phantoms'.
+    """
+    first = specs[0]
+    images = np.empty((len(specs), first.height, first.width))
+    strength = first.speckle_strength
+    if strength > 0.0:
+        lockstep_rayleigh(rngs, images.reshape(len(specs), -1))
+    for img, spec, mask in zip(images, specs, masks):
+        base = np.full(img.shape, spec.background_level)
+        if spec.lesion is not None:
+            base = base + spec.lesion.intensity_delta * mask
+        if strength > 0.0:
+            # base * (1 + strength * (envelope / mean - 1)), in place.
+            img /= _RAYLEIGH_MEAN
+            img -= 1.0
+            img *= strength
+            img += 1.0
+            img *= base
+        else:
+            img[...] = base
+        np.clip(img, 0.0, 255.0, out=img)
+    return images
+
+
 def generate_phantom(spec: PhantomSpec, rng: Rng) -> LabeledSample:
     """Render one linear-mode phantom with its ground-truth lesion mask."""
     mask = _lesion_mask(spec, rng)
-    base = np.full((spec.height, spec.width), spec.background_level)
-    if spec.lesion is not None:
-        base = base + spec.lesion.intensity_delta * mask
-    if spec.speckle_strength > 0.0:
-        envelope = np.empty(spec.width * spec.height)
-        for i in range(envelope.size):
-            g1 = rng.normal()
-            g2 = rng.normal()
-            envelope[i] = math.hypot(g1, g2)
-        factor = 1.0 + spec.speckle_strength * (
-            envelope.reshape(spec.height, spec.width) / _RAYLEIGH_MEAN - 1.0
-        )
-        img = base * factor
-    else:
-        img = base
-    return LabeledSample(np.clip(img, 0.0, 255.0), mask, spec.class_label, LINEAR)
+    return LabeledSample(_render([spec], [mask], [rng])[0], mask, spec.class_label, LINEAR)
 
 
 def random_lesion(
@@ -128,6 +144,13 @@ def random_lesion(
     (smooth ellipse vs irregular outline) and, when malignant_delta is
     set, by a deeper malignant contrast.
     """
+    lo, hi = axis_range
+    if not 0.0 < lo <= hi:
+        raise ValueError(f"axis_range must satisfy 0 < lo <= hi, got {list(axis_range)}")
+    lo, hi = irregularity_range
+    if not 0.0 <= lo <= hi:
+        raise ValueError(f"irregularity_range must satisfy 0 <= lo <= hi, "
+                         f"got {list(irregularity_range)}")
     irregularity = 0.0 if label == BENIGN else rng.uniform(*irregularity_range)
     if label != BENIGN and malignant_delta is not None:
         intensity_delta = malignant_delta
@@ -156,43 +179,47 @@ def generate_dataset(
     """n phantoms with labels per class_mix and 50/50 linear/convex modes.
 
     Every per-sample choice comes from an rng derived from (seed, index),
-    so the dataset is reproducible and order-independent.
+    so the dataset is reproducible and order-independent. Each sample's
+    rng draws its label, lesion and boundary alone, then its speckle in
+    lockstep with every other sample's, then its scan-mode coin.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if abs(sum(class_mix) - 1.0) > 1e-9 or any(p < 0 for p in class_mix):
         raise ValueError(f"class_mix must be a probability vector, got {class_mix}")
+    if n == 0:
+        return []
     geom = ScanGeometry.default_for(base_spec.width, base_spec.height)
+    children = [rng.spawn(i) for i in range(n)]
+    specs = [_draw_spec(base_spec, class_mix, child, lesion_kwargs or {})
+             for child in children]
+    masks = [_lesion_mask(spec, child) for spec, child in zip(specs, children)]
+    # A convex sample's warp overwrites its linear image and mask, so the
+    # speckle goes straight into the buffer the images live in.
+    images = _render(specs, masks, children)
     samples: list[LabeledSample] = []
-    for i in range(n):
-        child = rng.spawn(i)
-        u = child.random()
-        if u < class_mix[0]:
-            label = BENIGN
-        elif u < class_mix[0] + class_mix[1]:
-            label = MALIGNANT
-        else:
-            label = NONE
-        lesion = None
-        if label != NONE:
-            lesion = random_lesion(
-                base_spec.width, base_spec.height, label, child,
-                **(lesion_kwargs or {}),
-            )
-        spec = replace(base_spec, lesion=lesion, class_label=label)
-        sample = generate_phantom(spec, child)
+    for image, mask, spec, child in zip(images, masks, specs, children):
+        mode = LINEAR
         if child.random() < 0.5:
-            warped = linear_to_convex(
-                sample.image, geom, base_spec.width, base_spec.height
-            )
-            warped_mask = linear_to_convex(
-                sample.lesion_mask, geom, base_spec.width, base_spec.height
-            )
-            sample = LabeledSample(
-                warped, (warped_mask >= 0.5).astype(np.float64), label, CONVEX
-            )
-        samples.append(sample)
+            image[...] = linear_to_convex(image, geom, base_spec.width, base_spec.height)
+            mask[...] = linear_to_convex(mask, geom, base_spec.width, base_spec.height) >= 0.5
+            mode = CONVEX
+        samples.append(LabeledSample(image, mask, spec.class_label, mode))
     return samples
+
+
+def _draw_spec(base_spec: PhantomSpec, class_mix: tuple[float, float, float],
+               rng: Rng, lesion_kwargs: dict) -> PhantomSpec:
+    """One sample's class label, per class_mix, and lesion."""
+    u = rng.random()
+    if u < class_mix[0]:
+        label = BENIGN
+    elif u < class_mix[0] + class_mix[1]:
+        label = MALIGNANT
+    else:
+        return replace(base_spec, lesion=None, class_label=NONE)
+    lesion = random_lesion(base_spec.width, base_spec.height, label, rng, **lesion_kwargs)
+    return replace(base_spec, lesion=lesion, class_label=label)
 
 
 def partition_clients(

@@ -69,6 +69,15 @@ def select_mask(scores: np.ndarray, mask_ratio: float) -> MaskPartition:
     return MaskPartition(masked, visible, mask_ratio)
 
 
+def partition_image(
+    corrupted: np.ndarray, patch_h: int, patch_w: int, mask_ratio: float
+) -> tuple[PatchGrid, MaskPartition]:
+    """A corrupted image's patches and its partition by texture."""
+    grid = patchify(corrupted, patch_h, patch_w)
+    scores = patch_scores(texture_map(corrupted), patch_h, patch_w)
+    return grid, select_mask(scores, mask_ratio)
+
+
 def apply_uim(
     img: np.ndarray,
     corr_cfg: CorruptionConfig,
@@ -82,7 +91,4 @@ def apply_uim(
     This covers only the per-image corruption and masking stages; no
     pipeline stage balances scan modes.
     """
-    corrupted = mixed_corrupt(img, corr_cfg, rng)
-    grid = patchify(corrupted, patch_h, patch_w)
-    scores = patch_scores(texture_map(corrupted), patch_h, patch_w)
-    return grid, select_mask(scores, mask_ratio)
+    return partition_image(mixed_corrupt(img, corr_cfg, rng), patch_h, patch_w, mask_ratio)

@@ -12,7 +12,18 @@ import math
 import numpy as np
 from scipy.stats import rankdata
 
+from fedmim.corrupt import (
+    GAUSSIAN,
+    MOTION,
+    PHI_RANGE,
+    SALTPEPPER,
+    SIGMA_RANGE,
+    CorruptionConfig,
+    gaussian_kernel,
+    motion_blur_kernel,
+)
 from fedmim.errors import BadLabel, EmptyVisibleSet
+from fedmim.image import as_image, convolve2d
 from fedmim.model import (
     ModelConfig,
     PreparedBatch,
@@ -21,6 +32,7 @@ from fedmim.model import (
     prepare_batch,
     unpack_params,
 )
+from fedmim.rng import Rng
 
 
 def forward(
@@ -166,3 +178,48 @@ def rank_auroc(scores, labels) -> float:
     n_pos, n_neg = int(np.sum(labels == 1)), int(np.sum(labels == 0))
     rank_sum = float(np.sum(rankdata(scores, method="average")[labels == 1]))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def speckle_envelope(rng: Rng, count: int) -> np.ndarray:
+    """count speckle envelope values drawn one pixel at a time: the
+    hypot of two Rng.normal draws, which share one Box-Muller pair."""
+    envelope = np.empty(count)
+    for i in range(count):
+        g1 = rng.normal()
+        g2 = rng.normal()
+        envelope[i] = math.hypot(g1, g2)
+    return envelope
+
+
+def salt_pepper(img: np.ndarray, p_salt: float, p_pepper: float, rng: Rng) -> np.ndarray:
+    """Salt-and-pepper drawn one pixel at a time in row-major order: 0 if
+    u < p_salt, else 255 if u < p_salt + p_pepper, else unchanged."""
+    out = as_image(img).copy()
+    flat = out.ravel()
+    threshold = p_salt + p_pepper
+    for i in range(flat.size):
+        u = rng.random()
+        if u < p_salt:
+            flat[i] = 0.0
+        elif u < threshold:
+            flat[i] = 255.0
+    return out
+
+
+def mixed_corrupt(img: np.ndarray, cfg: CorruptionConfig, rng: Rng) -> np.ndarray:
+    """mixed_corrupt of one image, each op applied as it is drawn, with the
+    scalar salt_pepper above."""
+    img = as_image(img)
+    if rng.random() >= cfg.p:
+        return img.copy()
+    remaining = [MOTION, GAUSSIAN, SALTPEPPER]
+    ops = [remaining.pop(rng.randint(len(remaining))) for _ in range(1 + rng.randint(3))]
+    out = img
+    for op in ops:
+        if op == MOTION:
+            out = convolve2d(out, motion_blur_kernel(cfg.motion_d, rng.uniform(*PHI_RANGE)))
+        elif op == GAUSSIAN:
+            out = convolve2d(out, gaussian_kernel(rng.uniform(*SIGMA_RANGE)))
+        else:
+            out = salt_pepper(out, cfg.p_salt, cfg.p_pepper, rng)
+    return out

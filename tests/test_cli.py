@@ -20,7 +20,13 @@ from fedmim.metrics import auroc
 # sha256 of checkpoint.params from `fedmim --seed 7 pretrain` with the
 # default config. A change here means every default run's model changed.
 DEFAULT_PRETRAIN_PARAMS_SHA256 = (
-    "d4c5a98df69c92b30e465defd39b2478e5e55ee6eccc90ab9a37030aacf71805"
+    "cb646c02cfc6462e07d25671cb118321b8b0f8fdfe78059de0f312fdf77ca185"
+)
+
+# sha256 of the files `fedmim --seed 7 generate` writes with the default
+# config (see test_default_generate_golden_hash).
+DEFAULT_GENERATE_SHA256 = (
+    "58c254bf6d1ce3102dac0f3288c54756764d997ec6de99159117f229383d5dc3"
 )
 
 
@@ -336,6 +342,8 @@ def test_finetune_zero_epochs_still_reports(workspace, tmp_path):
 @pytest.mark.parametrize("epochs", [-1, 5])
 def test_finetune_epochs_out_of_range_is_exit_2(workspace, tmp_path, capsys, epochs):
     # The probe schedule's warmup is 10 rounds, so it needs 0 or >= 10 epochs.
+    message = {-1: "epochs must be >= 0, got -1",
+               5: "need 0 <= warmup_rounds <= epochs, got warmup_rounds 10 and epochs 5"}
     root, _ = workspace
     cfg = dict(SMOKE, probe=dict(SMOKE["probe"], epochs=epochs))
     path = tmp_path / "e.json"
@@ -345,9 +353,43 @@ def test_finetune_epochs_out_of_range_is_exit_2(workspace, tmp_path, capsys, epo
     assert main(["--config", str(path), "--seed", "5",
                  "--out", str(out), "finetune",
                  str(root / "run" / "checkpoint"), str(root / "data")]) == EXIT_CONFIG
-    assert capsys.readouterr().err == \
-        "configuration error: need 0 <= warmup_rounds <= total_rounds\n"
+    assert capsys.readouterr().err == f"configuration error: {message[epochs]}\n"
     assert not (out / "finetune_report.json").exists()
+
+
+@pytest.mark.parametrize("probe, message", [
+    ({"num_classes": 1}, "num_classes must be >= 2, got 1"),
+    ({"val_fraction": 1.0}, "val_fraction must be in (0, 1), got 1.0"),
+    ({"val_fraction": 0.0}, "val_fraction must be in (0, 1), got 0.0"),
+    ({"eta_min": 0.6}, "need 0 <= eta_min <= eta_max, got eta_min 0.6 and eta_max 0.5"),
+    ({"eta_min": -1.0}, "need 0 <= eta_min <= eta_max, got eta_min -1.0 and eta_max 0.5"),
+    ({"warmup_rounds": -1}, "need 0 <= warmup_rounds <= epochs, "
+     "got warmup_rounds -1 and epochs 30"),
+], ids=["classes", "val-1", "val-0", "eta-order", "eta-negative", "warmup"])
+def test_bad_probe_is_exit_2_before_any_input_is_read(tmp_path, capsys, probe, message):
+    # Neither the checkpoint nor the labeled directory exists: the probe
+    # section is checked first.
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(dict(SMOKE, probe=dict(SMOKE["probe"], **probe))))
+    capsys.readouterr()
+    assert main(["--config", str(path), "--out", str(tmp_path / "ft"), "finetune",
+                 str(tmp_path / "nosuch" / "checkpoint"),
+                 str(tmp_path / "nosuch")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["generate", "pretrain", "finetune"])
+def test_exit_2_run_leaves_no_out_directory(workspace, tmp_path, command):
+    root, _ = workspace
+    section = ({"probe": {"num_classes": 1}} if command == "finetune"
+               else {"synth": {"n": -3}})
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dict(section, version=1)))
+    inputs = ([str(root / "run" / "checkpoint"), str(root / "data")]
+              if command == "finetune" else [])
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), command] + inputs) == EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_finetune_at_other_seed_than_checkpoint(workspace, tmp_path):
@@ -513,6 +555,19 @@ def default_runs(tmp_path_factory):
     return runs
 
 
+def test_default_generate_golden_hash(tmp_path):
+    # sha256 over the name and bytes of every file `fedmim --seed 7
+    # generate` writes with the default config, in name order.
+    out = tmp_path / "data"
+    assert main(["--seed", "7", "--out", str(out), "generate"]) == EXIT_OK
+    digest = hashlib.sha256()
+    names = sorted(p.name for p in out.iterdir())
+    assert len(names) == 2 * 64 + 1
+    for name in names:
+        digest.update(name.encode() + b"\0" + (out / name).read_bytes())
+    assert digest.hexdigest() == DEFAULT_GENERATE_SHA256
+
+
 def test_default_pretrain_golden_hash(default_runs):
     digest = hashlib.sha256(
         (default_runs[1] / "checkpoint.params").read_bytes()).hexdigest()
@@ -578,6 +633,11 @@ SWEEP_BASE = {
 }
 SWEEP_INTS = [-1, 0, 1, 2, 3]
 SWEEP_FLOATS = [-1.0, 0.0, 1e-9, 0.005, 0.995, 1.0, 2.0, 1e6]
+# The lesion ranges a run takes; any other exits 2 naming the key.
+LESION_RANGES = {
+    "synth.lesion.axis_range": lambda lo, hi: 0 < lo <= hi,
+    "synth.lesion.irregularity_range": lambda lo, hi: 0 <= lo <= hi,
+}
 
 
 def _numeric_leaves(section: dict, path: str = ""):
@@ -630,6 +690,7 @@ def test_config_leaf_sweep_exits_cleanly(tmp_path, capsys):
     for where, default in leaves:
         if isinstance(default, list):
             values = [[v] * len(default) for v in (-1, 0, 1, 2)]
+            values.append(list(range(len(default), 0, -1)))  # descending
         else:
             values = SWEEP_INTS if isinstance(default, int) else SWEEP_FLOATS
         for i, value in enumerate(values):
@@ -639,5 +700,10 @@ def test_config_leaf_sweep_exits_cleanly(tmp_path, capsys):
             if (code not in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC)
                     or err.count("\n") != (code != EXIT_OK) or "Traceback" in err):
                 bad.append(f"{where}={value!r}: exit {code}, stderr {err!r}")
+            range_ok = LESION_RANGES.get(where)
+            if range_ok and not range_ok(*value) and not (
+                    code == EXIT_CONFIG and where.rsplit(".", 1)[1] in err):
+                bad.append(f"{where}={value!r}: exit {code}, stderr {err!r}, "
+                           f"not exit 2 naming the key")
     assert not bad, "\n".join(bad)
     assert len(leaves) == 32  # all 34 leaves but version and resume_from

@@ -10,12 +10,16 @@ from fedmim.corrupt import (
     CorruptionConfig,
     gaussian_kernel,
     gaussian_taps,
+    apply_corruption,
+    draw_corruptions,
     mixed_corrupt,
     motion_blur_kernel,
     salt_pepper,
+    salt_pepper_draws,
 )
 from fedmim.errors import InvalidKernel
 from fedmim.rng import Rng
+import oracles
 
 
 def test_motion_kernel_zero_angle_is_identity_over_d():
@@ -88,6 +92,51 @@ def test_salt_pepper_counts_within_binomial_bounds():
         assert abs(maxed - 1000) < bound
 
 
+@pytest.mark.parametrize("shape, p_salt, p_pepper", [
+    ((1, 1), 0.5, 0.5), ((7, 5), 0.1, 0.3), ((64, 64), 0.02, 0.02), ((3, 40), 0.0, 0.6),
+])
+def test_salt_pepper_equals_scalar_oracle(shape, p_salt, p_pepper):
+    img = np.arange(float(np.prod(shape))).reshape(shape) % 251.0
+    for seed in range(4):
+        lane, scalar = Rng(seed), Rng(seed)
+        out = salt_pepper(img, p_salt, p_pepper, lane)
+        assert out.tobytes() == oracles.salt_pepper(img, p_salt, p_pepper, scalar).tobytes()
+        assert lane._s == scalar._s
+
+
+def test_salt_pepper_draws_of_mixed_shapes_equal_the_oracle():
+    # Codes 2 (salt), 1 (pepper) and 0 (unchanged) mark the pixels the
+    # oracle sets to 0, sets to 255 and leaves at 100.
+    shapes = [(8, 8), (5, 9), (8, 8), (1, 3), (5, 9)]
+    lanes = [Rng(40 + i) for i in range(len(shapes))]
+    codes = salt_pepper_draws(shapes, 0.2, 0.2, lanes)
+    for i, (shape, code) in enumerate(zip(shapes, codes)):
+        scalar = Rng(40 + i)
+        expect = oracles.salt_pepper(np.full(shape, 100.0), 0.2, 0.2, scalar)
+        assert code.shape == shape
+        np.testing.assert_array_equal(code, np.select([expect == 0.0, expect == 255.0],
+                                                      [2, 1], 0))
+        assert lanes[i]._s == scalar._s
+
+
+def test_drawn_corruptions_equal_the_scalar_oracle():
+    # 40 images of two shapes take every op order: salt-and-pepper before,
+    # between and after the blurs, alone, or not at all.
+    cfg = CorruptionConfig(p=0.9, p_salt=0.1, p_pepper=0.1)
+    imgs = [np.arange(float(h * w)).reshape(h, w) % 200.0
+            for h, w in [(16, 16), (12, 20)] * 20]
+    lanes = [Rng(seed) for seed in range(len(imgs))]
+    plans = draw_corruptions([img.shape for img in imgs], cfg, lanes)
+    for seed, (img, plan) in enumerate(zip(imgs, plans)):
+        scalar = Rng(seed)
+        out = apply_corruption(img, plan, cfg)
+        assert out.tobytes() == oracles.mixed_corrupt(img, cfg, scalar).tobytes()
+        assert lanes[seed]._s == scalar._s
+        alone = Rng(seed)
+        assert mixed_corrupt(img, cfg, alone).tobytes() == out.tobytes()
+        assert alone._s == scalar._s
+
+
 def test_salt_pepper_rejects_bad_probs():
     with pytest.raises(ValueError):
         salt_pepper(np.zeros((2, 2)), 0.7, 0.7, Rng(0))
@@ -124,17 +173,17 @@ def test_mixed_corrupt_op_inclusion_frequency(monkeypatch):
     # reach salt-pepper; the ops are drawn before any of them runs.
     calls = []
 
-    def counting_salt_pepper(*args):
-        calls.append(1)
-        return salt_pepper(*args)
+    def counting_salt_pepper_draws(shapes, *args):
+        calls.append(len(shapes))
+        return salt_pepper_draws(shapes, *args)
 
-    monkeypatch.setattr(corrupt, "salt_pepper", counting_salt_pepper)
+    monkeypatch.setattr(corrupt, "salt_pepper_draws", counting_salt_pepper_draws)
     img = np.full((12, 12), 128.0)
     cfg = CorruptionConfig(p=1.0, p_salt=0.3, p_pepper=0.3, motion_d=1)
     n = 600
     for seed in range(n):
         mixed_corrupt(img, cfg, Rng(seed))
-    hits = len(calls)
+    hits = sum(calls)
     expect = 2.0 / 3.0
     sigma = math.sqrt(n * expect * (1 - expect))
     assert abs(hits - n * expect) < 3.0 * sigma

@@ -71,6 +71,25 @@ def test_probe_scores_rows_are_distributions():
         np.testing.assert_allclose(scores.sum(axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"num_classes": 1}, "num_classes must be >= 2, got 1"),
+    ({"epochs": -1}, "epochs must be >= 0, got -1"),
+    ({"val_fraction": 0.0}, r"val_fraction must be in \(0, 1\), got 0.0"),
+    ({"val_fraction": 1.0}, r"val_fraction must be in \(0, 1\), got 1.0"),
+    ({"eta_min": -0.1}, "need 0 <= eta_min <= eta_max, got eta_min -0.1 and eta_max 0.5"),
+    ({"eta_max": 1e-4}, "need 0 <= eta_min <= eta_max, got eta_min 0.001 and eta_max 0.0001"),
+    ({"warmup_rounds": -1}, "need 0 <= warmup_rounds <= epochs, got warmup_rounds -1 and epochs 200"),
+    ({"epochs": 9}, "need 0 <= warmup_rounds <= epochs, got warmup_rounds 10 and epochs 9"),
+])
+def test_probe_config_rejects_out_of_range(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ProbeConfig(**kwargs)
+
+
+def test_probe_config_zero_epochs_needs_no_warmup_room():
+    assert ProbeConfig(epochs=0, warmup_rounds=10).epochs == 0
+
+
 def test_train_probe_zero_epochs_returns_init():
     features, labels = toy_features()
     cfg = ProbeConfig(num_classes=2, epochs=0, seed=5)
@@ -117,4 +136,5 @@ def test_train_probe_rejects_bad_label_in_either_split():
             bad = labels.copy()
             bad[where] = 2
             with pytest.raises(BadLabel, match="label 2 "):
-                train_probe(features, bad, ProbeConfig(num_classes=2, epochs=epochs, seed=3))
+                train_probe(features, bad, ProbeConfig(num_classes=2, epochs=epochs,
+                                                       warmup_rounds=1, seed=3))

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmim.rng import Rng, mix_key
+from fedmim.rng import Rng, lockstep_random, lockstep_rayleigh, mix_key
+from oracles import speckle_envelope
+
+_MASK = (1 << 64) - 1
 
 
 def test_same_seed_same_stream():
@@ -150,3 +153,88 @@ def test_chi_square_uniformity():
     chi2 = float(((counts - 1000.0) ** 2 / 1000.0).sum())
     # df = 63, mean 63, sd sqrt(126) ~ 11.2
     assert chi2 < 63 + 4 * math.sqrt(126)
+
+
+lane_seeds = st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=5)
+
+
+@given(lane_seeds, st.integers(min_value=0, max_value=300))
+@settings(max_examples=50, deadline=None)
+def test_lockstep_random_is_each_scalar_stream(seeds, count):
+    lanes = [Rng(seed) for seed in seeds]
+    scalar = [Rng(seed) for seed in seeds]
+    out = lockstep_random(lanes, np.empty((len(seeds), count)))
+    for row, rng in zip(out, scalar):
+        assert row.tolist() == [rng.random() for _ in range(count)]
+    assert [rng._s for rng in lanes] == [rng._s for rng in scalar]
+
+
+@given(lane_seeds, st.integers(min_value=0, max_value=150))
+@settings(max_examples=50, deadline=None)
+def test_lockstep_rayleigh_matches_the_scalar_envelope(seeds, count):
+    lanes = [Rng(seed) for seed in seeds]
+    scalar = [Rng(seed) for seed in seeds]
+    out = lockstep_rayleigh(lanes, np.empty((len(seeds), count)))
+    for row, rng in zip(out, scalar):
+        expect = speckle_envelope(rng, count)
+        np.testing.assert_allclose(row, expect, rtol=1e-15, atol=0.0)
+    assert [rng._s for rng in lanes] == [rng._s for rng in scalar]
+
+
+def test_lockstep_draws_span_several_blocks():
+    # 40000 draws over 3 lanes take several blocks of lockstep steps.
+    seeds = [5, 6, 7]
+    lanes = [Rng(seed) for seed in seeds]
+    out = lockstep_random(lanes, np.empty((3, 40000)))
+    for row, seed in zip(out, seeds):
+        rng = Rng(seed)
+        assert row.tolist() == [rng.random() for _ in range(40000)]
+        assert rng._s == lanes[seeds.index(seed)]._s
+
+
+def _rotr(x: int, k: int) -> int:
+    return ((x >> k) | (x << (64 - k))) & _MASK
+
+
+def _step_back(state: list[int], steps: int) -> list[int]:
+    """The xoshiro256** state `steps` draws before state."""
+    s0, s1, s2, s3 = state
+    for _ in range(steps):
+        a3 = _rotr(s3, 45)  # s3 ^ s1 of the earlier state
+        x = s1 ^ s2  # earlier s1 ^ (earlier s1 << 17)
+        prev1 = x
+        for _ in range(4):
+            prev1 = x ^ ((prev1 << 17) & _MASK)
+        prev0 = s0 ^ a3
+        a2 = s1 ^ prev1  # s2 ^ s0 of the earlier state
+        s0, s1, s2, s3 = prev0, prev1, a2 ^ prev0, a3 ^ prev1
+    return [s0, s1, s2, s3]
+
+
+def test_step_back_inverts_next_u64():
+    rng = Rng(3)
+    start = list(rng._s)
+    for _ in range(7):
+        rng.next_u64()
+    assert _step_back(rng._s, 7) == start
+
+
+@pytest.mark.parametrize("zero_draw", [0, 1, 74, 75])
+def test_lockstep_rayleigh_retry_finishes_on_the_scalar_path(zero_draw):
+    # A state with s1 = 0 makes next_u64 return 0. Draw zero_draw of the
+    # crafted lane is that 0: an even draw is a pair's u1, which
+    # Rng.normal draws again; an odd one is a u2, which it keeps.
+    crafted = _step_back([0x1234, 0, 0x5678, 0x9ABC], zero_draw)
+    lanes = [Rng(11), Rng(0), Rng(12)]
+    lanes[1]._s = list(crafted)
+    scalar = [Rng(11), Rng(0), Rng(12)]
+    scalar[1]._s = list(crafted)
+    out = lockstep_rayleigh(lanes, np.empty((3, 60)))
+    for row, rng in zip(out, scalar):
+        expect = speckle_envelope(rng, 60)
+        np.testing.assert_allclose(row, expect, rtol=1e-15, atol=0.0)
+    assert [rng._s for rng in lanes] == [rng._s for rng in scalar]
+    probe = Rng(0)
+    probe._s = list(crafted)
+    draws = [probe.next_u64() for _ in range(zero_draw + 1)]
+    assert draws[-1] == 0

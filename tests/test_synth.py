@@ -7,7 +7,7 @@ import pytest
 
 from fedmim.errors import LesionOutOfBounds, TooFewSamples
 from fedmim.rng import Rng
-from fedmim.smat import CONVEX, LINEAR
+from fedmim.smat import CONVEX, LINEAR, ScanGeometry, linear_to_convex
 from fedmim.synth import (
     BENIGN,
     MALIGNANT,
@@ -104,6 +104,31 @@ def test_random_lesion_fits():
 
 def test_generate_dataset_empty():
     assert generate_dataset(0, (1.0, 0.0, 0.0), Rng(0)) == []
+
+
+def test_generate_dataset_lanes_equal_each_phantom_alone():
+    # Each sample drawn on its own rng, through one-lane generate_phantom,
+    # gives the bytes and end state of the lockstep dataset.
+    spec = PhantomSpec(24, 16)
+    mix = (0.4, 0.4, 0.2)
+    samples = generate_dataset(12, mix, Rng(9), spec)
+    geom = ScanGeometry.default_for(24, 16)
+    for i, sample in enumerate(samples):
+        rng = Rng(9).spawn(i)
+        u = rng.random()
+        label = BENIGN if u < mix[0] else MALIGNANT if u < mix[0] + mix[1] else NONE
+        lesion = None if label == NONE else random_lesion(24, 16, label, rng)
+        alone = generate_phantom(PhantomSpec(24, 16, lesion=lesion, class_label=label), rng)
+        image, mask, mode = alone.image, alone.lesion_mask, LINEAR
+        if rng.random() < 0.5:
+            image = linear_to_convex(image, geom, 24, 16)
+            mask = (linear_to_convex(mask, geom, 24, 16) >= 0.5).astype(np.float64)
+            mode = CONVEX
+        assert (sample.label, sample.mode) == (label, mode)
+        assert sample.image.tobytes() == image.tobytes()
+        assert sample.lesion_mask.tobytes() == mask.tobytes()
+    assert {s.mode for s in samples} == {LINEAR, CONVEX}
+    assert {s.label for s in samples} == {BENIGN, MALIGNANT, NONE}
 
 
 def test_generate_dataset_all_benign():
