@@ -10,6 +10,7 @@ error, 3 I/O error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import sys
@@ -188,7 +189,20 @@ def _generate(cfg: dict) -> list[synth.LabeledSample]:
                                   _phantom_spec(cfg), lesion_kwargs=s["lesion"])
 
 
+def _check_out(out_dir: Path) -> None:
+    """Fail before any synthesis or input read if out_dir could not be
+    made at the first write: its parent is missing or it is a file.
+    Creates nothing."""
+    if not out_dir.absolute().parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, "--out has no parent directory",
+                                str(out_dir))
+    if out_dir.exists() and not out_dir.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, "--out is not a directory",
+                                 str(out_dir))
+
+
 def cmd_generate(cfg: dict, out_dir: Path) -> int:
+    _check_out(out_dir)
     dataset = _generate(cfg)
     out_dir.mkdir(exist_ok=True)
     records = []
@@ -207,6 +221,7 @@ def cmd_generate(cfg: dict, out_dir: Path) -> int:
 def cmd_pretrain(cfg: dict, out_dir: Path) -> int:
     model_cfg = _model_config(cfg)
     fed_cfg = _federation(cfg)
+    _check_out(out_dir)
     dataset = _generate(cfg)
     clients = build_clients(
         dataset, fed_cfg.num_clients, cfg["federation"]["alpha"],
@@ -271,6 +286,7 @@ def cmd_finetune(cfg: dict, checkpoint: Path, labeled_dir: Path, out_dir: Path) 
     model_cfg = _model_config(cfg)
     probe_cfg = ProbeConfig(**cfg["probe"], seed=cfg["seed"])
     num_classes = probe_cfg.num_classes
+    _check_out(out_dir)
     ckpt = fed.load_checkpoint(str(checkpoint))
     # The init seed does not shape the encoder, so any probe seed may use it.
     if replace(ckpt.model_cfg, seed=model_cfg.seed) != model_cfg:
@@ -402,8 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: a parse leaves the parser as it was, and building it costs
+# far more than a parse.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config)
         if args.seed is not None:

@@ -93,10 +93,29 @@ def convolve2d(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out
 
 
-def bilinear_sample_grid(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Bilinear blend of the 4 pixels around each (x, y); 0 outside
-    [0, W-1] x [0, H-1]."""
-    h, w = img.shape
+@dataclass(frozen=True)
+class BilinearPlan:
+    """Where and how to bilinearly sample an H x W source on a grid of
+    points, independent of the source's pixel values.
+
+    corners holds the flat source indices of the 4 pixels around each
+    point, as (y0, x0), (y0, x1), (y1, x0), (y1, x1); weights holds
+    1 - fx, fx, 1 - fy and fy; keep marks the points whose blend is kept
+    (all others are 0). The arrays are read-only, so one plan can serve
+    every image of its size.
+    """
+
+    shape: tuple[int, int]
+    corners: np.ndarray
+    weights: np.ndarray
+    keep: np.ndarray
+
+
+def bilinear_plan(shape: tuple[int, int], xs, ys, within=None) -> BilinearPlan:
+    """The plan that samples an image of the given (H, W) shape at each
+    (x, y); a point outside [0, W-1] x [0, H-1], or where within is False,
+    samples 0."""
+    h, w = shape
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     inside = (xs >= 0.0) & (ys >= 0.0) & (xs <= w - 1) & (ys <= h - 1)
@@ -108,10 +127,30 @@ def bilinear_sample_grid(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.
     y1 = np.minimum(y0 + 1, h - 1)
     fx = xc - x0
     fy = yc - y0
-    top = (1.0 - fx) * img[y0, x0] + fx * img[y0, x1]
-    bot = (1.0 - fx) * img[y1, x0] + fx * img[y1, x1]
-    out = (1.0 - fy) * top + fy * bot
-    return np.where(inside, out, 0.0)
+    corners = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1])
+    weights = np.stack([1.0 - fx, fx, 1.0 - fy, fy])
+    keep = np.asarray(inside if within is None else inside & within)
+    for arr in (corners, weights, keep):
+        arr.flags.writeable = False
+    return BilinearPlan((h, w), corners, weights, keep)
+
+
+def apply_bilinear(plan: BilinearPlan, img: np.ndarray) -> np.ndarray:
+    """Sample img (of the plan's shape) at the plan's points."""
+    if img.shape != plan.shape:
+        raise ValueError(f"plan is for a {plan.shape} image, got {img.shape}")
+    a, b, c, d = img.ravel().take(plan.corners)
+    wx0, wx1, wy0, wy1 = plan.weights
+    top = wx0 * a + wx1 * b
+    bot = wx0 * c + wx1 * d
+    out = wy0 * top + wy1 * bot
+    return np.where(plan.keep, out, 0.0)
+
+
+def bilinear_sample_grid(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Bilinear blend of the 4 pixels around each (x, y); 0 outside
+    [0, W-1] x [0, H-1]."""
+    return apply_bilinear(bilinear_plan(img.shape, xs, ys), img)
 
 
 def read_pgm(path) -> np.ndarray:

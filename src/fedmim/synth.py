@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,6 +66,15 @@ def _boundary_wobble(rng: Rng, harmonics: int = 4) -> tuple[list[float], list[fl
     return [a / peak for a in amps], phases
 
 
+@lru_cache(maxsize=4)
+def _pixel_grid(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (ys, xs) pixel coordinates of a height x width image."""
+    ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
+    for arr in (ys, xs):
+        arr.flags.writeable = False
+    return ys, xs
+
+
 def _lesion_mask(spec: PhantomSpec, rng: Rng) -> np.ndarray:
     lesion = spec.lesion
     mask = np.zeros((spec.height, spec.width))
@@ -78,7 +88,7 @@ def _lesion_mask(spec: PhantomSpec, rng: Rng) -> np.ndarray:
             f"lesion at ({lesion.center_x}, {lesion.center_y}) with reach "
             f"({reach_x:.1f}, {reach_y:.1f}) exceeds {spec.width}x{spec.height}"
         )
-    ys, xs = np.mgrid[0 : spec.height, 0 : spec.width].astype(np.float64)
+    ys, xs = _pixel_grid(spec.height, spec.width)
     dx = (xs - lesion.center_x) / lesion.axis_x
     dy = (ys - lesion.center_y) / lesion.axis_y
     radial = dx * dx + dy * dy

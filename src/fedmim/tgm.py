@@ -63,9 +63,9 @@ def select_mask(scores: np.ndarray, mask_ratio: float) -> MaskPartition:
     scores = np.asarray(scores, dtype=np.float64)
     num_patches = scores.size
     n_masked = mask_count(mask_ratio, num_patches)
-    order = sorted(range(num_patches), key=lambda i: (-scores[i], i))
-    masked = tuple(sorted(order[:n_masked]))
-    visible = tuple(sorted(order[n_masked:]))
+    order = np.argsort(-scores, kind="stable")
+    masked = tuple(sorted(order[:n_masked].tolist()))
+    visible = tuple(sorted(order[n_masked:].tolist()))
     return MaskPartition(masked, visible, mask_ratio)
 
 

@@ -22,7 +22,7 @@ from fedmim.corrupt import (
     gaussian_kernel,
     motion_blur_kernel,
 )
-from fedmim.errors import BadLabel, EmptyVisibleSet
+from fedmim.errors import BadLabel, EmptyVisibleSet, InvalidGeometry
 from fedmim.image import as_image, convolve2d
 from fedmim.model import (
     ModelConfig,
@@ -33,6 +33,7 @@ from fedmim.model import (
     unpack_params,
 )
 from fedmim.rng import Rng
+from fedmim.smat import ScanGeometry
 
 
 def forward(
@@ -162,6 +163,55 @@ def bilinear_sample(img: np.ndarray, x: float, y: float) -> float:
     top = (1.0 - fx) * img[y0, x0] + fx * img[y0, x1]
     bot = (1.0 - fx) * img[y1, x0] + fx * img[y1, x1]
     return float((1.0 - fy) * top + fy * bot)
+
+
+def bilinear_sample_grid(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """bilinear_sample over arrays of points, indexing img directly."""
+    h, w = img.shape
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    inside = (xs >= 0.0) & (ys >= 0.0) & (xs <= w - 1) & (ys <= h - 1)
+    xc = np.where(inside, xs, 0.0)
+    yc = np.where(inside, ys, 0.0)
+    x0 = np.floor(xc).astype(np.int64)
+    y0 = np.floor(yc).astype(np.int64)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = xc - x0
+    fy = yc - y0
+    top = (1.0 - fx) * img[y0, x0] + fx * img[y0, x1]
+    bot = (1.0 - fx) * img[y1, x0] + fx * img[y1, x1]
+    out = (1.0 - fy) * top + fy * bot
+    return np.where(inside, out, 0.0)
+
+
+def linear_to_convex(img: np.ndarray, geom: ScanGeometry, out_w: int, out_h: int) -> np.ndarray:
+    """smat.linear_to_convex with its polar map rebuilt on every call."""
+    img = as_image(img)
+    h_src, w_src = img.shape
+    ys, xs = np.mgrid[0:out_h, 0:out_w].astype(np.float64)
+    dx = xs - geom.apex_x
+    dy = ys - geom.apex_y
+    r = np.hypot(dx, dy)
+    theta = np.arctan2(dx, dy)
+    in_sector = (r >= geom.r_min) & (r <= geom.r_max) & (np.abs(theta) <= geom.half_angle)
+    u = (theta + geom.half_angle) / (2.0 * geom.half_angle) * (w_src - 1)
+    v = (r - geom.r_min) / (geom.r_max - geom.r_min) * (h_src - 1)
+    out = bilinear_sample_grid(img, u, v)
+    return np.where(in_sector, out, 0.0)
+
+
+def convex_to_linear(img: np.ndarray, geom: ScanGeometry, out_w: int, out_h: int) -> np.ndarray:
+    """smat.convex_to_linear with its polar map rebuilt on every call."""
+    img = as_image(img)
+    if out_w < 2 or out_h < 2:
+        raise InvalidGeometry("output must be at least 2x2")
+    ys, xs = np.mgrid[0:out_h, 0:out_w].astype(np.float64)
+    theta = -geom.half_angle + xs / (out_w - 1) * 2.0 * geom.half_angle
+    r = geom.r_min + ys / (out_h - 1) * (geom.r_max - geom.r_min)
+    sx = geom.apex_x + r * np.sin(theta)
+    sy = geom.apex_y + r * np.cos(theta)
+    return bilinear_sample_grid(img, sx, sy)
 
 
 def hausdorff_brute(pred: set, truth: set) -> float:

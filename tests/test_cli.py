@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fedmim
-from fedmim import fed, synth
+from fedmim import cli, fed, synth
 from fedmim.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, _NULLABLE,
                         load_config, main)
 from fedmim.image import read_pgm, write_pgm
@@ -27,6 +27,12 @@ DEFAULT_PRETRAIN_PARAMS_SHA256 = (
 # config (see test_default_generate_golden_hash).
 DEFAULT_GENERATE_SHA256 = (
     "58c254bf6d1ce3102dac0f3288c54756764d997ec6de99159117f229383d5dc3"
+)
+
+# sha256 of `fedmim transform` in both directions on the first image and
+# mask of `fedmim --seed 7 generate` (see test_transform_golden_hash).
+DEFAULT_TRANSFORM_SHA256 = (
+    "1a4c90552df816092759e2464975588aacd837679db0e8060f0356c7384d940b"
 )
 
 
@@ -192,21 +198,53 @@ def test_generate_deterministic(workspace, tmp_path):
             (root / "data" / name).read_bytes()
 
 
-def test_generate_missing_parent_is_exit_3(workspace, tmp_path):
+def _no_input_read(*args, **kwargs):
+    raise AssertionError("read an input before checking --out")
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make synthesis and checkpoint reads fail the test, so an exit that
+    comes before them is shown to."""
+    monkeypatch.setattr(synth, "generate_dataset", _no_synthesis)
+    monkeypatch.setattr(fed, "load_checkpoint", _no_input_read)
+
+
+def test_generate_missing_parent_is_exit_3(workspace, tmp_path, capsys, no_work):
     _, cfg_path = workspace
+    capsys.readouterr()
     assert main(["--config", str(cfg_path),
                  "--out", str(tmp_path / "no" / "such" / "dir"),
                  "generate"]) == EXIT_IO
+    assert capsys.readouterr().err.startswith(
+        "I/O error: [Errno 2] --out has no parent directory")
+    assert not (tmp_path / "no").exists()
 
 
 @pytest.mark.parametrize("command", ["pretrain", "finetune"])
-def test_train_missing_parent_is_exit_3(workspace, tmp_path, command):
+def test_train_missing_parent_is_exit_3(workspace, tmp_path, no_work, command):
     root, cfg_path = workspace
     inputs = ([str(root / "run" / "checkpoint"), str(root / "data")]
               if command == "finetune" else [])
     assert main(["--config", str(cfg_path), "--seed", "5",
                  "--out", str(tmp_path / "no" / "such" / "dir"),
                  command] + inputs) == EXIT_IO
+    assert not (tmp_path / "no").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "pretrain", "finetune"])
+def test_out_that_is_a_file_is_exit_3(workspace, tmp_path, capsys, no_work, command):
+    root, cfg_path = workspace
+    inputs = ([str(root / "run" / "checkpoint"), str(root / "data")]
+              if command == "finetune" else [])
+    out = tmp_path / "file"
+    out.write_bytes(b"keep")
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "--out", str(out),
+                 command] + inputs) == EXIT_IO
+    assert capsys.readouterr().err.startswith(
+        "I/O error: [Errno 20] --out is not a directory")
+    assert out.read_bytes() == b"keep"
 
 
 def test_generate_negative_n_is_exit_2(tmp_path, capsys):
@@ -486,6 +524,21 @@ def test_transform_round_trip_matches_library(workspace, tmp_path):
     assert back.read_bytes() == expect_back.read_bytes()
 
 
+def test_transform_golden_hash(tmp_path):
+    # sha256 over the name and bytes of both warps of the first image and
+    # mask that `fedmim --seed 7 generate` writes with the default config.
+    data = tmp_path / "data"
+    assert main(["--seed", "7", "--out", str(data), "generate"]) == EXIT_OK
+    digest = hashlib.sha256()
+    for stem in ("img_0000", "mask_0000"):
+        for direction in ("linear-to-convex", "convex-to-linear"):
+            out = tmp_path / f"{stem}.{direction}.pgm"
+            assert main(["transform", direction, str(data / f"{stem}.pgm"),
+                         str(out)]) == EXIT_OK
+            digest.update(out.name.encode() + b"\0" + out.read_bytes())
+    assert digest.hexdigest() == DEFAULT_TRANSFORM_SHA256
+
+
 def test_corrupt_p_zero_is_identity(workspace, tmp_path):
     root, _ = workspace
     cfg = dict(SMOKE, corruption={"p": 0.0})
@@ -521,6 +574,49 @@ def test_mask_preview(workspace, tmp_path):
     first_masked = sidecar["masked"][0]
     r, c = divmod(first_masked, 4)
     assert np.all(preview[r * 8:(r + 1) * 8, c * 8:(c + 1) * 8] == 0.0)
+
+
+def test_parser_reuse_leaks_no_options(workspace, tmp_path):
+    # main parses every call with one parser; no call's options may
+    # reach the next one.
+    root, cfg_path = workspace
+    mask = root / "data" / "mask_0000.pgm"
+    pred = tmp_path / "pred.pgm"
+    pred.write_bytes(mask.read_bytes())
+    report = tmp_path / "r.json"
+    first = ["--config", str(cfg_path), "--seed", "3", "--threads", "2",
+             "--out", str(tmp_path / "o"), "eval", str(pred), str(mask),
+             "--report", str(report)]
+    second = ["eval", str(pred), str(mask)]
+    assert main(first) == EXIT_OK
+    report.unlink()
+    assert main(second) == EXIT_OK
+    assert not report.exists()
+    assert json.loads(Path(str(pred) + ".metrics.json").read_text())["dsc"] == 1.0
+    for argv in (first, second, ["corrupt", "a", "b"], second):
+        assert cli._PARSER.parse_args(argv) == cli.build_parser().parse_args(argv)
+    assert cli._PARSER.parse_args(second).seed is None
+
+
+def test_usage_error_then_valid_call(workspace, tmp_path, capsys):
+    root, _ = workspace
+    mask = root / "data" / "mask_0000.pgm"
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", str(mask)])
+    assert exc.value.code == EXIT_CONFIG
+    assert "usage: fedmim" in capsys.readouterr().err
+    assert main(["eval", str(mask), str(mask),
+                 "--report", str(tmp_path / "r.json")]) == EXIT_OK
+
+
+def test_help_prints(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: fedmim")
+        assert "transform" in out and "--config" in out
 
 
 def test_missing_input_file_is_exit_3(tmp_path):

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from fedmim.errors import InvalidGeometry
 from fedmim.image import convolve2d
 from fedmim.corrupt import gaussian_kernel
@@ -11,8 +14,13 @@ from fedmim.smat import (
     LINEAR,
     ScanGeometry,
     convex_to_linear,
+    convex_to_linear_plan,
     linear_to_convex,
+    linear_to_convex_plan,
 )
+
+WARPS = [(linear_to_convex, oracles.linear_to_convex),
+         (convex_to_linear, oracles.convex_to_linear)]
 
 
 def default_geom(w=64, h=64):
@@ -103,8 +111,66 @@ def test_round_trip_smooth_image():
 
 
 def test_convex_to_linear_rejects_tiny_output():
-    with pytest.raises(InvalidGeometry):
-        convex_to_linear(np.zeros((8, 8)), default_geom(8, 8), 1, 8)
+    geom = default_geom(8, 8)
+    for out_w, out_h in [(1, 8), (8, 1), (0, 0)]:
+        convex_to_linear(np.zeros((8, 8)), geom, 8, 8)  # a valid key is cached
+        with pytest.raises(InvalidGeometry, match="^output must be at least 2x2$"):
+            convex_to_linear(np.zeros((8, 8)), geom, out_w, out_h)
+
+
+def _image(seed: int, h: int, w: int, binary: bool) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if binary:
+        return np.where(rng.random((h, w)) < 0.5, 0.0, 255.0)
+    return rng.uniform(0.0, 255.0, (h, w))
+
+
+@st.composite
+def geometries(draw, w: int, h: int) -> ScanGeometry:
+    if draw(st.booleans()):
+        return ScanGeometry.default_for(w, h)
+    r_min = draw(st.floats(0.0, float(h)))
+    return ScanGeometry(
+        apex_x=draw(st.floats(-2.0, w + 2.0)),
+        apex_y=draw(st.floats(-2.0, h / 2.0)),
+        r_min=r_min,
+        r_max=r_min + draw(st.floats(0.5, 2.0 * h)),
+        half_angle=draw(st.floats(0.05, 1.5)),
+    )
+
+
+@given(st.data(), st.integers(2, 80), st.integers(2, 80), st.integers(2, 80),
+       st.integers(2, 80), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_warps_match_per_call_oracles(data, h, w, out_h, out_w, seed, binary):
+    img = _image(seed, h, w, binary)
+    geom = data.draw(geometries(w, h))
+    for warp, oracle in WARPS:
+        out = warp(img, geom, out_w, out_h)
+        assert out.shape == (out_h, out_w)
+        assert out.tobytes() == oracle(img, geom, out_w, out_h).tobytes()
+
+
+def test_warp_plans_follow_their_key():
+    # More keys than either cache holds, visited in turn and then in
+    # reverse, so a plan served for the wrong key would show.
+    keys = []
+    for w, h in [(64, 64), (48, 32), (33, 17), (2, 2)]:
+        keys.append((default_geom(w, h), (h, w), w, h))
+        keys.append((ScanGeometry(w / 3.0, -1.0, 0.5, 1.2 * h, 0.7), (h, w), h, w))
+    for geom, (h, w), out_w, out_h in keys + keys[::-1] + keys:
+        img = _image(h * 100 + w, h, w, False)
+        for warp, oracle in WARPS:
+            assert warp(img, geom, out_w, out_h).tobytes() == \
+                oracle(img, geom, out_w, out_h).tobytes()
+
+
+def test_warp_plans_are_read_only_and_bounded():
+    for plan_of in (linear_to_convex_plan, convex_to_linear_plan):
+        plan = plan_of(default_geom(16, 16), (16, 16), 16, 16)
+        for arr in (plan.corners, plan.weights, plan.keep):
+            assert not arr.flags.writeable
+        assert plan_of.cache_info().maxsize <= 8
 
 
 def test_balance_dataset_doubles_and_evens_modes():
