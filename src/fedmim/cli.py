@@ -222,11 +222,6 @@ def cmd_pretrain(cfg: dict, out_dir: Path) -> int:
     model_cfg = _model_config(cfg)
     fed_cfg = _federation(cfg)
     _check_out(out_dir)
-    dataset = _generate(cfg)
-    clients = build_clients(
-        dataset, fed_cfg.num_clients, cfg["federation"]["alpha"],
-        model_cfg, _corruption(cfg), _patch_spec(cfg), cfg["seed"],
-    )
     trace_path = out_dir / "loss_trace.csv"
     resume = cfg["resume_from"]
     if resume is not None:
@@ -238,6 +233,11 @@ def cmd_pretrain(cfg: dict, out_dir: Path) -> int:
             raise OSError(f"resume requires an existing {trace_path}")
     else:
         params, start_round = model.init_params(model_cfg), 0
+    dataset = _generate(cfg)
+    clients = build_clients(
+        dataset, fed_cfg.num_clients, cfg["federation"]["alpha"],
+        model_cfg, _corruption(cfg), _patch_spec(cfg), cfg["seed"],
+    )
     final, trace = fed.run_pretraining(
         fed_cfg, model_cfg, clients, params, start_round=start_round
     )

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EmptyVisibleSet, ShapeMismatch
 from .image import PatchGrid
-from .rng import Rng
+from .rng import Rng, lockstep_random
 from .tgm import MaskPartition
 
 PIXEL_SCALE = 255.0
@@ -72,15 +72,16 @@ def unpack_params(params: np.ndarray, cfg: ModelConfig):
 
 
 def init_params(cfg: ModelConfig) -> np.ndarray:
-    """Weights i.i.d. uniform in [-1/sqrt(N), 1/sqrt(N)], biases zero."""
-    rng = Rng(cfg.seed)
+    """Weights i.i.d. uniform in [-1/sqrt(N), 1/sqrt(N)], biases zero: the
+    Rng(seed).uniform draws of W_e and then W_d, each in row-major order."""
     bound = 1.0 / math.sqrt(cfg.patch_dim)
     params = np.zeros(cfg.param_count)
     w_e, b_e, w_d, b_d = unpack_params(params, cfg)
-    for mat in (w_e, w_d):
-        flat = mat.ravel()
-        for i in range(flat.size):
-            flat[i] = rng.uniform(-bound, bound)
+    u = lockstep_random([Rng(cfg.seed)], np.empty((1, w_e.size + w_d.size)))[0]
+    lo, hi = -bound, bound
+    weights = lo + (hi - lo) * u  # Rng.uniform's expression, value for value
+    w_e[...] = weights[:w_e.size].reshape(w_e.shape)
+    w_d[...] = weights[w_e.size:].reshape(w_d.shape)
     return params
 
 

@@ -5,16 +5,22 @@ xoshiro256** with splitmix64 seeding. Pure integer arithmetic masked to
 host libc or numpy build. All stochastic behaviour in the package flows
 through this generator.
 
-Per-pixel draws step many streams together: ``lockstep_random`` and
-``lockstep_rayleigh`` hold n streams' states as one (4, n) uint64 array
+Long draws step many streams together: ``lockstep_random`` and
+``lockstep_rayleigh`` hold the states of n streams as one uint64 array
 and advance them as one, the way parallel-stream generators step
 independent xoshiro lanes (Blackman & Vigna, ACM TOMS 2021; Salmon et
-al., SC 2011). Each lane gets exactly the draws its ``Rng`` would give
-alone and is left at the same end state.
+al., SC 2011). The step is linear over GF(2), so the state d draws ahead
+is p(A) s with p = x**d mod the step's characteristic polynomial
+(Haramoto et al., INFORMS J. Computing 2008). A long stream is cut into
+sub-lanes, each started from the stream's state jumped ahead to its first
+draw, and all sub-lanes step together: the sequential steps drop from
+count to 256 + count / sub. Each draw is still exactly its own stream's
+draw, and each ``Rng`` is left at the end state it would reach alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -24,6 +30,17 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 # history one block holds (128 KiB).
 _BLOCK_WORDS = 1 << 14
 _UNIT = 1.0 / (1 << 53)
+# The characteristic polynomial of xoshiro256's state step A over GF(2),
+# bit i the coefficient of x**i. The state d steps ahead of s is p(A) s
+# for p = x**d mod _CHARPOLY (Haramoto et al., INFORMS J. Computing 2008);
+# tests/oracles.py derives it again by Berlekamp-Massey.
+_CHARPOLY = 0x10003C03C3F3ECB1904B4EDCF26259F850280002BCEFD1A5E9D116F2BB0F0F001
+_DEGREE = 256
+# A long draw is cut into at most _MAX_SUB_LANES jumped sub-lanes per
+# stream and _LANE_BUDGET sub-lanes in all, past which wider steps stop
+# paying for the jump.
+_MAX_SUB_LANES = 64
+_LANE_BUDGET = 1024
 # Shift counts as uint64 arrays: a Python int costs a conversion per call.
 _SHIFT_17, _SHIFT_19, _SHIFT_45 = (np.array(k, dtype=np.uint64) for k in (17, 19, 45))
 
@@ -167,32 +184,138 @@ def _scramble(s1: np.ndarray) -> np.ndarray:
     return s1
 
 
-def _lockstep_draws(rngs: list[Rng], count: int):
-    """Yield (start, bits) for the next count draws of every rng in blocks:
-    bits[j, i] is next_u64() >> 11 of rngs[i]'s draw start + j. The states
-    are held as one (4, n) uint64 array and stepped together, and each Rng
-    is left at its lane's end state after the last block. Every block but
-    the last has an even number of draws."""
-    n = len(rngs)
-    s = np.array([rng._s for rng in rngs], dtype=np.uint64).T.copy()
+def _stepper(s: np.ndarray):
+    """A function that advances the (4, k) uint64 xoshiro256 states s by
+    one step in place. Its views of s are made once, not per step."""
     s1, s2, s3 = s[1], s[2], s[3]
     low, high, swapped = s[0:2], s[2:4], s[3:1:-1]
     t = np.empty_like(s1)
     xor, lsh, rsh, bor = np.bitwise_xor, np.left_shift, np.right_shift, np.bitwise_or
-    step = max(2, _BLOCK_WORDS // n) & ~1
-    for start in range(0, count, step):
-        hist = np.empty((min(step, count - start), n), dtype=np.uint64)
+
+    def step() -> None:
+        lsh(s1, _SHIFT_17, t)
+        xor(high, low, high)  # s2 ^= s0, s3 ^= s1
+        xor(low, swapped, low)  # s0 ^= s3, s1 ^= s2
+        xor(s2, t, s2)
+        lsh(s3, _SHIFT_45, t)  # s3 = rotl(s3, 45)
+        rsh(s3, _SHIFT_19, s3)
+        bor(s3, t, s3)
+
+    return step
+
+
+def _mulmod(a: int, b: int) -> int:
+    """a * b mod _CHARPOLY over GF(2), bit i of an int the coefficient of
+    x**i. Loops over the set bits of a, so a monomial a costs one shift."""
+    product = 0
+    while a:
+        low = a & -a
+        product ^= b * low
+        a ^= low
+    while (top := product.bit_length() - 1) >= _DEGREE:
+        product ^= _CHARPOLY << (top - _DEGREE)
+    return product
+
+
+def _x_pow(d: int) -> int:
+    """x**d mod _CHARPOLY by square-and-multiply."""
+    result = 1
+    for bit in bin(d)[2:]:
+        result = _mulmod(result, result)
+        if bit == "1":
+            result = _mulmod(2, result)
+    return result
+
+
+def _poly_masks(polys: list[int]) -> np.ndarray:
+    """The (256, k, 1) uint64 table of k jump polynomials: entry [b, j] is
+    all ones when polys[j] has the term x**b, else 0."""
+    raw = b"".join(p.to_bytes(_DEGREE // 8, "little") for p in polys)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    masks = bits.reshape(len(polys), _DEGREE).T.astype(np.uint64) * np.uint64(_MASK)
+    return masks[:, :, None]
+
+
+@functools.lru_cache(maxsize=8)
+def _jump_masks(count: int, m: int, sub: int) -> np.ndarray:
+    """_poly_masks of x**count (column 0, the end state) and x**(j*m) for
+    j = 1 .. sub-1 (sub-lane j's start), read-only."""
+    ahead = _x_pow(m)
+    polys = [_x_pow(count)]
+    poly = 1
+    for _ in range(1, sub):
+        poly = _mulmod(ahead, poly)
+        polys.append(poly)
+    masks = _poly_masks(polys)
+    masks.setflags(write=False)
+    return masks
+
+
+def _jump(s: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """The (4, k, n) states p_j(A) s for the (4, n) states s and the k
+    polynomials of masks, where A is one xoshiro256 step: column j is s
+    jumped by the distance whose polynomial is p_j. Steps s in place."""
+    ahead = s[:, None, :]  # A**b s, stepped once per bit b
+    acc = np.zeros((4, masks.shape[1], s.shape[1]), dtype=np.uint64)
+    term = np.empty_like(acc)
+    step = _stepper(s)
+    for b, mask in enumerate(masks):
+        if b:
+            step()
+        np.bitwise_and(ahead, mask, out=term)
+        acc ^= term
+    return acc
+
+
+def _cut(n: int, count: int) -> tuple[int, int]:
+    """(sub, m): each of n streams of count draws is cut into sub sub-lanes
+    of m draws (the last may hold fewer), m even. sub is 1, no jump, when
+    too few sub-lanes fit the lane budget or when the jump would not at
+    least halve the sequential steps."""
+    sub = min(_LANE_BUDGET // n, count // 2, _MAX_SUB_LANES)
+    if sub < 4:
+        return 1, count
+    m = 2 * -(-count // (2 * sub))
+    if 2 * (_DEGREE + m) > count:
+        return 1, count
+    return -(-count // m), m
+
+
+def _lockstep_draws(rngs: list[Rng], count: int):
+    """Yield (start, bits) for the next count draws of every rng in blocks:
+    bits[j, i] is next_u64() >> 11 of rngs[i]'s draw start + j. Blocks
+    come in any order, and every start is even. Each Rng is left at its
+    stream's end state after the last block.
+
+    The states are held as one (4, sub * n) uint64 array and stepped
+    together: stream i's sub-lane j starts from its state jumped ahead
+    j * m draws, so m steps make all count draws. One jump pass gives
+    every sub-lane's start and each stream's end state.
+    """
+    n = len(rngs)
+    s = np.array([rng._s for rng in rngs], dtype=np.uint64).T.copy()
+    sub, m = _cut(n, count)
+    if sub > 1:
+        jumped = _jump(s.copy(), _jump_masks(count, m, sub))
+        end = jumped[:, 0].copy()
+        jumped[:, 0] = s
+        lanes = jumped.reshape(4, sub * n)
+    else:
+        lanes = end = s
+    width = sub * n
+    s1, step = lanes[1], _stepper(lanes)
+    rows = max(2, _BLOCK_WORDS // width) & ~1
+    for start in range(0, m, rows):
+        hist = np.empty((min(rows, m - start), width), dtype=np.uint64)
         for row in hist:  # row = s1 before the step, which fixes its draw
             row[...] = s1
-            lsh(s1, _SHIFT_17, t)
-            xor(high, low, high)  # s2 ^= s0, s3 ^= s1
-            xor(low, swapped, low)  # s0 ^= s3, s1 ^= s2
-            xor(s2, t, s2)
-            lsh(s3, _SHIFT_45, t)  # s3 = rotl(s3, 45)
-            rsh(s3, _SHIFT_19, s3)
-            bor(s3, t, s3)
-        yield start, _scramble(hist)
-    for rng, state in zip(rngs, s.T.tolist()):
+            step()
+        bits = _scramble(hist)
+        for j in range(sub):
+            first = j * m + start
+            if first < count:
+                yield first, bits[:count - first, j * n:(j + 1) * n]
+    for rng, state in zip(rngs, end.T.tolist()):
         rng._s = state
 
 

@@ -36,6 +36,20 @@ from fedmim.rng import Rng
 from fedmim.smat import ScanGeometry
 
 
+def init_params(cfg: ModelConfig) -> np.ndarray:
+    """model.init_params drawn one weight at a time: Rng(seed).uniform for
+    each entry of W_e and then W_d in row-major order, biases zero."""
+    rng = Rng(cfg.seed)
+    bound = 1.0 / math.sqrt(cfg.patch_dim)
+    params = np.zeros(cfg.param_count)
+    w_e, b_e, w_d, b_d = unpack_params(params, cfg)
+    for mat in (w_e, w_d):
+        flat = mat.ravel()
+        for i in range(flat.size):
+            flat[i] = rng.uniform(-bound, bound)
+    return params
+
+
 def forward(
     params: np.ndarray,
     cfg: ModelConfig,
@@ -228,6 +242,33 @@ def rank_auroc(scores, labels) -> float:
     n_pos, n_neg = int(np.sum(labels == 1)), int(np.sum(labels == 0))
     rank_sum = float(np.sum(rankdata(scores, method="average")[labels == 1]))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def xoshiro_charpoly(seed: int = 1, bits: int = 600) -> int:
+    """The characteristic polynomial of xoshiro256's state step, bit i the
+    coefficient of x**i, found by Berlekamp-Massey over GF(2) from bit 0
+    of s0 along the first `bits` states of Rng(seed). The step is linear
+    with a degree-256 primitive polynomial, so 512 bits determine it."""
+    rng = Rng(seed)
+    seq = []
+    for _ in range(bits):
+        seq.append(rng._s[0] & 1)
+        rng.next_u64()
+    conn, prev, length, gap = 1, 1, 0, 1  # C(x), B(x), L, steps since B
+    for i, bit in enumerate(seq):
+        for k in range(1, length + 1):
+            bit ^= (conn >> k) & seq[i - k]
+        if bit == 0:
+            gap += 1
+        elif 2 * length <= i:
+            conn, prev = conn ^ (prev << gap), conn
+            length, gap = i + 1 - length, 1
+        else:
+            conn ^= prev << gap
+            gap += 1
+    # C(x) is the connection polynomial; the characteristic polynomial is
+    # its reciprocal x**L C(1/x).
+    return int(format(conn, f"0{length + 1}b")[::-1], 2)
 
 
 def speckle_envelope(rng: Rng, count: int) -> np.ndarray:

@@ -338,6 +338,32 @@ def test_pretrain_resume_failed_save_keeps_head(workspace, tmp_path, monkeypatch
         assert (out / name).read_bytes() == (root / "run" / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("case, code, message", [
+    ("missing-checkpoint", EXIT_IO, "I/O error: [Errno 2] No such file"),
+    ("model-mismatch", EXIT_CONFIG,
+     "configuration error: checkpoint model config does not match run config"),
+    ("no-trace", EXIT_IO, "I/O error: resume requires an existing "),
+], ids=["missing-checkpoint", "model-mismatch", "no-trace"])
+def test_bad_resume_exits_before_synthesis(workspace, tmp_path, capsys, monkeypatch,
+                                           case, code, message):
+    # resume_from is read, and the trace it extends looked for, before any
+    # phantom is synthesized; "no-trace" resumes into a fresh --out.
+    root, _ = workspace
+    monkeypatch.setattr(synth, "generate_dataset", _no_synthesis)
+    cfg = dict(SMOKE, resume_from=str(root / "run" / "checkpoint"))
+    if case == "missing-checkpoint":
+        cfg["resume_from"] = str(tmp_path / "nosuch" / "checkpoint")
+    elif case == "model-mismatch":
+        cfg["model"] = dict(SMOKE["model"], embed_dim=16)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["--config", str(path), "--seed", "5", "--out", str(tmp_path / "o"),
+                 "pretrain"]) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "o").exists()
+
+
 def test_finetune_outputs_and_auroc_recompute(workspace):
     root, _ = workspace
     report = json.loads((root / "ft" / "finetune_report.json").read_text())

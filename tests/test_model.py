@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedmim import synth
+from fedmim.cli import _model_config, load_config
 from fedmim.corrupt import CorruptionConfig
 from fedmim.errors import BadLabel, EmptyVisibleSet, ShapeMismatch
 from fedmim.fed import FederationConfig, run_pretraining
@@ -29,6 +30,7 @@ from fedmim.rng import Rng
 
 from conftest import explicit_sample, random_sample
 from oracles import dense_loss_and_grad, finite_diff_grad, forward, loss_and_grad
+from oracles import init_params as scalar_init_params
 
 
 def rel_err(analytic, numeric, floor=1e-3):
@@ -64,6 +66,19 @@ def test_init_params_distribution():
     np.testing.assert_array_equal(b_d, 0.0)
     np.testing.assert_array_equal(params, init_params(cfg))
     assert not np.array_equal(params, init_params(ModelConfig(16, 8, 4, seed=4)))
+
+
+DEFAULT_MODEL = _model_config(load_config(None))
+
+
+@pytest.mark.parametrize("cfg", [
+    DEFAULT_MODEL,
+    ModelConfig(patch_dim=1, embed_dim=1, num_patches=1, seed=0),
+    ModelConfig(patch_dim=64, embed_dim=32, num_patches=64, seed=7),
+    ModelConfig(patch_dim=64, embed_dim=32, num_patches=64, seed=2**64 - 3),
+], ids=["default", "n1-e1", "seed-7", "seed-max"])
+def test_init_params_is_the_scalar_draws(cfg):
+    assert init_params(cfg).tobytes() == scalar_init_params(cfg).tobytes()
 
 
 def test_positional_embeddings_values():

@@ -1,14 +1,21 @@
 """Deterministic PRNG: stream stability, derived streams, distributions."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedmim.rng import Rng, lockstep_random, lockstep_rayleigh, mix_key
-from oracles import speckle_envelope
+import fedmim
+from fedmim import rng as rng_module
+from fedmim.rng import (_CHARPOLY, Rng, _cut, _jump, _poly_masks, _x_pow,
+                        lockstep_random, lockstep_rayleigh, mix_key)
+from oracles import speckle_envelope, xoshiro_charpoly
 
 _MASK = (1 << 64) - 1
 
@@ -219,22 +226,123 @@ def test_step_back_inverts_next_u64():
     assert _step_back(rng._s, 7) == start
 
 
-@pytest.mark.parametrize("zero_draw", [0, 1, 74, 75])
-def test_lockstep_rayleigh_retry_finishes_on_the_scalar_path(zero_draw):
+@pytest.mark.parametrize("count, zero_draw", [
+    *(pytest.param(60, draw, id=str(draw)) for draw in (0, 1, 74, 75)),
+    # 3 lanes of 8192 draws are cut into sub-lanes of 128: these zeros
+    # fall inside jumped sub-lanes 5 and 63.
+    *(pytest.param(4096, draw, id=f"jumped-{draw}") for draw in (650, 651, 8190)),
+])
+def test_lockstep_rayleigh_retry_finishes_on_the_scalar_path(count, zero_draw):
     # A state with s1 = 0 makes next_u64 return 0. Draw zero_draw of the
     # crafted lane is that 0: an even draw is a pair's u1, which
     # Rng.normal draws again; an odd one is a u2, which it keeps.
+    sub, m = _cut(3, 2 * count)
+    assert (sub > 1) == (count == 4096) and zero_draw // m < sub
     crafted = _step_back([0x1234, 0, 0x5678, 0x9ABC], zero_draw)
     lanes = [Rng(11), Rng(0), Rng(12)]
     lanes[1]._s = list(crafted)
     scalar = [Rng(11), Rng(0), Rng(12)]
     scalar[1]._s = list(crafted)
-    out = lockstep_rayleigh(lanes, np.empty((3, 60)))
+    out = lockstep_rayleigh(lanes, np.empty((3, count)))
     for row, rng in zip(out, scalar):
-        expect = speckle_envelope(rng, 60)
+        expect = speckle_envelope(rng, count)
         np.testing.assert_allclose(row, expect, rtol=1e-15, atol=0.0)
     assert [rng._s for rng in lanes] == [rng._s for rng in scalar]
     probe = Rng(0)
     probe._s = list(crafted)
     draws = [probe.next_u64() for _ in range(zero_draw + 1)]
     assert draws[-1] == 0
+
+
+def test_charpoly_is_rederived_by_berlekamp_massey():
+    assert xoshiro_charpoly(seed=1) == _CHARPOLY
+    assert xoshiro_charpoly(seed=2**64 - 1) == _CHARPOLY
+
+
+def test_jump_polynomials_match_the_published_jumps():
+    # The jump() and long_jump() constants of the xoshiro256** reference
+    # implementation are x**(2**128) and x**(2**192) mod the polynomial.
+    def words(*w):
+        return sum(x << (64 * i) for i, x in enumerate(w))
+    assert _x_pow(1 << 128) == words(0x180EC6D33CFD0ABA, 0xD5A61266F0C9392C,
+                                     0xA9582618E03FC9AA, 0x39ABDC4529B1661C)
+    assert _x_pow(1 << 192) == words(0x76E15D3EFEFDCBBF, 0xC5004E441C522FB3,
+                                     0x77710069854EE241, 0x39109BB02ACBE635)
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1),
+       st.integers(min_value=0, max_value=2**20 - 1))
+@example(5, 0)
+@example(5, 255)
+@example(5, 256)
+@example(5, 2**20 - 1)
+@settings(max_examples=10, deadline=None)
+def test_jump_by_d_is_d_draws(seed, d):
+    rng = Rng(seed)
+    s = np.array([rng._s], dtype=np.uint64).T.copy()
+    jumped = _jump(s, _poly_masks([_x_pow(d)]))
+    for _ in range(d):
+        rng.next_u64()
+    assert jumped[:, 0, 0].tolist() == rng._s
+
+
+def test_streams_of_8192_draws_jump_up_to_256_lanes():
+    assert [_cut(n, 8192)[0] > 1 for n in (1, 3, 64, 255, 256, 257, 300, 512)] == \
+        [True] * 5 + [False] * 3
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 127, 4097, 8192])
+@pytest.mark.parametrize("n", [1, 3, 64, 255, 256, 257, 300])
+def test_lockstep_draws_on_both_sides_of_the_cut(monkeypatch, n, count):
+    # Every lane and end state equals the uncut lockstep path's, and the
+    # first and last lanes equal their scalar streams.
+    seeds = [mix_key(n, count, i) for i in range(n)]
+    results = []
+    for cut in (_cut, lambda n, count: (1, count)):
+        monkeypatch.setattr(rng_module, "_cut", cut)
+        lanes = [Rng(seed) for seed in seeds]
+        uniform = lockstep_random(lanes, np.empty((n, count)))
+        ends = [rng._s for rng in lanes]
+        lanes = [Rng(seed) for seed in seeds]
+        radii = lockstep_rayleigh(lanes, np.empty((n, count)))
+        results.append((uniform.tobytes(), ends, radii.tobytes(), [rng._s for rng in lanes]))
+    assert results[0] == results[1]
+    for i in {0, n - 1}:
+        rng = Rng(seeds[i])
+        assert uniform[i].tolist() == [rng.random() for _ in range(count)]
+        assert rng._s == ends[i]
+        rng = Rng(seeds[i])
+        np.testing.assert_allclose(radii[i], speckle_envelope(rng, count), rtol=1e-15, atol=0.0)
+        assert rng._s == lanes[i]._s
+
+
+def test_one_lane_long_draw_takes_few_steps(monkeypatch):
+    # 8192 draws of one stream: 255 jump steps, then 64 sub-lanes of 128
+    # draws, where an uncut lane would step 8192 times.
+    steps = 0
+    make_step = rng_module._stepper
+
+    def counting_stepper(s):
+        step = make_step(s)
+
+        def counted():
+            nonlocal steps
+            steps += 1
+            step()
+        return counted
+
+    monkeypatch.setattr(rng_module, "_stepper", counting_stepper)
+    lockstep_random([Rng(1)], np.empty((1, 8192)))
+    assert steps <= 256 + 128
+
+
+def test_cli_import_computes_no_jump_polynomial():
+    # A fresh process pays for jump tables only when it draws.
+    src = str(Path(fedmim.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = ("import fedmim.cli; from fedmim import rng; "
+             "print(rng._jump_masks.cache_info().currsize)")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, check=True,
+                            env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert result.stdout == "0\n"
