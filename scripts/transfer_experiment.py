@@ -6,11 +6,11 @@ separate 300-sample set and score a 200-sample held-out set. Convex-mode
 images are unwarped to linear before feature extraction so both scan
 modes share a feature space, and features are standardized with
 training-split statistics. The random-encoder arm repeats the probe
-training on freshly initialized encoders.
+training on freshly initialized encoders. Acceptance criterion 5 runs
+transfer_aurocs at its defaults.
 """
 
 import argparse
-import time
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from fedmim.finetune import ProbeConfig, extract_features, probe_scores, train_p
 from fedmim.pipeline import PatchSpec, build_clients
 from fedmim.rng import Rng
 
-LESION_KWARGS = dict(
+LESION = synth.LesionSpec(
     intensity_delta=-75.0, malignant_delta=-95.0, irregularity_range=(0.6, 1.0)
 )
 
@@ -37,6 +37,8 @@ def probe_auroc(params, cfg, probe_images, probe_labels, held_images, held_label
                 seed):
     feats = extract_features(params, cfg, probe_images, 8, 8)
     held = extract_features(params, cfg, held_images, 8, 8)
+    # Standardize with the statistics of the training split that
+    # train_probe derives from this seed.
     n = feats.shape[0]
     order = list(range(n))
     Rng(seed).shuffle(order)
@@ -50,61 +52,45 @@ def probe_auroc(params, cfg, probe_images, probe_labels, held_images, held_label
     return metrics.auroc(scores, held_labels)
 
 
+def transfer_aurocs(seed=7, rounds=300):
+    """The held-out probe AUROCs of the pre-trained encoder and of random
+    encoders, one per probe seed 0..4: (pretrained, random)."""
+    base = synth.PhantomSpec()
+    geom = smat.ScanGeometry.default_for(64, 64)
+    corpus = synth.generate_dataset(256, (0.5, 0.5, 0.0), Rng(seed), base, LESION)
+    probe_set = synth.generate_dataset(300, (0.5, 0.5, 0.0), Rng(9), base, LESION)
+    held_out = synth.generate_dataset(200, (0.5, 0.5, 0.0), Rng(8), base, LESION)
+
+    model_cfg = model.ModelConfig(patch_dim=64, embed_dim=8, num_patches=64, seed=seed)
+    clients = build_clients(
+        corpus, 4, 0.5, model_cfg, CorruptionConfig(), PatchSpec(8, 8, 0.75), seed,
+    )
+    fed_cfg = fed.FederationConfig(
+        num_clients=4, total_rounds=rounds, local_steps=8,
+        opt=model.OptimizerConfig(0.15, 1e-4, 10, rounds), seed=seed,
+    )
+    pretrained, _ = fed.run_pretraining(
+        fed_cfg, model_cfg, clients, model.init_params(model_cfg)
+    )
+
+    probe = (mode_normalized(probe_set, geom), np.array([s.label for s in probe_set]),
+             mode_normalized(held_out, geom), np.array([s.label for s in held_out]))
+    aucs_pre, aucs_rand = [], []
+    for probe_seed in range(5):
+        aucs_pre.append(probe_auroc(pretrained, model_cfg, *probe, probe_seed))
+        rand_cfg = model.ModelConfig(64, 8, 64, seed=1000 + probe_seed)
+        aucs_rand.append(probe_auroc(model.init_params(rand_cfg), rand_cfg, *probe,
+                                     probe_seed))
+    return aucs_pre, aucs_rand
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--rounds", type=int, default=300)
     args = ap.parse_args()
 
-    base = synth.PhantomSpec()
-    geom = smat.ScanGeometry.default_for(64, 64)
-    t0 = time.time()
-    corpus = synth.generate_dataset(
-        256, (0.5, 0.5, 0.0), Rng(args.seed), base, lesion_kwargs=LESION_KWARGS
-    )
-    probe_set = synth.generate_dataset(
-        300, (0.5, 0.5, 0.0), Rng(9), base, lesion_kwargs=LESION_KWARGS
-    )
-    held_out = synth.generate_dataset(
-        200, (0.5, 0.5, 0.0), Rng(8), base, lesion_kwargs=LESION_KWARGS
-    )
-    print(f"datasets: {time.time() - t0:.1f}s")
-
-    model_cfg = model.ModelConfig(
-        patch_dim=64, embed_dim=8, num_patches=64, seed=args.seed
-    )
-    clients = build_clients(
-        corpus, 4, 0.5, model_cfg, CorruptionConfig(), PatchSpec(8, 8, 0.75),
-        args.seed,
-    )
-    fed_cfg = fed.FederationConfig(
-        num_clients=4, total_rounds=args.rounds, local_steps=8,
-        opt=model.OptimizerConfig(0.15, 1e-4, 10, args.rounds), seed=args.seed,
-    )
-    t0 = time.time()
-    pretrained, trace = fed.run_pretraining(
-        fed_cfg, model_cfg, clients, model.init_params(model_cfg)
-    )
-    print(f"pretrain: {time.time() - t0:.1f}s  "
-          f"loss {trace[0][1]:.4f} -> {trace[-1][1]:.4f}")
-
-    probe_images = mode_normalized(probe_set, geom)
-    probe_labels = np.array([s.label for s in probe_set])
-    held_images = mode_normalized(held_out, geom)
-    held_labels = np.array([s.label for s in held_out])
-
-    aucs_pre, aucs_rand = [], []
-    for seed in range(5):
-        aucs_pre.append(probe_auroc(
-            pretrained, model_cfg, probe_images, probe_labels,
-            held_images, held_labels, seed,
-        ))
-        rand_cfg = model.ModelConfig(64, 8, 64, seed=1000 + seed)
-        aucs_rand.append(probe_auroc(
-            model.init_params(rand_cfg), rand_cfg, probe_images, probe_labels,
-            held_images, held_labels, seed,
-        ))
-
+    aucs_pre, aucs_rand = transfer_aurocs(args.seed, args.rounds)
     mean_pre, half_pre = metrics.ci95(aucs_pre)
     mean_rand, half_rand = metrics.ci95(aucs_rand)
     print("pretrained AUROC", np.round(aucs_pre, 3),

@@ -40,8 +40,10 @@ class ConfigError(FedmimError):
 
 
 def _fields(defaults, *drop: str) -> dict:
-    """The field defaults of a config class instance, minus drop."""
-    return {k: v for k, v in asdict(defaults).items() if k not in drop}
+    """The field defaults of a config class instance, minus drop, as JSON
+    values: a tuple becomes a list."""
+    return {k: list(v) if isinstance(v, tuple) else v
+            for k, v in asdict(defaults).items() if k not in drop}
 
 
 # The phantom keys of the "synth" section: PhantomSpec's fields but the
@@ -49,9 +51,10 @@ def _fields(defaults, *drop: str) -> dict:
 _PHANTOM = _fields(synth.PhantomSpec(), "lesion", "class_label")
 
 # Default run configuration; a config file overrides leaf values. The
-# "patch", "corruption", "optimizer" and "probe" sections hold the fields
-# of the config class each one builds, with that class's defaults. The
-# model shape follows from "patch" and "synth" (see _model_config).
+# "patch", "corruption", "optimizer", "synth.lesion" and "probe" sections
+# hold the fields of the config class each one builds, with that class's
+# defaults. The model shape follows from "patch" and "synth" (see
+# _model_config).
 _DEFAULTS: dict = {
     "version": 1,
     "seed": 0,
@@ -63,10 +66,7 @@ _DEFAULTS: dict = {
     "corruption": _fields(CorruptionConfig()),
     "synth": {"n": 64, **_PHANTOM,
               "class_mix": [0.35, 0.35, 0.3],
-              "lesion": {"intensity_delta": -60.0,
-                         "malignant_delta": None,
-                         "irregularity_range": [0.45, 0.85],
-                         "axis_range": [0.14, 0.24]}},
+              "lesion": _fields(synth.LesionSpec())},
     "probe": _fields(ProbeConfig(), "seed"),
     "resume_from": None,
 }
@@ -183,10 +183,11 @@ def _federation(cfg: dict) -> fed.FederationConfig:
 
 
 def _generate(cfg: dict) -> list[synth.LabeledSample]:
-    # The "lesion" keys are random_lesion's keyword parameters.
     s = cfg["synth"]
+    lesion = synth.LesionSpec(**{k: tuple(v) if isinstance(v, list) else v
+                                 for k, v in s["lesion"].items()})
     return synth.generate_dataset(s["n"], tuple(s["class_mix"]), Rng(cfg["seed"]),
-                                  _phantom_spec(cfg), lesion_kwargs=s["lesion"])
+                                  _phantom_spec(cfg), lesion)
 
 
 def _check_out(out_dir: Path) -> None:

@@ -182,15 +182,7 @@ def save_checkpoint(path_prefix: str, cp: Checkpoint) -> None:
     payload = _payload_bytes(cp.params)
     manifest = {
         "model": asdict(cp.model_cfg),
-        "federation": {
-            "num_clients": cp.fed_cfg.num_clients,
-            "total_rounds": cp.fed_cfg.total_rounds,
-            "local_steps": cp.fed_cfg.local_steps,
-            "eta_max": cp.fed_cfg.opt.eta_max,
-            "eta_min": cp.fed_cfg.opt.eta_min,
-            "warmup_rounds": cp.fed_cfg.opt.warmup_rounds,
-            "schedule_rounds": cp.fed_cfg.opt.total_rounds,
-        },
+        "federation": asdict(cp.fed_cfg),
         "round": cp.round_index,
         "seed": cp.seed,
         "param_count": int(cp.params.size),
@@ -225,18 +217,7 @@ def load_checkpoint(path_prefix: str) -> Checkpoint:
     try:
         model_cfg = ModelConfig(**manifest["model"])
         fed = manifest["federation"]
-        fed_cfg = FederationConfig(
-            num_clients=fed["num_clients"],
-            total_rounds=fed["total_rounds"],
-            local_steps=fed["local_steps"],
-            opt=OptimizerConfig(
-                eta_max=fed["eta_max"],
-                eta_min=fed["eta_min"],
-                warmup_rounds=fed["warmup_rounds"],
-                total_rounds=fed["schedule_rounds"],
-            ),
-            seed=manifest["seed"],
-        )
+        fed_cfg = FederationConfig(**{**fed, "opt": OptimizerConfig(**fed["opt"])})
         param_count = manifest["param_count"]
         crc = manifest["crc32"]
         round_index = manifest["round"]

@@ -33,6 +33,28 @@ class Lesion:
 
 
 @dataclass(frozen=True)
+class LesionSpec:
+    """How random_lesion draws a lesion: its contrast, the malignant
+    contrast (None: the same), and the ranges of the malignant boundary's
+    irregularity and of each axis as a fraction of the shorter side."""
+
+    intensity_delta: float = -60.0
+    malignant_delta: float | None = None
+    irregularity_range: tuple[float, float] = (0.45, 0.85)
+    axis_range: tuple[float, float] = (0.14, 0.24)
+
+    def __post_init__(self):
+        lo, hi = self.axis_range
+        if not 0.0 < lo <= hi:
+            raise ValueError(f"axis_range must satisfy 0 < lo <= hi, "
+                             f"got {list(self.axis_range)}")
+        lo, hi = self.irregularity_range
+        if not 0.0 <= lo <= hi:
+            raise ValueError(f"irregularity_range must satisfy 0 <= lo <= hi, "
+                             f"got {list(self.irregularity_range)}")
+
+
+@dataclass(frozen=True)
 class PhantomSpec:
     width: int = 64
     height: int = 64
@@ -45,7 +67,7 @@ class PhantomSpec:
         if self.width < 1 or self.height < 1:
             raise ValueError(f"width and height must be >= 1, got "
                              f"{self.width}x{self.height}")
-        if self.speckle_strength < 0.0:
+        if not self.speckle_strength >= 0.0:
             raise ValueError(
                 f"speckle_strength must be >= 0, got {self.speckle_strength}")
 
@@ -141,32 +163,21 @@ def generate_phantom(spec: PhantomSpec, rng: Rng) -> LabeledSample:
     return LabeledSample(_render([spec], [mask], [rng])[0], mask, spec.class_label, LINEAR)
 
 
-def random_lesion(
-    width: int, height: int, label: int, rng: Rng,
-    intensity_delta: float = -60.0,
-    irregularity_range: tuple[float, float] = (0.45, 0.85),
-    axis_range: tuple[float, float] = (0.14, 0.24),
-    malignant_delta: float | None = None,
-) -> Lesion:
+def random_lesion(width: int, height: int, label: int, rng: Rng,
+                  spec: LesionSpec = LesionSpec()) -> Lesion:
     """Draw lesion geometry.
 
     Both classes are hypoechoic; class is carried by the boundary texture
-    (smooth ellipse vs irregular outline) and, when malignant_delta is
+    (smooth ellipse vs irregular outline) and, when spec.malignant_delta is
     set, by a deeper malignant contrast.
     """
-    lo, hi = axis_range
-    if not 0.0 < lo <= hi:
-        raise ValueError(f"axis_range must satisfy 0 < lo <= hi, got {list(axis_range)}")
-    lo, hi = irregularity_range
-    if not 0.0 <= lo <= hi:
-        raise ValueError(f"irregularity_range must satisfy 0 <= lo <= hi, "
-                         f"got {list(irregularity_range)}")
-    irregularity = 0.0 if label == BENIGN else rng.uniform(*irregularity_range)
-    if label != BENIGN and malignant_delta is not None:
-        intensity_delta = malignant_delta
+    irregularity = 0.0 if label == BENIGN else rng.uniform(*spec.irregularity_range)
+    intensity_delta = spec.intensity_delta
+    if label != BENIGN and spec.malignant_delta is not None:
+        intensity_delta = spec.malignant_delta
     scale = min(width, height)
-    axis_x = rng.uniform(*axis_range) * scale
-    axis_y = rng.uniform(*axis_range) * scale
+    axis_x = rng.uniform(*spec.axis_range) * scale
+    axis_y = rng.uniform(*spec.axis_range) * scale
     margin_x = axis_x * (1.0 + irregularity) + 1.0
     margin_y = axis_y * (1.0 + irregularity) + 1.0
     return Lesion(
@@ -184,7 +195,7 @@ def generate_dataset(
     class_mix: tuple[float, float, float],
     rng: Rng,
     base_spec: PhantomSpec = PhantomSpec(),
-    lesion_kwargs: dict | None = None,
+    lesion_spec: LesionSpec = LesionSpec(),
 ) -> list[LabeledSample]:
     """n phantoms with labels per class_mix and 50/50 linear/convex modes.
 
@@ -195,13 +206,13 @@ def generate_dataset(
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if abs(sum(class_mix) - 1.0) > 1e-9 or any(p < 0 for p in class_mix):
+    if not (abs(sum(class_mix) - 1.0) <= 1e-9 and all(p >= 0 for p in class_mix)):
         raise ValueError(f"class_mix must be a probability vector, got {class_mix}")
     if n == 0:
         return []
     geom = ScanGeometry.default_for(base_spec.width, base_spec.height)
     children = [rng.spawn(i) for i in range(n)]
-    specs = [_draw_spec(base_spec, class_mix, child, lesion_kwargs or {})
+    specs = [_draw_spec(base_spec, class_mix, child, lesion_spec)
              for child in children]
     masks = [_lesion_mask(spec, child) for spec, child in zip(specs, children)]
     # A convex sample's warp overwrites its linear image and mask, so the
@@ -219,7 +230,7 @@ def generate_dataset(
 
 
 def _draw_spec(base_spec: PhantomSpec, class_mix: tuple[float, float, float],
-               rng: Rng, lesion_kwargs: dict) -> PhantomSpec:
+               rng: Rng, lesion_spec: LesionSpec) -> PhantomSpec:
     """One sample's class label, per class_mix, and lesion."""
     u = rng.random()
     if u < class_mix[0]:
@@ -228,7 +239,7 @@ def _draw_spec(base_spec: PhantomSpec, class_mix: tuple[float, float, float],
         label = MALIGNANT
     else:
         return replace(base_spec, lesion=None, class_label=NONE)
-    lesion = random_lesion(base_spec.width, base_spec.height, label, rng, **lesion_kwargs)
+    lesion = random_lesion(base_spec.width, base_spec.height, label, rng, lesion_spec)
     return replace(base_spec, lesion=lesion, class_label=label)
 
 

@@ -5,16 +5,14 @@ The slow criteria (4, 5) run scaled-down but real federated pre-training
 on the synthetic phantom corpus; expect a few minutes total.
 """
 
-import inspect
 import json
 import math
 import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-from fedmim import cli, fed, metrics, model, smat, synth
+from fedmim import fed, metrics, model, smat, synth
 from fedmim.cli import EXIT_OK, main as cli_main
 from fedmim.corrupt import (
     CorruptionConfig,
@@ -22,14 +20,7 @@ from fedmim.corrupt import (
     motion_blur_kernel,
     salt_pepper,
 )
-from fedmim.finetune import (
-    ProbeConfig,
-    batch_probe_loss_and_grad,
-    extract_features,
-    init_probe,
-    probe_scores,
-    train_probe,
-)
+from fedmim.finetune import batch_probe_loss_and_grad, init_probe
 from fedmim.image import convolve2d
 from fedmim.model import (
     ModelConfig,
@@ -38,7 +29,7 @@ from fedmim.model import (
     init_params,
     prepare_batch,
 )
-from fedmim.pipeline import PatchSpec, build_clients
+from fedmim.pipeline import PatchSpec
 from fedmim.rng import Rng
 from fedmim.tgm import apply_uim, round_half_up, select_mask
 
@@ -180,38 +171,22 @@ def test_criterion_3_weighted_aggregation_exactness():
     )
 
 
-def _criterion_4_run() -> dict:
-    """Criterion 4's run at seed 7, on synth.PhantomSpec() phantoms with
-    random_lesion's default lesions."""
-    return dict(
-        n=512, class_mix=(0.35, 0.35, 0.3), alpha=0.5,
-        model=ModelConfig(patch_dim=64, embed_dim=32, num_patches=64, seed=7),
-        corruption=CorruptionConfig(), patch=PatchSpec(8, 8, 0.75),
-        federation=fed.FederationConfig(
-            num_clients=8, total_rounds=200, local_steps=48,
-            opt=OptimizerConfig(5e-4, 1e-6, 10, 200), seed=7,
-        ),
-    )
-
-
-def test_criterion_4_pretraining_descent():
+def test_criterion_4_pretraining_descent(tmp_path):
+    # The README's reference descent run, as documented.
     t0 = time.time()
-    run = _criterion_4_run()
-    base = synth.PhantomSpec()
-    dataset = synth.generate_dataset(run["n"], run["class_mix"], Rng(7), base)
-    model_cfg, fed_cfg = run["model"], run["federation"]
-    clients = build_clients(
-        dataset, fed_cfg.num_clients, run["alpha"], model_cfg, run["corruption"],
-        run["patch"], 7,
-    )
-    _, trace = fed.run_pretraining(fed_cfg, model_cfg, clients, init_params(model_cfg))
+    out = tmp_path / "pretrain"
+    code = cli_main(["--config", str(REPO / "scripts" / "pretrain_experiment.json"),
+                     "--seed", "7", "--out", str(out), "pretrain"])
     elapsed = time.time() - t0
-    l0, lT = trace[0][1], trace[-1][1]
+    rows = (out / "loss_trace.csv").read_text(encoding="utf-8").splitlines()[1:]
+    losses = [float(row.split(",")[1]) for row in rows]
+    l0, lT = losses[0], losses[-1]
     ratio = lT / l0
     worst_rise = max(
-        trace[i + 1][1] - trace[i][1] for i in range(10, len(trace) - 1)
+        losses[i + 1] - losses[i] for i in range(10, len(losses) - 1)
     )
-    ok = ratio < 0.30 and worst_rise < 1e-4 and elapsed < 300.0
+    ok = (code == EXIT_OK and ratio < 0.30 and worst_rise < 1e-4
+          and elapsed < 300.0)
     record_criterion(
         4, ok,
         f"512 phantoms, 8 clients, 200 rounds: loss {l0:.4f} -> {lT:.4f}, "
@@ -220,100 +195,13 @@ def test_criterion_4_pretraining_descent():
     )
 
 
-def test_pretrain_experiment_config_is_criterion_4():
-    # The README runs criterion 4 as `fedmim --config <this> --seed 7 pretrain`.
-    cfg = cli.load_config(str(REPO / "scripts" / "pretrain_experiment.json"))
-    cfg["seed"] = 7
-    run = _criterion_4_run()
-    assert cli._model_config(cfg) == run["model"]
-    assert cli._federation(cfg) == run["federation"]
-    assert cli._corruption(cfg) == run["corruption"]
-    assert cli._patch_spec(cfg) == run["patch"]
-    s = cfg["synth"]
-    assert s["n"] == run["n"]
-    assert tuple(s["class_mix"]) == run["class_mix"]
-    assert cfg["federation"]["alpha"] == run["alpha"]
-    base = synth.PhantomSpec()
-    for key in ("width", "height", "background_level", "speckle_strength"):
-        assert s[key] == getattr(base, key), key
-    lesion_defaults = {
-        name: param.default
-        for name, param in inspect.signature(synth.random_lesion).parameters.items()
-        if param.default is not param.empty
-    }
-    assert {key: tuple(v) if isinstance(v, list) else v
-            for key, v in s["lesion"].items()} == lesion_defaults
+def test_criterion_5_pretraining_transfers(monkeypatch):
+    # The protocol of scripts/transfer_experiment.py, at its defaults.
+    monkeypatch.syspath_prepend(str(REPO / "scripts"))
+    from transfer_experiment import transfer_aurocs
 
-
-def _mode_normalized_images(samples, geom):
-    """Warp convex-mode samples back to linear so features are comparable."""
-    out = []
-    for s in samples:
-        if s.mode == smat.CONVEX:
-            out.append(smat.convex_to_linear(s.image, geom, 64, 64))
-        else:
-            out.append(s.image)
-    return out
-
-
-def test_criterion_5_pretraining_transfers():
     t0 = time.time()
-    base = synth.PhantomSpec()
-    geom = smat.ScanGeometry.default_for(64, 64)
-    lesion_kwargs = dict(
-        intensity_delta=-75.0, malignant_delta=-95.0, irregularity_range=(0.6, 1.0)
-    )
-    corpus = synth.generate_dataset(
-        256, (0.5, 0.5, 0.0), Rng(7), base, lesion_kwargs=lesion_kwargs
-    )
-    probe_set = synth.generate_dataset(
-        300, (0.5, 0.5, 0.0), Rng(9), base, lesion_kwargs=lesion_kwargs
-    )
-    held_out = synth.generate_dataset(
-        200, (0.5, 0.5, 0.0), Rng(8), base, lesion_kwargs=lesion_kwargs
-    )
-
-    model_cfg = ModelConfig(patch_dim=64, embed_dim=8, num_patches=64, seed=7)
-    clients = build_clients(
-        corpus, 4, 0.5, model_cfg, CorruptionConfig(), PatchSpec(8, 8, 0.75), 7
-    )
-    fed_cfg = fed.FederationConfig(
-        num_clients=4, total_rounds=300, local_steps=8,
-        opt=OptimizerConfig(0.15, 1e-4, 10, 300), seed=7,
-    )
-    pretrained, _ = fed.run_pretraining(
-        fed_cfg, model_cfg, clients, init_params(model_cfg)
-    )
-
-    probe_images = _mode_normalized_images(probe_set, geom)
-    probe_labels = np.array([s.label for s in probe_set])
-    held_images = _mode_normalized_images(held_out, geom)
-    held_labels = np.array([s.label for s in held_out])
-
-    def probe_auroc(encoder_params, enc_cfg, seed):
-        feats = extract_features(encoder_params, enc_cfg, probe_images, 8, 8)
-        held = extract_features(encoder_params, enc_cfg, held_images, 8, 8)
-        # Standardize with the training-split statistics (same split that
-        # train_probe derives from this seed).
-        n = feats.shape[0]
-        order = list(range(n))
-        Rng(seed).shuffle(order)
-        train_idx = np.array(order[int(round(0.2 * n)):])
-        mu = feats[train_idx].mean(axis=0)
-        sd = feats[train_idx].std(axis=0) + 1e-12
-        result = train_probe(
-            (feats - mu) / sd, probe_labels, ProbeConfig(num_classes=2, seed=seed)
-        )
-        scores = probe_scores(result.probe_params, (held - mu) / sd, 2)[:, 1]
-        return metrics.auroc(scores, held_labels)
-
-    aucs_pre, aucs_rand = [], []
-    for seed in range(5):
-        aucs_pre.append(probe_auroc(pretrained, model_cfg, seed))
-        rand_cfg = ModelConfig(patch_dim=64, embed_dim=8, num_patches=64,
-                               seed=1000 + seed)
-        aucs_rand.append(probe_auroc(init_params(rand_cfg), rand_cfg, seed))
-
+    aucs_pre, aucs_rand = transfer_aurocs(seed=7, rounds=300)
     mean_pre = float(np.mean(aucs_pre))
     mean_rand = float(np.mean(aucs_rand))
     gap = mean_pre - mean_rand

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -64,6 +65,10 @@ def test_load_config_defaults():
     cfg = load_config(None)
     assert cfg["version"] == 1
     assert cfg["model"]["embed_dim"] == 32
+    # The lesion section is synth.LesionSpec's defaults as JSON values.
+    assert cfg["synth"]["lesion"] == {"intensity_delta": -60.0, "malignant_delta": None,
+                                      "irregularity_range": [0.45, 0.85],
+                                      "axis_range": [0.14, 0.24]}
 
 
 def test_load_config_merges_leaves(tmp_path):
@@ -255,6 +260,25 @@ def test_generate_negative_n_is_exit_2(tmp_path, capsys):
                  "generate"]) == EXIT_CONFIG
     assert capsys.readouterr().err == "configuration error: n must be >= 0, got -3\n"
     assert not (tmp_path / "o" / "labels.json").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "pretrain"])
+@pytest.mark.parametrize("synth_section, message", [
+    ({"speckle_strength": math.nan}, "speckle_strength must be >= 0, got nan"),
+    ({"class_mix": [math.nan, 0.5, 0.5]},
+     "class_mix must be a probability vector, got (nan, 0.5, 0.5)"),
+    # No lesion is drawn, yet the lesion range is checked.
+    ({"n": 4, "class_mix": [0.0, 0.0, 1.0], "lesion": {"axis_range": [0.3, 0.1]}},
+     "axis_range must satisfy 0 < lo <= hi, got [0.3, 0.1]"),
+], ids=["nan-speckle", "nan-class-mix", "no-lesion-drawn"])
+def test_bad_synth_value_is_exit_2(tmp_path, capsys, command, synth_section, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"version": 1, "synth": synth_section}))
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["--config", str(path), "--out", str(out), command]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
 
 
 def test_pretrain_trace_rows(workspace):

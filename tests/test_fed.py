@@ -290,16 +290,38 @@ def test_checkpoint_manifest_model_section_is_model_config(tmp_path):
     assert model == {"patch_dim": 4, "embed_dim": 3, "num_patches": 4, "seed": 5}
 
 
+def test_checkpoint_manifest_federation_section_is_federation_config(tmp_path):
+    import json
+    from dataclasses import asdict
+
+    prefix = str(tmp_path / "ck")
+    cp = checkpoint_fixture(small_cfg(5))
+    save_checkpoint(prefix, cp)
+    federation = json.loads((tmp_path / "ck.json").read_text())["federation"]
+    assert federation == asdict(cp.fed_cfg)
+    assert load_checkpoint(prefix).fed_cfg == cp.fed_cfg
+
+
 def test_checkpoint_missing_manifest(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_checkpoint(str(tmp_path / "nope"))
 
 
+def _flat_federation(manifest):
+    """The federation record as it was before it held FederationConfig's
+    fields: the optimizer's fields beside the others, with no seed."""
+    federation = manifest["federation"]
+    federation.update(federation.pop("opt"))
+    del federation["seed"]
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda m: m["model"].update(embed_dim=0), "bad field: patch_dim, embed_dim"),
-    (lambda m: m["federation"].update(warmup_rounds=99), "bad field: need 0 <= warmup"),
+    (lambda m: m["federation"]["opt"].update(warmup_rounds=99),
+     "bad field: need 0 <= warmup"),
     (lambda m: m["model"].pop("seed"), "bad field: ModelConfig.__init__() missing"),
-], ids=["model-range", "optimizer-range", "model-key"])
+    (_flat_federation, "bad field: 'opt'"),
+], ids=["model-range", "optimizer-range", "model-key", "flat-federation"])
 def test_checkpoint_bad_manifest_field(tmp_path, edit, message):
     import json
 

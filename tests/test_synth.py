@@ -13,6 +13,7 @@ from fedmim.synth import (
     MALIGNANT,
     NONE,
     Lesion,
+    LesionSpec,
     PhantomSpec,
     generate_dataset,
     generate_phantom,
@@ -34,6 +35,7 @@ def test_no_speckle_no_lesion_is_constant():
     ({"width": 0}, "width and height must be >= 1, got 0x64"),
     ({"height": -1}, "width and height must be >= 1, got 64x-1"),
     ({"speckle_strength": -5.0}, "speckle_strength must be >= 0, got -5.0"),
+    ({"speckle_strength": math.nan}, "speckle_strength must be >= 0, got nan"),
 ])
 def test_phantom_spec_rejects_out_of_range(kwargs, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -85,10 +87,45 @@ def test_random_lesion_class_texture():
         assert 0.45 <= malignant.irregularity <= 0.85
 
 
+def test_lesion_spec_defaults():
+    spec = LesionSpec()
+    assert spec.intensity_delta == -60.0
+    assert spec.malignant_delta is None
+    assert spec.irregularity_range == (0.45, 0.85)
+    assert spec.axis_range == (0.14, 0.24)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"axis_range": (0.3, 0.1)}, "axis_range must satisfy 0 < lo <= hi, got [0.3, 0.1]"),
+    ({"axis_range": (0.0, 0.1)}, "axis_range must satisfy 0 < lo <= hi, got [0.0, 0.1]"),
+    ({"axis_range": (math.nan, 0.1)},
+     "axis_range must satisfy 0 < lo <= hi, got [nan, 0.1]"),
+    ({"irregularity_range": (0.9, 0.5)},
+     "irregularity_range must satisfy 0 <= lo <= hi, got [0.9, 0.5]"),
+    ({"irregularity_range": (-0.1, 0.5)},
+     "irregularity_range must satisfy 0 <= lo <= hi, got [-0.1, 0.5]"),
+    ({"irregularity_range": (0.5, math.nan)},
+     "irregularity_range must satisfy 0 <= lo <= hi, got [0.5, nan]"),
+], ids=["axis-inverted", "axis-zero", "axis-nan", "irregularity-inverted",
+        "irregularity-negative", "irregularity-nan"])
+def test_lesion_spec_rejects_out_of_range(kwargs, message):
+    with pytest.raises(ValueError) as err:
+        LesionSpec(**kwargs)
+    assert str(err.value) == message
+
+
+def test_lesion_spec_accepts_closed_ranges():
+    spec = LesionSpec(irregularity_range=(0.0, 0.0), axis_range=(0.2, 0.2))
+    lesion = random_lesion(64, 64, MALIGNANT, Rng(0), spec)
+    assert lesion.irregularity == 0.0
+    assert lesion.axis_x == lesion.axis_y == 0.2 * 64
+
+
 def test_random_lesion_malignant_delta_override():
     rng = Rng(1)
-    b = random_lesion(64, 64, BENIGN, rng, intensity_delta=-75.0, malignant_delta=-95.0)
-    m = random_lesion(64, 64, MALIGNANT, rng, intensity_delta=-75.0, malignant_delta=-95.0)
+    spec = LesionSpec(intensity_delta=-75.0, malignant_delta=-95.0)
+    b = random_lesion(64, 64, BENIGN, rng, spec)
+    m = random_lesion(64, 64, MALIGNANT, rng, spec)
     assert b.intensity_delta == -75.0
     assert m.intensity_delta == -95.0
 
@@ -150,6 +187,8 @@ def test_generate_dataset_rejects_bad_mix():
         generate_dataset(4, (0.5, 0.2, 0.1), Rng(0))
     with pytest.raises(ValueError):
         generate_dataset(4, (1.5, -0.5, 0.0), Rng(0))
+    with pytest.raises(ValueError):
+        generate_dataset(4, (math.nan, 0.5, 0.5), Rng(0))
 
 
 def test_generate_dataset_deterministic():
