@@ -176,6 +176,10 @@ def _optimizer(cfg: dict) -> model.OptimizerConfig:
 
 def _federation(cfg: dict) -> fed.FederationConfig:
     f = cfg["federation"]
+    # The split's alpha is read only after synthesis; check it before.
+    if not 0.0 < f["alpha"] < math.inf:
+        raise ConfigError(
+            f"federation.alpha must be a finite number > 0, got {f['alpha']}")
     return fed.FederationConfig(
         num_clients=f["num_clients"], total_rounds=f["total_rounds"],
         local_steps=f["local_steps"], opt=_optimizer(cfg), seed=cfg["seed"],

@@ -1,10 +1,12 @@
 """Federated pre-training engine: broadcast, local full-batch gradient
 steps, sample-count-weighted aggregation, and checkpoint persistence.
 
-Determinism contract: clients run one after another and their results
-are merged in ascending client-id order, and every per-sample random
-choice is frozen at setup, so two runs with the same config, data, and
-seed produce byte-identical checkpoints.
+Determinism contract: a FedSGD round (one local step) takes one
+gradient step over every client's samples, stacked in ascending
+client-id order; with more local steps, clients run one after another
+and their results are merged in ascending client-id order. Every
+per-sample random choice is frozen at setup, so two runs with the same
+config, data, and seed produce byte-identical checkpoints.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .model import (
     batch_loss_and_grad,
     lr_schedule,
     prepare_batch,
+    stack_batches,
 )
 from .tgm import MaskPartition
 
@@ -139,25 +142,40 @@ def run_pretraining(
     """Run rounds start_round..total_rounds-1 of broadcast / local update /
     aggregate. Returns final params and a (round, global_loss, eta) trace;
     the first trace row is the loss before any update in this call, and
-    each row's eta is the one of the round that led to it."""
+    each row's eta is the one of the round that led to it.
+
+    With one local step, the n_k-weighted mean of the client steps is one
+    gradient step on the union of the clients' samples (FedSGD), so each
+    round is one step on their batches stacked in client-id order.
+    """
     if not clients:
         raise ValueError("need at least one client")
     clients = sorted(clients, key=lambda c: c.client_id)
+    fedsgd = cfg.local_steps == 1
+    if fedsgd:
+        union = stack_batches([c.batch for c in clients])
     params = initial_params
     trace: list[tuple[int, float, float]] = []
     prev_eta = 0.0
     for t in range(start_round, cfg.total_rounds):
         eta = lr_schedule(t, cfg.opt)
-        params = aggregate([
-            (local_update(params, c, model_cfg, cfg.local_steps, eta), c.num_samples)
-            for c in clients
-        ])
-        # Each client's first step took its loss at the broadcast params, so
-        # their weighted mean is the global loss this round started from.
-        start = _weighted_mean([(c.start_loss, c.num_samples) for c in clients])
+        if fedsgd:
+            start, grad = batch_loss_and_grad(params, model_cfg, union)
+            if eta != 0.0:  # as in local_update: eta 0 keeps params' bytes
+                params = params - eta * grad
+        else:
+            params = aggregate([
+                (local_update(params, c, model_cfg, cfg.local_steps, eta), c.num_samples)
+                for c in clients
+            ])
+            # Each client's first step took its loss at the broadcast params,
+            # so their weighted mean is the global loss this round started from.
+            start = _weighted_mean([(c.start_loss, c.num_samples) for c in clients])
         trace.append((t, start, prev_eta))
         prev_eta = eta
-    trace.append((cfg.total_rounds, global_loss(params, model_cfg, clients), prev_eta))
+    final = (batch_loss_and_grad(params, model_cfg, union)[0] if fedsgd
+             else global_loss(params, model_cfg, clients))
+    trace.append((cfg.total_rounds, final, prev_eta))
     return params, trace
 
 

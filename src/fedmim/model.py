@@ -99,21 +99,24 @@ def positional_embeddings(num_patches: int, embed_dim: int) -> np.ndarray:
 @dataclass(frozen=True)
 class PreparedBatch:
     """Pixel-scaled tensors and masked-row sums (q: positional embedding,
-    t: target patch) for one or more samples with a common (V, M) split.
-    targets and q_masked keep the masked rows themselves and fix M. The
-    second-order sums q2, t_q and t_sq are taken over rows centred on
-    their sample's masked-row mean (q_c = q - s_q/M, t_c = t - s_t/M)."""
+    t: target patch) for one or more samples with a common (V, M) split,
+    M = n_mask. The second-order sums q2, t_q and t_sq are taken over rows
+    centred on their sample's masked-row mean (q_c = q - s_q/M,
+    t_c = t - s_t/M). targets, q_masked and pe keep the masked rows and
+    the embedding table for checks outside the loss; a stacked batch
+    (stack_batches) holds None there."""
 
     visible: np.ndarray  # (n, V, N), scaled to [0, 1]
-    targets: np.ndarray  # (n, M, N), scaled to [0, 1]
+    targets: np.ndarray | None  # (n, M, N), scaled to [0, 1]
     q_visible: np.ndarray  # (n, V, E)
-    q_masked: np.ndarray  # (n, M, E)
-    pe: np.ndarray  # (L, E) full embedding table
+    q_masked: np.ndarray | None  # (n, M, E)
+    pe: np.ndarray | None  # (L, E) full embedding table
     q2: np.ndarray  # (E, E) sum of q_c q_c^T over all masked rows
     s_q: np.ndarray  # (n, E) per-sample sum of q over masked rows
     s_t: np.ndarray  # (n, N) per-sample sum of targets over masked rows
     t_q: np.ndarray  # (N, E) sum of t_c q_c^T over all masked rows
     t_sq: float  # sum of |t_c|^2 over all masked rows
+    n_mask: int  # M: masked patches per sample
     # Always None; perfbench/tracer.py still reads these names when it
     # sizes a batch.
     targets_full: None = None
@@ -150,7 +153,30 @@ def prepare_batch(
         np.stack(vis), tgt, np.stack(qv), qm, pe=q,
         q2=np.einsum("ri,rj->ij", flat_q, flat_q), s_q=s_q, s_t=s_t,
         t_q=np.einsum("ri,rj->ij", flat_t, flat_q),
-        t_sq=float(np.einsum("ri,ri->", flat_t, flat_t)),
+        t_sq=float(np.einsum("ri,ri->", flat_t, flat_t)), n_mask=n_mask,
+    )
+
+
+def stack_batches(batches: list[PreparedBatch]) -> PreparedBatch:
+    """One batch of every sample of batches, in list order, without the
+    masked rows. The per-sample rows and sums are concatenated and the
+    centred sums added: each sample is centred on its own masked-row mean,
+    so a union's centred sums are its parts' sums."""
+    first = batches[0]
+    if any(b.visible.shape[1:] != first.visible.shape[1:] or b.n_mask != first.n_mask
+           for b in batches):
+        raise ShapeMismatch("batches differ in their visible or masked patch counts")
+
+    def cat(name):
+        return np.concatenate([getattr(b, name) for b in batches])
+
+    def total(name):
+        return sum((getattr(b, name) for b in batches[1:]), getattr(first, name))
+
+    return PreparedBatch(
+        cat("visible"), None, cat("q_visible"), None, pe=None, q2=total("q2"),
+        s_q=cat("s_q"), s_t=cat("s_t"), t_q=total("t_q"), t_sq=total("t_sq"),
+        n_mask=first.n_mask,
     )
 
 
@@ -178,7 +204,7 @@ def batch_loss_and_grad(
     """
     w_e, b_e, w_d, b_d = unpack_params(params, cfg)
     n, n_vis, _ = batch.visible.shape
-    n_mask = batch.targets.shape[1]
+    n_mask = batch.n_mask
     patch_px = cfg.patch_dim
     e = cfg.embed_dim
     if n_vis == 0:

@@ -44,6 +44,10 @@ class LesionSpec:
     axis_range: tuple[float, float] = (0.14, 0.24)
 
     def __post_init__(self):
+        for name in ("intensity_delta", "malignant_delta"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         lo, hi = self.axis_range
         if not 0.0 < lo <= hi:
             raise ValueError(f"axis_range must satisfy 0 < lo <= hi, "
@@ -67,6 +71,9 @@ class PhantomSpec:
         if self.width < 1 or self.height < 1:
             raise ValueError(f"width and height must be >= 1, got "
                              f"{self.width}x{self.height}")
+        if not math.isfinite(self.background_level):
+            raise ValueError(
+                f"background_level must be finite, got {self.background_level}")
         if not self.speckle_strength >= 0.0:
             raise ValueError(
                 f"speckle_strength must be >= 0, got {self.speckle_strength}")
@@ -249,8 +256,8 @@ def partition_clients(
     """Dirichlet(alpha) non-IID split by class; every client gets >= 1 item."""
     if num_clients < 1:
         raise ValueError("num_clients must be >= 1")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be a finite number > 0, got {alpha}")
     if len(dataset) < num_clients:
         raise TooFewSamples(
             f"{len(dataset)} samples cannot cover {num_clients} clients"

@@ -21,7 +21,7 @@ from fedmim.metrics import auroc
 # sha256 of checkpoint.params from `fedmim --seed 7 pretrain` with the
 # default config. A change here means every default run's model changed.
 DEFAULT_PRETRAIN_PARAMS_SHA256 = (
-    "cb646c02cfc6462e07d25671cb118321b8b0f8fdfe78059de0f312fdf77ca185"
+    "80ea0903ebdf2a1993c6148aad054501a4b3124492513d8fc6e514714d6dce65"
 )
 
 # sha256 of the files `fedmim --seed 7 generate` writes with the default
@@ -270,7 +270,13 @@ def test_generate_negative_n_is_exit_2(tmp_path, capsys):
     # No lesion is drawn, yet the lesion range is checked.
     ({"n": 4, "class_mix": [0.0, 0.0, 1.0], "lesion": {"axis_range": [0.3, 0.1]}},
      "axis_range must satisfy 0 < lo <= hi, got [0.3, 0.1]"),
-], ids=["nan-speckle", "nan-class-mix", "no-lesion-drawn"])
+    ({"n": 4, "background_level": math.nan}, "background_level must be finite, got nan"),
+    ({"n": 4, "lesion": {"intensity_delta": math.nan}},
+     "intensity_delta must be finite, got nan"),
+    ({"n": 4, "lesion": {"malignant_delta": -math.inf}},
+     "malignant_delta must be finite, got -inf"),
+], ids=["nan-speckle", "nan-class-mix", "no-lesion-drawn", "nan-background",
+        "nan-intensity-delta", "inf-malignant-delta"])
 def test_bad_synth_value_is_exit_2(tmp_path, capsys, command, synth_section, message):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"version": 1, "synth": synth_section}))
@@ -278,6 +284,20 @@ def test_bad_synth_value_is_exit_2(tmp_path, capsys, command, synth_section, mes
     capsys.readouterr()
     assert main(["--config", str(path), "--out", str(out), command]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, 0, -1],
+                         ids=["nan", "inf", "zero", "negative"])
+def test_bad_alpha_is_exit_2_before_synthesis(tmp_path, capsys, monkeypatch, alpha):
+    monkeypatch.setattr(synth, "generate_dataset", _no_synthesis)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"version": 1, "federation": {"alpha": alpha}}))
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["--config", str(path), "--out", str(out), "pretrain"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("configuration error: federation.alpha must be "
+                                       f"a finite number > 0, got {alpha}\n")
     assert not out.exists()
 
 

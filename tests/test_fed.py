@@ -130,14 +130,14 @@ def test_global_loss_weighted_by_sample_count():
 
 def test_run_pretraining_zero_schedule_keeps_params():
     cfg = small_cfg()
-    clients = [build_client(0, cfg, 2, 0)]
+    clients = [build_client(i, cfg, n, 10 * i) for i, n in enumerate((1, 2, 4))]
     fed_cfg = FederationConfig(
-        num_clients=1, total_rounds=1,
+        num_clients=3, total_rounds=1,
         opt=OptimizerConfig(eta_max=0.0, eta_min=0.0, warmup_rounds=0, total_rounds=1),
     )
     params0 = init_params(cfg)
     params, trace = run_pretraining(fed_cfg, cfg, clients, params0)
-    np.testing.assert_array_equal(params, params0)
+    assert params.tobytes() == params0.tobytes()
     assert len(trace) == 2
     assert trace[0][0] == 0 and trace[1][0] == 1
     assert trace[0][1] == pytest.approx(trace[1][1])
@@ -188,6 +188,35 @@ def test_run_pretraining_trace_is_global_loss(monkeypatch):
                             for c in clients])
         expected.append(global_loss(params, cfg, clients))
     assert [row[1] for row in trace] == expected
+
+
+def test_fedsgd_round_is_one_step_over_stacked_clients(monkeypatch):
+    # With one local step, each round is one gradient step over the union
+    # of the clients' samples, and must match the per-client loop.
+    cfg = small_cfg()
+    clients = [build_client(i, cfg, n, 11 * i) for i, n in enumerate((5, 1, 3))]
+    total = sum(c.num_samples for c in clients)
+    fed_cfg = FederationConfig(3, 5, 1, OptimizerConfig(0.2, 1e-3, 2, 5))
+    sizes = []
+    monkeypatch.setattr(fed, "batch_loss_and_grad",
+                        lambda *a: sizes.append(a[2].size) or batch_loss_and_grad(*a))
+    params, trace = run_pretraining(fed_cfg, cfg, clients[::-1], init_params(cfg))
+    monkeypatch.undo()
+    assert sizes == [total] * (fed_cfg.total_rounds + 1)
+
+    reference = init_params(cfg)
+    expected = []
+    for t in range(fed_cfg.total_rounds):
+        eta = lr_schedule(t, fed_cfg.opt)
+        reference = aggregate([(local_update(reference, c, cfg, 1, eta), c.num_samples)
+                               for c in clients])
+        expected.append(sum(c.start_loss * c.num_samples for c in clients) / total)
+    expected.append(global_loss(reference, cfg, clients))
+    assert np.abs(params - reference).max() <= 1e-12 * np.abs(reference).max()
+    assert np.abs(params - init_params(cfg)).max() > 1e-3  # the rounds moved it
+    assert [row[0] for row in trace] == list(range(fed_cfg.total_rounds + 1))
+    for (_, loss, _), want in zip(trace, expected, strict=True):
+        assert abs(loss - want) <= 1e-12 * want
 
 
 def test_run_pretraining_client_order_irrelevant():
@@ -343,15 +372,16 @@ def test_checkpoint_manifest_not_utf8(tmp_path):
         load_checkpoint(prefix)
 
 
-def test_resume_matches_uninterrupted(tmp_path):
+@pytest.mark.parametrize("local_steps", [1, 2])
+def test_resume_matches_uninterrupted(tmp_path, local_steps):
     cfg = small_cfg()
     clients = [build_client(i, cfg, 2, 5 * i) for i in range(2)]
     opt = OptimizerConfig(1e-3, 1e-5, 2, 6)
-    full_cfg = FederationConfig(2, 6, 2, opt)
+    full_cfg = FederationConfig(2, 6, local_steps, opt)
     p_full, t_full = run_pretraining(full_cfg, cfg, clients, init_params(cfg))
     # Stop at round 3, then resume with the same schedule.
-    head_cfg = FederationConfig(2, 3, 2, opt)
+    head_cfg = FederationConfig(2, 3, local_steps, opt)
     p_head, t_head = run_pretraining(head_cfg, cfg, clients, init_params(cfg))
     p_tail, t_tail = run_pretraining(full_cfg, cfg, clients, p_head, start_round=3)
-    np.testing.assert_array_equal(p_full, p_tail)
+    assert p_full.tobytes() == p_tail.tobytes()
     assert t_full == t_head + t_tail[1:]

@@ -23,6 +23,7 @@ from fedmim.model import (
     lr_schedule,
     positional_embeddings,
     prepare_batch,
+    stack_batches,
     unpack_params,
 )
 from fedmim.pipeline import PatchSpec, build_clients
@@ -130,6 +131,24 @@ def test_batch_loss_is_mean_of_sample_losses():
     losses, grads = zip(*(loss_and_grad(params, cfg, s) for s in samples))
     assert loss_b == pytest.approx(np.mean(losses), abs=1e-12)
     np.testing.assert_allclose(grad_b, np.mean(grads, axis=0), atol=1e-12)
+
+
+def test_stacked_batches_match_one_batch_of_all_samples():
+    # Each sample is centred on its own masked-row mean, so the parts'
+    # centred sums add up to the union's.
+    cfg = small_cfg()
+    params = init_params(cfg)
+    samples = [random_sample(cfg, Rng(i), 2, 2) for i in range(6)]
+    parts = [prepare_batch(cfg, samples[a:b]) for a, b in ((0, 3), (3, 4), (4, 6))]
+    stacked = stack_batches(parts)
+    assert stacked.size == 6 and stacked.n_mask == 2 and stacked.targets is None
+    loss_a, grad_a = batch_loss_and_grad(params, cfg, stacked)
+    loss_b, grad_b = batch_loss_and_grad(params, cfg, prepare_batch(cfg, samples))
+    assert abs(loss_a - loss_b) <= 1e-12 * loss_b
+    assert np.abs(grad_a - grad_b).max() <= 1e-12 * np.abs(grad_b).max()
+    other = explicit_sample(cfg, np.zeros((4, 4)), masked=(0, 1, 2), visible=(3,))
+    with pytest.raises(ShapeMismatch, match="visible or masked patch counts"):
+        stack_batches([parts[0], prepare_batch(cfg, [other])])
 
 
 @given(

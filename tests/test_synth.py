@@ -36,6 +36,8 @@ def test_no_speckle_no_lesion_is_constant():
     ({"height": -1}, "width and height must be >= 1, got 64x-1"),
     ({"speckle_strength": -5.0}, "speckle_strength must be >= 0, got -5.0"),
     ({"speckle_strength": math.nan}, "speckle_strength must be >= 0, got nan"),
+    ({"background_level": math.nan}, "background_level must be finite, got nan"),
+    ({"background_level": math.inf}, "background_level must be finite, got inf"),
 ])
 def test_phantom_spec_rejects_out_of_range(kwargs, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -106,8 +108,13 @@ def test_lesion_spec_defaults():
      "irregularity_range must satisfy 0 <= lo <= hi, got [-0.1, 0.5]"),
     ({"irregularity_range": (0.5, math.nan)},
      "irregularity_range must satisfy 0 <= lo <= hi, got [0.5, nan]"),
+    ({"intensity_delta": math.nan}, "intensity_delta must be finite, got nan"),
+    ({"intensity_delta": -math.inf}, "intensity_delta must be finite, got -inf"),
+    ({"malignant_delta": math.nan}, "malignant_delta must be finite, got nan"),
+    ({"malignant_delta": math.inf}, "malignant_delta must be finite, got inf"),
 ], ids=["axis-inverted", "axis-zero", "axis-nan", "irregularity-inverted",
-        "irregularity-negative", "irregularity-nan"])
+        "irregularity-negative", "irregularity-nan", "intensity-nan", "intensity-inf",
+        "malignant-nan", "malignant-inf"])
 def test_lesion_spec_rejects_out_of_range(kwargs, message):
     with pytest.raises(ValueError) as err:
         LesionSpec(**kwargs)
