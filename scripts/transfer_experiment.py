@@ -16,7 +16,13 @@ import numpy as np
 
 from fedmim import fed, metrics, model, smat, synth
 from fedmim.corrupt import CorruptionConfig
-from fedmim.finetune import ProbeConfig, extract_features, probe_scores, train_probe
+from fedmim.finetune import (
+    ProbeConfig,
+    extract_features,
+    probe_scores,
+    probe_split,
+    train_probe,
+)
 from fedmim.pipeline import PatchSpec, build_clients
 from fedmim.rng import Rng
 
@@ -38,16 +44,12 @@ def probe_auroc(params, cfg, probe_images, probe_labels, held_images, held_label
     feats = extract_features(params, cfg, probe_images, 8, 8)
     held = extract_features(params, cfg, held_images, 8, 8)
     # Standardize with the statistics of the training split that
-    # train_probe derives from this seed.
-    n = feats.shape[0]
-    order = list(range(n))
-    Rng(seed).shuffle(order)
-    train_idx = np.array(order[int(round(0.2 * n)):])
+    # train_probe takes.
+    probe_cfg = ProbeConfig(num_classes=2, seed=seed)
+    _, train_idx = probe_split(feats.shape[0], probe_cfg)
     mu = feats[train_idx].mean(axis=0)
     sd = feats[train_idx].std(axis=0) + 1e-12
-    result = train_probe(
-        (feats - mu) / sd, probe_labels, ProbeConfig(num_classes=2, seed=seed)
-    )
+    result = train_probe((feats - mu) / sd, probe_labels, probe_cfg)
     scores = probe_scores(result.probe_params, (held - mu) / sd, 2)[:, 1]
     return metrics.auroc(scores, held_labels)
 

@@ -340,13 +340,11 @@ def cmd_finetune(cfg: dict, checkpoint: Path, labeled_dir: Path, out_dir: Path) 
 def cmd_eval(pred_path: Path, gt_path: Path, out_path: Path) -> int:
     pred = read_pgm(pred_path) >= 127.5
     gt = read_pgm(gt_path) >= 127.5
-    pred_pts = metrics.mask_points(pred)
-    gt_pts = metrics.mask_points(gt)
     report = {
         "version": 1,
-        "dsc": metrics.dsc(pred_pts, gt_pts),
-        "hausdorff": (metrics.hausdorff(pred_pts, gt_pts)
-                      if pred_pts and gt_pts else None),
+        "dsc": metrics.dsc(pred, gt),
+        "hausdorff": (metrics.hausdorff(pred, gt)
+                      if pred.any() and gt.any() else None),
         "mae": metrics.mae(pred.astype(np.float64), gt.astype(np.float64)),
     }
     out_path.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
@@ -434,6 +432,9 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
+        # Rng keeps only a seed's low 64 bits; a wider seed would alias.
+        if not 0 <= cfg["seed"] < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {cfg['seed']}")
         # --threads is checked for compatibility but has no effect: clients
         # always run serially.
         if args.threads is not None and args.threads < 1:

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import BadLabel, TooFewSamples
 from .image import patchify
 from .model import ModelConfig, OptimizerConfig, encode_features, lr_schedule
-from .rng import Rng
+from .rng import Rng, uniform_draws
 
 
 @dataclass(frozen=True)
@@ -61,11 +61,10 @@ def extract_features(
 
 def init_probe(num_classes: int, embed_dim: int, seed: int) -> np.ndarray:
     """Flat probe parameters [W_c (C x E), b_c (C)], weights uniform small."""
-    rng = Rng(seed)
     bound = 1.0 / math.sqrt(embed_dim)
     params = np.zeros(num_classes * embed_dim + num_classes)
-    for i in range(num_classes * embed_dim):
-        params[i] = rng.uniform(-bound, bound)
+    params[:num_classes * embed_dim] = uniform_draws(
+        Rng(seed), -bound, bound, num_classes * embed_dim)
     return params
 
 
@@ -111,19 +110,23 @@ class ProbeResult:
     train_indices: np.ndarray
 
 
-def train_probe(
-    features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig
-) -> ProbeResult:
-    """Train on a seeded split, keep the epoch with best validation accuracy."""
-    _check_labels(labels, cfg.num_classes)
-    n = features.shape[0]
+def probe_split(n: int, cfg: ProbeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The validation and training indices of n samples: Rng(cfg.seed)
+    shuffles 0..n-1, and the first round(val_fraction * n) validate."""
     n_val = int(round(cfg.val_fraction * n))
     if n_val < 1 or n - n_val < 1:
         raise TooFewSamples(f"cannot split {n} samples {1 - cfg.val_fraction:.0%}/{cfg.val_fraction:.0%}")
     order = list(range(n))
     Rng(cfg.seed).shuffle(order)
-    val_idx = np.array(order[:n_val])
-    train_idx = np.array(order[n_val:])
+    return np.array(order[:n_val]), np.array(order[n_val:])
+
+
+def train_probe(
+    features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig
+) -> ProbeResult:
+    """Train on a seeded split, keep the epoch with best validation accuracy."""
+    _check_labels(labels, cfg.num_classes)
+    val_idx, train_idx = probe_split(features.shape[0], cfg)
     x_train, y_train = features[train_idx], labels[train_idx]
     x_val, y_val = features[val_idx], labels[val_idx]
 

@@ -4,6 +4,7 @@ Welch two-sided t-tests."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -45,32 +46,36 @@ def auroc(scores, labels) -> float:
     return u_stat / (n_pos * n_neg)
 
 
-def dsc(pred: set, truth: set) -> float:
-    """Dice similarity 2|P&T|/(|P|+|T|); both empty counts as agreement (1)."""
-    if not pred and not truth:
-        return 1.0
-    return 2.0 * len(pred & truth) / (len(pred) + len(truth))
+def _pair(a, b, dtype) -> tuple[np.ndarray, np.ndarray]:
+    a, b = np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype)
+    if a.shape != b.shape:
+        raise LengthMismatch(f"length mismatch: {a.shape} vs {b.shape}")
+    return a, b
 
 
-def hausdorff(pred: set, truth: set) -> float:
-    """Symmetric Hausdorff distance between point sets: the larger of the
-    two directed distances, each found without a |P| x |T| distance table."""
-    # Imported here: scipy.spatial adds about 12 MiB to every command's RSS.
-    from scipy.spatial.distance import directed_hausdorff
+def dsc(pred, truth) -> float:
+    """Dice similarity 2|P&T|/(|P|+|T|) of two boolean masks of one shape;
+    both empty counts as agreement (1)."""
+    pred, truth = _pair(pred, truth, bool)
+    sizes = int(pred.sum()) + int(truth.sum())
+    return 2.0 * int((pred & truth).sum()) / sizes if sizes else 1.0
 
-    if not pred or not truth:
-        raise EmptySet("hausdorff needs two non-empty point sets")
-    p_arr = np.array(list(pred), dtype=np.float64)
-    t_arr = np.array(list(truth), dtype=np.float64)
-    return float(max(directed_hausdorff(p_arr, t_arr)[0],
-                     directed_hausdorff(t_arr, p_arr)[0]))
+
+def hausdorff(pred, truth) -> float:
+    """Symmetric Hausdorff distance between two boolean masks of one shape,
+    read from exact Euclidean distance transforms (Maurer et al., TPAMI 2003)."""
+    # Imported here: no command but eval needs scipy.ndimage.
+    from scipy.ndimage import distance_transform_edt
+
+    pred, truth = _pair(pred, truth, bool)
+    if not pred.any() or not truth.any():
+        raise EmptySet("hausdorff needs two non-empty masks")
+    return float(max(distance_transform_edt(~truth)[pred].max(),
+                     distance_transform_edt(~pred)[truth].max()))
 
 
 def mae(preds, gts) -> float:
-    preds = np.asarray(preds, dtype=np.float64)
-    gts = np.asarray(gts, dtype=np.float64)
-    if preds.shape != gts.shape:
-        raise LengthMismatch(f"length mismatch: {preds.shape} vs {gts.shape}")
+    preds, gts = _pair(preds, gts, np.float64)
     if preds.size == 0:
         raise EmptySet("mae needs at least one sample")
     return float(np.mean(np.abs(gts - preds)))
@@ -92,8 +97,11 @@ def mask_boundary(mask: np.ndarray) -> set:
     interior = (
         padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
     )
-    ys, xs = np.nonzero(m & ~interior)
-    return {(int(x), int(y)) for x, y in zip(xs, ys)}
+    return mask_points(m & ~interior)
+
+
+def _d2(p: tuple, q: tuple) -> int:
+    return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
 
 
 def aop(ps_mask: np.ndarray, fh_mask: np.ndarray) -> float:
@@ -111,41 +119,23 @@ def aop(ps_mask: np.ndarray, fh_mask: np.ndarray) -> float:
         raise DegenerateMask("pubic-symphysis mask needs at least 2 pixels")
     if not fh_boundary:
         raise DegenerateMask("fetal-head mask is empty")
-    ps_boundary = sorted(mask_boundary(ps_mask))
 
     # Long axis: furthest pair, ties to the lexicographically smallest pair.
-    best_pair = None
-    best_d2 = -1.0
-    for i, p in enumerate(ps_boundary):
-        for q in ps_boundary[i + 1 :]:
-            d2 = (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
-            if d2 > best_d2:
-                best_d2 = d2
-                best_pair = (p, q)
-    if best_d2 <= 0.0:
-        raise DegenerateMask("pubic-symphysis mask has no extent")
-
-    anchor = max(ps_pixels, key=lambda p: (p[0], p[1]))
-    e1, e2 = best_pair
-    d1 = (e1[0] - anchor[0]) ** 2 + (e1[1] - anchor[1]) ** 2
-    d2_ = (e2[0] - anchor[0]) ** 2 + (e2[1] - anchor[1]) ** 2
-    near, far = (e1, e2) if d1 <= d2_ else (e2, e1)
+    # Two or more pixels have two or more boundary pixels, so a pair exists.
+    e1, e2 = max(itertools.combinations(sorted(mask_boundary(ps_mask)), 2),
+                 key=lambda pair: _d2(*pair))
+    anchor = max(ps_pixels)
+    near, far = (e1, e2) if _d2(e1, anchor) <= _d2(e2, anchor) else (e2, e1)
     axis_dir = np.array([near[0] - far[0], near[1] - far[1]], dtype=np.float64)
 
-    # Support ray on the inferior side: maximum atan2(dy, dx) from the anchor.
-    best_angle = None
-    best_dir = None
-    for px, py in sorted(fh_boundary):
-        dx = px - anchor[0]
-        dy = py - anchor[1]
-        if dx == 0 and dy == 0:
-            continue
-        angle = math.atan2(dy, dx)
-        if best_angle is None or angle > best_angle:
-            best_angle = angle
-            best_dir = np.array([dx, dy], dtype=np.float64)
-    if best_dir is None:
+    # Support ray on the inferior side: maximum atan2(dy, dx) from the anchor,
+    # ties to the lexicographically smallest boundary pixel.
+    rays = [(px - anchor[0], py - anchor[1]) for px, py in sorted(fh_boundary)
+            if (px, py) != anchor]
+    if not rays:
         raise DegenerateMask("fetal-head mask coincides with the anchor")
+    best_dir = np.array(max(rays, key=lambda r: math.atan2(r[1], r[0])),
+                        dtype=np.float64)
 
     cos_angle = float(
         np.dot(axis_dir, best_dir)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EmptyVisibleSet, ShapeMismatch
 from .image import PatchGrid
-from .rng import Rng, lockstep_random
+from .rng import Rng, uniform_draws
 from .tgm import MaskPartition
 
 PIXEL_SCALE = 255.0
@@ -77,9 +77,7 @@ def init_params(cfg: ModelConfig) -> np.ndarray:
     bound = 1.0 / math.sqrt(cfg.patch_dim)
     params = np.zeros(cfg.param_count)
     w_e, b_e, w_d, b_d = unpack_params(params, cfg)
-    u = lockstep_random([Rng(cfg.seed)], np.empty((1, w_e.size + w_d.size)))[0]
-    lo, hi = -bound, bound
-    weights = lo + (hi - lo) * u  # Rng.uniform's expression, value for value
+    weights = uniform_draws(Rng(cfg.seed), -bound, bound, w_e.size + w_d.size)
     w_e[...] = weights[:w_e.size].reshape(w_e.shape)
     w_d[...] = weights[w_e.size:].reshape(w_d.shape)
     return params

@@ -328,6 +328,12 @@ def lockstep_random(rngs: list[Rng], out: np.ndarray) -> np.ndarray:
     return out
 
 
+def uniform_draws(rng: Rng, lo: float, hi: float, count: int) -> np.ndarray:
+    """The next count values of rng.uniform(lo, hi), value for value: the
+    lockstep draws u taken to lo + (hi - lo) * u."""
+    return lo + (hi - lo) * lockstep_random([rng], np.empty((1, count)))[0]
+
+
 def lockstep_rayleigh(rngs: list[Rng], out: np.ndarray) -> np.ndarray:
     """Fill row i of the (n, count) float64 array out with count Rayleigh(1)
     radii sqrt(-2 ln u1), each from one Box-Muller pair (u1, u2) of

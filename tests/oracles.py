@@ -228,6 +228,33 @@ def convex_to_linear(img: np.ndarray, geom: ScanGeometry, out_w: int, out_h: int
     return bilinear_sample_grid(img, sx, sy)
 
 
+def init_probe(num_classes: int, embed_dim: int, seed: int) -> np.ndarray:
+    """finetune.init_probe drawn one weight at a time: Rng(seed).uniform
+    for each entry of W_c in row-major order, biases zero."""
+    rng = Rng(seed)
+    bound = 1.0 / math.sqrt(embed_dim)
+    params = np.zeros(num_classes * embed_dim + num_classes)
+    for i in range(num_classes * embed_dim):
+        params[i] = rng.uniform(-bound, bound)
+    return params
+
+
+def points_mask(points, shape: tuple[int, int]) -> np.ndarray:
+    """The boolean mask of the given shape whose foreground is the (x, y)
+    points: the inverse of metrics.mask_points."""
+    mask = np.zeros(shape, dtype=bool)
+    for x, y in points:
+        mask[y, x] = True
+    return mask
+
+
+def dsc_sets(pred: set, truth: set) -> float:
+    """Dice similarity 2|P&T|/(|P|+|T|) of two point sets; both empty is 1."""
+    if not pred and not truth:
+        return 1.0
+    return 2.0 * len(pred & truth) / (len(pred) + len(truth))
+
+
 def hausdorff_brute(pred: set, truth: set) -> float:
     """Symmetric Hausdorff distance from the full |P| x |T| distance table."""
     p_arr = np.array(sorted(pred), dtype=np.float64)

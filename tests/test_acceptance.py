@@ -34,7 +34,7 @@ from fedmim.rng import Rng
 from fedmim.tgm import apply_uim, round_half_up, select_mask
 
 from conftest import record_criterion, random_sample
-from oracles import finite_diff_grad
+from oracles import finite_diff_grad, points_mask
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -305,9 +305,12 @@ def test_criterion_9_metrics_oracles():
         auroc_exact &= abs(metrics.auroc(scores, labels) - pairwise) < 1e-12
 
     examples_ok = (
-        metrics.dsc({(0, 0), (1, 1)}, {(0, 0), (1, 1)}) == 1.0
-        and metrics.dsc({(0, 0)}, {(1, 1)}) == 0.0
-        and metrics.hausdorff({(0, 0), (10, 0)}, {(0, 0)}) == 10.0
+        metrics.dsc(points_mask({(0, 0), (1, 1)}, (2, 2)),
+                    points_mask({(0, 0), (1, 1)}, (2, 2))) == 1.0
+        and metrics.dsc(points_mask({(0, 0)}, (2, 2)),
+                        points_mask({(1, 1)}, (2, 2))) == 0.0
+        and metrics.hausdorff(points_mask({(0, 0), (10, 0)}, (1, 11)),
+                              points_mask({(0, 0)}, (1, 11))) == 10.0
         and metrics.mae([0.0, 2.0], [1.0, 1.0]) == 1.0
     )
 

@@ -301,6 +301,35 @@ def test_bad_alpha_is_exit_2_before_synthesis(tmp_path, capsys, monkeypatch, alp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "pretrain"])
+@pytest.mark.parametrize("flag, config_seed", [
+    (-1, None), (2**64, None), (None, -5), (None, 2**64),
+], ids=["flag-negative", "flag-2^64", "config-negative", "config-2^64"])
+def test_seed_outside_u64_is_exit_2(tmp_path, capsys, no_work, command, flag,
+                                     config_seed):
+    # Rng keeps a seed's low 64 bits: -1 would run as 2**64 - 1, 2**64 as 0.
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"version": 1} if config_seed is None
+                               else {"version": 1, "seed": config_seed}))
+    out = tmp_path / "o"
+    seed = [] if flag is None else ["--seed", str(flag)]
+    capsys.readouterr()
+    assert main(["--config", str(path), *seed, "--out", str(out), command]) == EXIT_CONFIG
+    bad = config_seed if flag is None else flag
+    assert capsys.readouterr().err == (
+        f"configuration error: seed must be in [0, 2**64), got {bad}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "pretrain"])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1], ids=["zero", "2^64-1"])
+def test_seed_at_u64_ends_is_accepted(tmp_path, command, seed):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(SMOKE))
+    assert main(["--config", str(path), "--seed", str(seed),
+                 "--out", str(tmp_path / "o"), command]) == EXIT_OK
+
+
 def test_pretrain_trace_rows(workspace):
     root, _ = workspace
     lines = (root / "run" / "loss_trace.csv").read_text().splitlines()
@@ -571,6 +600,35 @@ def test_eval_identical_masks(workspace, tmp_path):
     report = json.loads(report_path.read_text())
     assert report["dsc"] == 1.0
     assert report["mae"] == 0.0
+
+
+def _eval_masks(tmp_path, pred, truth) -> tuple[int, dict | None]:
+    """Exit code and report of `fedmim eval` on two 0/1 masks."""
+    paths = []
+    for name, mask in (("pred", pred), ("truth", truth)):
+        paths.append(str(tmp_path / f"{name}.pgm"))
+        write_pgm(255.0 * np.asarray(mask, dtype=np.float64), paths[-1])
+    report = tmp_path / "r.json"
+    code = main(["eval", *paths, "--report", str(report)])
+    return code, json.loads(report.read_text()) if report.exists() else None
+
+
+def test_eval_shape_mismatch_is_exit_2(tmp_path, capsys):
+    capsys.readouterr()
+    code, report = _eval_masks(tmp_path, np.ones((64, 64)), np.ones((32, 32)))
+    assert (code, report) == (EXIT_CONFIG, None)
+    assert capsys.readouterr().err == "error: length mismatch: (64, 64) vs (32, 32)\n"
+
+
+@pytest.mark.parametrize("pred, truth, dsc, hd", [
+    (np.zeros((8, 8)), np.eye(8), 0.0, None),
+    (np.zeros((8, 8)), np.zeros((8, 8)), 1.0, None),
+    (np.ones((8, 8)), np.ones((8, 8)), 1.0, 0.0),
+], ids=["empty-pred", "both-empty", "both-full"])
+def test_eval_empty_and_full_masks(tmp_path, pred, truth, dsc, hd):
+    code, report = _eval_masks(tmp_path, pred, truth)
+    assert code == EXIT_OK
+    assert (report["dsc"], report["hausdorff"]) == (dsc, hd)
 
 
 def test_transform_round_trip_matches_library(workspace, tmp_path):

@@ -10,11 +10,13 @@ from fedmim.finetune import (
     extract_features,
     init_probe,
     probe_scores,
+    probe_split,
     train_probe,
 )
 from fedmim.model import ModelConfig, init_params
 
 from oracles import finite_diff_grad, probe_loss_and_grad
+from oracles import init_probe as scalar_init_probe
 
 
 def toy_features(n=40, dim=4, seed=0):
@@ -37,6 +39,14 @@ def test_extract_features_shape_and_determinism():
     for img, row in zip(images, feats):
         np.testing.assert_allclose(
             extract_features(params, cfg, [img], 4, 4)[0], row, rtol=1e-14)
+
+
+@pytest.mark.parametrize("num_classes, embed_dim, seed", [
+    (2, 1, 0), (2, 8, 7), (3, 5, 1), (10, 32, 12345), (2, 64, 2**64 - 1),
+])
+def test_init_probe_is_the_scalar_draws(num_classes, embed_dim, seed):
+    assert (init_probe(num_classes, embed_dim, seed).tobytes()
+            == scalar_init_probe(num_classes, embed_dim, seed).tobytes())
 
 
 def test_batch_probe_grad_matches_per_sample_mean():
@@ -120,6 +130,16 @@ def test_train_probe_split_is_disjoint_cover():
     merged = sorted(list(result.val_indices) + list(result.train_indices))
     assert merged == list(range(25))
     assert len(result.val_indices) == 5  # 20% of 25
+
+
+@pytest.mark.parametrize("n, val_fraction, seed", [(25, 0.2, 2), (40, 0.5, 9), (7, 0.3, 0)])
+def test_probe_split_is_train_probes_split(n, val_fraction, seed):
+    features, labels = toy_features(n)
+    cfg = ProbeConfig(num_classes=2, epochs=0, val_fraction=val_fraction, seed=seed)
+    result = train_probe(features, labels, cfg)
+    val_idx, train_idx = probe_split(n, cfg)
+    np.testing.assert_array_equal(val_idx, result.val_indices)
+    np.testing.assert_array_equal(train_idx, result.train_indices)
 
 
 def test_train_probe_rejects_tiny_dataset():

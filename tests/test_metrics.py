@@ -34,7 +34,7 @@ from fedmim.metrics import (
     t_test,
 )
 
-from oracles import hausdorff_brute, rank_auroc
+from oracles import dsc_sets, hausdorff_brute, points_mask, rank_auroc
 
 
 def test_auroc_worked_example():
@@ -90,18 +90,25 @@ def test_auroc_errors():
 
 
 def test_dsc_cases():
-    assert dsc({(0, 0), (1, 1)}, {(0, 0), (1, 1)}) == 1.0
-    assert dsc({(0, 0)}, {(1, 1)}) == 0.0
-    assert dsc(set(), set()) == 1.0
-    assert dsc({(0, 0)}, {(0, 0), (1, 1)}) == pytest.approx(2 / 3)
+    assert dsc(points_mask({(0, 0), (1, 1)}, (2, 2)),
+               points_mask({(0, 0), (1, 1)}, (2, 2))) == 1.0
+    assert dsc(points_mask({(0, 0)}, (2, 2)), points_mask({(1, 1)}, (2, 2))) == 0.0
+    assert dsc(np.zeros((2, 2), bool), np.zeros((2, 2), bool)) == 1.0
+    assert dsc(points_mask({(0, 0)}, (2, 2)),
+               points_mask({(0, 0), (1, 1)}, (2, 2))) == pytest.approx(2 / 3)
+    with pytest.raises(LengthMismatch, match=r"^length mismatch: \(2, 2\) vs \(1, 2\)$"):
+        dsc(np.ones((2, 2), bool), np.ones((1, 2), bool))
 
 
 def test_hausdorff_cases():
-    assert hausdorff({(0, 0)}, {(0, 0)}) == 0.0
-    assert hausdorff({(0, 0), (10, 0)}, {(0, 0)}) == 10.0
-    assert hausdorff({(0, 0)}, {(3, 4)}) == 5.0
+    assert hausdorff(points_mask({(0, 0)}, (1, 1)), points_mask({(0, 0)}, (1, 1))) == 0.0
+    assert hausdorff(points_mask({(0, 0), (10, 0)}, (1, 11)),
+                     points_mask({(0, 0)}, (1, 11))) == 10.0
+    assert hausdorff(points_mask({(0, 0)}, (5, 4)), points_mask({(3, 4)}, (5, 4))) == 5.0
     with pytest.raises(EmptySet):
-        hausdorff(set(), {(0, 0)})
+        hausdorff(np.zeros((1, 1), bool), points_mask({(0, 0)}, (1, 1)))
+    with pytest.raises(LengthMismatch, match=r"^length mismatch: \(2, 2\) vs \(1, 2\)$"):
+        hausdorff(np.ones((2, 2), bool), np.ones((1, 2), bool))
 
 
 @given(st.integers(0, 2**31), st.integers(1, 60), st.integers(1, 60), st.integers(1, 40))
@@ -110,15 +117,49 @@ def test_hausdorff_bit_equal_to_brute_force(seed, n_pred, n_truth, extent):
     rng = np.random.default_rng(seed)
     pred = {tuple(p) for p in rng.integers(0, extent, size=(n_pred, 2)).tolist()}
     truth = {tuple(p) for p in rng.integers(0, extent, size=(n_truth, 2)).tolist()}
-    assert hausdorff(pred, truth) == hausdorff_brute(pred, truth)
+    shape = (extent, extent)
+    assert (hausdorff(points_mask(pred, shape), points_mask(truth, shape))
+            == hausdorff_brute(pred, truth))
+
+
+def _random_mask(kind: str, shape: tuple[int, int], density: float, rng) -> np.ndarray:
+    if kind == "empty":
+        return np.zeros(shape, dtype=bool)
+    if kind == "full":
+        return np.ones(shape, dtype=bool)
+    if kind == "one-pixel":
+        mask = np.zeros(shape, dtype=bool)
+        mask[rng.integers(shape[0]), rng.integers(shape[1])] = True
+        return mask
+    return rng.random(shape) < density
+
+
+@given(st.integers(0, 2**31), st.integers(1, 40), st.integers(1, 40),
+       st.sampled_from(["empty", "full", "one-pixel", "random"]),
+       st.sampled_from(["empty", "full", "one-pixel", "random"]),
+       st.floats(0.0, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_mask_metrics_bit_equal_to_point_set_oracles(seed, h, w, kind_p, kind_t,
+                                                      density):
+    rng = np.random.default_rng(seed)
+    pred = _random_mask(kind_p, (h, w), density, rng)
+    truth = _random_mask(kind_t, (h, w), density, rng)
+    pred_pts, truth_pts = mask_points(pred), mask_points(truth)
+    assert dsc(pred, truth) == dsc_sets(pred_pts, truth_pts)
+    if pred_pts and truth_pts:
+        assert hausdorff(pred, truth) == hausdorff_brute(pred_pts, truth_pts)
+    else:
+        with pytest.raises(EmptySet):
+            hausdorff(pred, truth)
 
 
 def test_hausdorff_memory_does_not_grow_with_pair_count():
-    # About 3,000 points each; a |P| x |T| x 2 float64 table would be 150 MB.
-    pred = mask_points(disc_mask(128, 128, 60.0, 60.0, 31.0))
-    truth = mask_points(disc_mask(128, 128, 66.0, 62.0, 31.0))
-    assert len(pred) > 2900 and len(truth) > 2900
-    hausdorff({(0, 0)}, {(1, 1)})  # the first call imports scipy.spatial
+    # About 3,000 foreground pixels each; a |P| x |T| x 2 float64 table
+    # would be 150 MB.
+    pred = disc_mask(128, 128, 60.0, 60.0, 31.0) > 0.5
+    truth = disc_mask(128, 128, 66.0, 62.0, 31.0) > 0.5
+    assert pred.sum() > 2900 and truth.sum() > 2900
+    hausdorff(pred, truth)  # the first call imports scipy.ndimage
     tracemalloc.start()
     try:
         hausdorff(pred, truth)
@@ -134,8 +175,8 @@ def test_cli_import_leaves_scipy_submodules_unloaded():
     src = str(Path(fedmim.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = ("import sys, fedmim.cli; "
-             "print(sorted(m for m in ('scipy.special', 'scipy.spatial') "
-             "if m in sys.modules))")
+             "print(sorted(m for m in ('scipy.special', 'scipy.spatial', "
+             "'scipy.ndimage') if m in sys.modules))")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                             text=True, check=True,
                             env=dict(os.environ, PYTHONPATH=pythonpath))
