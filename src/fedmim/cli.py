@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fed, metrics, model, smat, synth
 from .corrupt import CorruptionConfig, mixed_corrupt
-from .errors import FedmimError, MalformedFile, TooFewSamples
+from .errors import FedmimError, MalformedFile, NonFiniteLoss, TooFewSamples
 from .finetune import ProbeConfig, extract_features, probe_scores, train_probe
 from .image import PatchGrid, depatchify, read_pgm, write_pgm
 from .pipeline import PatchSpec, build_clients
@@ -243,11 +243,12 @@ def cmd_pretrain(cfg: dict, out_dir: Path) -> int:
         dataset, fed_cfg.num_clients, cfg["federation"]["alpha"],
         model_cfg, _corruption(cfg), _patch_spec(cfg), cfg["seed"],
     )
-    final, trace = fed.run_pretraining(
-        fed_cfg, model_cfg, clients, params, start_round=start_round
-    )
-    if not all(math.isfinite(row[1]) for row in trace):
-        print("non-finite global loss", file=sys.stderr)
+    try:
+        final, trace = fed.run_pretraining(
+            fed_cfg, model_cfg, clients, params, start_round=start_round
+        )
+    except NonFiniteLoss as exc:  # nothing is written: a resumed run keeps its head
+        print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     # The checkpoint goes first: a save that fails leaves the checkpoint
     # and trace this run resumed from as they were, ready for a retry.

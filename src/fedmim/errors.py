@@ -65,6 +65,10 @@ class ChecksumMismatch(FedmimError):
     """Checkpoint payload does not match its manifest checksum."""
 
 
+class NonFiniteLoss(FedmimError):
+    """The global loss of a training run became NaN or infinite."""
+
+
 class ConfigMismatch(FedmimError):
     """Checkpoint payload is inconsistent with its manifest config."""
 

@@ -12,13 +12,15 @@ config, data, and seed produce byte-identical checkpoints.
 from __future__ import annotations
 
 import json
+import math
 import os
 import zlib
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ChecksumMismatch, ConfigMismatch, MalformedFile, ShapeMismatch
+from .errors import (ChecksumMismatch, ConfigMismatch, MalformedFile, NonFiniteLoss,
+                     ShapeMismatch)
 from .image import PatchGrid
 from .model import (
     ModelConfig,
@@ -142,7 +144,8 @@ def run_pretraining(
     """Run rounds start_round..total_rounds-1 of broadcast / local update /
     aggregate. Returns final params and a (round, global_loss, eta) trace;
     the first trace row is the loss before any update in this call, and
-    each row's eta is the one of the round that led to it.
+    each row's eta is the one of the round that led to it. A row whose loss
+    is NaN or infinite raises NonFiniteLoss before any later round runs.
 
     With one local step, the n_k-weighted mean of the client steps is one
     gradient step on the union of the clients' samples (FedSGD), so each
@@ -171,12 +174,18 @@ def run_pretraining(
             # Each client's first step took its loss at the broadcast params,
             # so their weighted mean is the global loss this round started from.
             start = _weighted_mean([(c.start_loss, c.num_samples) for c in clients])
-        trace.append((t, start, prev_eta))
+        trace.append(_finite_row(t, start, prev_eta))
         prev_eta = eta
     final = (batch_loss_and_grad(params, model_cfg, union)[0] if fedsgd
              else global_loss(params, model_cfg, clients))
-    trace.append((cfg.total_rounds, final, prev_eta))
+    trace.append(_finite_row(cfg.total_rounds, final, prev_eta))
     return params, trace
+
+
+def _finite_row(t: int, loss: float, eta: float) -> tuple[int, float, float]:
+    if not math.isfinite(loss):
+        raise NonFiniteLoss(f"global loss at round {t} is {loss}")
+    return t, loss, eta
 
 
 # Checkpoint persistence: <name>.json manifest + <name>.params payload

@@ -26,6 +26,11 @@ from .tgm import MaskPartition
 
 PIXEL_SCALE = 255.0
 
+# No BLAS call sums over more than SUM_PIECE samples (or patch rows): OpenBLAS
+# cuts a longer sum at bounds that depend on its thread count, and the bytes
+# would follow them. numpy's own sums and einsum are not BLAS.
+SUM_PIECE = 256
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -98,15 +103,16 @@ def positional_embeddings(num_patches: int, embed_dim: int) -> np.ndarray:
 class PreparedBatch:
     """Pixel-scaled tensors and masked-row sums (q: positional embedding,
     t: target patch) for one or more samples with a common (V, M) split,
-    M = n_mask. The second-order sums q2, t_q and t_sq are taken over rows
-    centred on their sample's masked-row mean (q_c = q - s_q/M,
-    t_c = t - s_t/M). targets, q_masked and pe keep the masked rows and
-    the embedding table for checks outside the loss; a stacked batch
-    (stack_batches) holds None there."""
+    M = n_mask. visible and q_visible are .transpose(1, 0, 2) views of
+    contiguous patch-major (V, n, .) arrays; visible[i] is sample i's rows.
+    The second-order sums q2, t_q and t_sq are taken over rows centred on
+    their sample's masked-row mean (q_c = q - s_q/M, t_c = t - s_t/M).
+    targets, q_masked and pe keep the masked rows and the embedding table for
+    checks outside the loss; a stacked batch (stack_batches) holds None there."""
 
-    visible: np.ndarray  # (n, V, N), scaled to [0, 1]
+    visible: np.ndarray  # (n, V, N) view, scaled to [0, 1]
     targets: np.ndarray | None  # (n, M, N), scaled to [0, 1]
-    q_visible: np.ndarray  # (n, V, E)
+    q_visible: np.ndarray  # (n, V, E) view
     q_masked: np.ndarray | None  # (n, M, E)
     pe: np.ndarray | None  # (L, E) full embedding table
     q2: np.ndarray  # (E, E) sum of q_c q_c^T over all masked rows
@@ -146,9 +152,9 @@ def prepare_batch(
     # Centred rows keep the loss from being a small difference of large sums.
     flat_t = (tgt - s_t[:, None, :] / n_mask).reshape(-1, cfg.patch_dim)
     flat_q = (qm - s_q[:, None, :] / n_mask).reshape(-1, cfg.embed_dim)
-    # einsum, unlike BLAS, sums in an order independent of the thread count.
     return PreparedBatch(
-        np.stack(vis), tgt, np.stack(qv), qm, pe=q,
+        np.stack(vis, axis=1).transpose(1, 0, 2), tgt,
+        np.stack(qv, axis=1).transpose(1, 0, 2), qm, pe=q,
         q2=np.einsum("ri,rj->ij", flat_q, flat_q), s_q=s_q, s_t=s_t,
         t_q=np.einsum("ri,rj->ij", flat_t, flat_q),
         t_sq=float(np.einsum("ri,ri->", flat_t, flat_t)), n_mask=n_mask,
@@ -165,24 +171,25 @@ def stack_batches(batches: list[PreparedBatch]) -> PreparedBatch:
            for b in batches):
         raise ShapeMismatch("batches differ in their visible or masked patch counts")
 
-    def cat(name):
-        return np.concatenate([getattr(b, name) for b in batches])
+    def cat(name, axis=0):  # axis 1: the sample axis of a patch-major array
+        return np.concatenate([getattr(b, name).swapaxes(0, axis) for b in batches],
+                              axis).swapaxes(0, axis)
 
     def total(name):
         return sum((getattr(b, name) for b in batches[1:]), getattr(first, name))
 
     return PreparedBatch(
-        cat("visible"), None, cat("q_visible"), None, pe=None, q2=total("q2"),
+        cat("visible", 1), None, cat("q_visible", 1), None, pe=None, q2=total("q2"),
         s_q=cat("s_q"), s_t=cat("s_t"), t_q=total("t_q"), t_sq=total("t_sq"),
         n_mask=first.n_mask,
     )
 
 
-def _encode(w_e: np.ndarray, b_e: np.ndarray, x: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Encoder activations tanh(x W_e^T + b_e + q) for x of shape (n, V, N)."""
-    n, v, patch_px = x.shape
-    z = (x.reshape(n * v, patch_px) @ w_e.T).reshape(n, v, w_e.shape[0])
-    return np.tanh(z + b_e + q)
+def _row_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^T b, one BLAS product per SUM_PIECE rows, the pieces added in order."""
+    return sum((a[s:s + SUM_PIECE].T @ b[s:s + SUM_PIECE]
+                for s in range(SUM_PIECE, len(a), SUM_PIECE)),
+               a[:SUM_PIECE].T @ b[:SUM_PIECE])
 
 
 def batch_loss_and_grad(
@@ -203,33 +210,35 @@ def batch_loss_and_grad(
     w_e, b_e, w_d, b_d = unpack_params(params, cfg)
     n, n_vis, _ = batch.visible.shape
     n_mask = batch.n_mask
-    patch_px = cfg.patch_dim
-    e = cfg.embed_dim
+    patch_px, e = cfg.patch_dim, cfg.embed_dim
     if n_vis == 0:
         raise EmptyVisibleSet("need at least one visible patch")
 
     w_d_ctx, w_d_pos = w_d[:, :e], w_d[:, e:]
 
-    h = _encode(w_e, b_e, batch.visible, batch.q_visible)
-    context = h.mean(axis=1)  # (n, E)
+    x = batch.visible.transpose(1, 0, 2).reshape(n_vis * n, patch_px)  # patch-major
+    h = (x @ w_e.T).reshape(n_vis, n, e)  # this buffer holds h, then d_z
+    h += b_e
+    h += batch.q_visible.transpose(1, 0, 2)
+    np.tanh(h, out=h)
+    context = h.sum(axis=0) / n_vis  # (n, E)
     per_sample = context @ w_d_ctx.T + b_d  # (n, N) part of every prediction
     r_per_sample = n_mask * per_sample + batch.s_q @ w_d_pos.T - batch.s_t
     g_centred = w_d_pos @ batch.q2 - batch.t_q
-    d_w_d_pos = g_centred + r_per_sample.T @ (batch.s_q / n_mask)
-    # einsum, unlike BLAS, sums in an order independent of the thread count.
     sq_sum = (np.einsum("ij,ij->", r_per_sample, r_per_sample) / n_mask
               + np.einsum("ij,ij->", w_d_pos, g_centred - batch.t_q) + batch.t_sq)
     loss = float(sq_sum / (n * n_mask * patch_px))
     # The factor 2/(n*M*N) common to every gradient is applied at the end.
-    d_w_d_ctx = r_per_sample.T @ context
+    d_w_d = _row_sum(r_per_sample, np.concatenate([context, batch.s_q / n_mask], axis=1))
+    d_w_d[:, e:] += g_centred  # [R^T ctx, G]
     d_b_d = r_per_sample.sum(axis=0)
     d_ctx = r_per_sample @ w_d_ctx  # (n, E)
-    d_z = (d_ctx[:, None, :] / n_vis) * (1.0 - h * h)  # (n, V, E)
-    flat_dz = d_z.reshape(n * n_vis, e)
-    d_w_e = flat_dz.T @ batch.visible.reshape(n * n_vis, patch_px)
-    d_b_e = flat_dz.sum(axis=0)
+    h *= h
+    np.subtract(1.0, h, out=h)
+    h *= d_ctx / n_vis  # d_z
+    d_w_e = _row_sum(h.reshape(n_vis * n, e), x)
+    d_b_e = np.einsum("vie->e", h)
 
-    d_w_d = np.concatenate([d_w_d_ctx, d_w_d_pos], axis=1)
     grad = np.concatenate([d_w_e.ravel(), d_b_e, d_w_d.ravel(), d_b_d])
     grad *= 2.0 / (n * n_mask * patch_px)
     return loss, grad
@@ -253,4 +262,5 @@ def encode_features(params: np.ndarray, cfg: ModelConfig, patches: np.ndarray) -
         raise ShapeMismatch("patches do not match model config")
     w_e, b_e, _, _ = unpack_params(params, cfg)
     q = positional_embeddings(cfg.num_patches, cfg.embed_dim)
-    return _encode(w_e, b_e, patches / PIXEL_SCALE, q).mean(axis=1)
+    z = (patches / PIXEL_SCALE).reshape(-1, cfg.patch_dim) @ w_e.T
+    return np.tanh(z.reshape(*patches.shape[:2], -1) + b_e + q).mean(axis=1)

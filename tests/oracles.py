@@ -120,6 +120,45 @@ def dense_loss_and_grad(
     return loss, grad
 
 
+def sample_major_loss_and_grad(
+    params: np.ndarray, cfg: ModelConfig, batch: PreparedBatch
+) -> tuple[float, np.ndarray]:
+    """batch_loss_and_grad over sample-major (n, V, .) rows, each sum over
+    samples one BLAS product: d_W_e over all n*V rows, R^T ctx and R^T S_q
+    over all n samples. Past 256 rows, the bytes of those sums can depend on
+    the BLAS thread count."""
+    w_e, b_e, w_d, b_d = unpack_params(params, cfg)
+    n, n_vis, _ = batch.visible.shape
+    n_mask = batch.n_mask
+    patch_px = cfg.patch_dim
+    e = cfg.embed_dim
+    w_d_ctx, w_d_pos = w_d[:, :e], w_d[:, e:]
+
+    flat_x = batch.visible.reshape(n * n_vis, patch_px)
+    z = (flat_x @ w_e.T).reshape(n, n_vis, e)
+    h = np.tanh(z + b_e + batch.q_visible)
+    context = h.mean(axis=1)
+    per_sample = context @ w_d_ctx.T + b_d
+    r_per_sample = n_mask * per_sample + batch.s_q @ w_d_pos.T - batch.s_t
+    g_centred = w_d_pos @ batch.q2 - batch.t_q
+    d_w_d_pos = g_centred + r_per_sample.T @ (batch.s_q / n_mask)
+    sq_sum = (np.einsum("ij,ij->", r_per_sample, r_per_sample) / n_mask
+              + np.einsum("ij,ij->", w_d_pos, g_centred - batch.t_q) + batch.t_sq)
+    loss = float(sq_sum / (n * n_mask * patch_px))
+    d_w_d_ctx = r_per_sample.T @ context
+    d_b_d = r_per_sample.sum(axis=0)
+    d_ctx = r_per_sample @ w_d_ctx
+    d_z = (d_ctx[:, None, :] / n_vis) * (1.0 - h * h)
+    flat_dz = d_z.reshape(n * n_vis, e)
+    d_w_e = flat_dz.T @ flat_x
+    d_b_e = flat_dz.sum(axis=0)
+
+    d_w_d = np.concatenate([d_w_d_ctx, d_w_d_pos], axis=1)
+    grad = np.concatenate([d_w_e.ravel(), d_b_e, d_w_d.ravel(), d_b_d])
+    grad *= 2.0 / (n * n_mask * patch_px)
+    return loss, grad
+
+
 def loss_and_grad(params: np.ndarray, cfg: ModelConfig, sample) -> tuple[float, np.ndarray]:
     """Single-sample reconstruction loss and gradient through the package's
     batch path on a one-sample batch."""

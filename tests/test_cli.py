@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import fedmim
-from fedmim import cli, fed, synth
+from fedmim import cli, fed, model, synth
 from fedmim.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, _NULLABLE,
                         load_config, main)
 from fedmim.image import read_pgm, write_pgm
@@ -21,7 +21,7 @@ from fedmim.metrics import auroc
 # sha256 of checkpoint.params from `fedmim --seed 7 pretrain` with the
 # default config. A change here means every default run's model changed.
 DEFAULT_PRETRAIN_PARAMS_SHA256 = (
-    "80ea0903ebdf2a1993c6148aad054501a4b3124492513d8fc6e514714d6dce65"
+    "7a60655a0dce71d6d2edd2b680d070206dd98bebba32c0dd5efeabb0aeddf541"
 )
 
 # sha256 of the files `fedmim --seed 7 generate` writes with the default
@@ -411,6 +411,30 @@ def test_pretrain_resume_failed_save_keeps_head(workspace, tmp_path, monkeypatch
         assert (out / name).read_bytes() == (root / "run" / name).read_bytes(), name
 
 
+def test_pretrain_resume_stops_at_first_nan_round(workspace, tmp_path, monkeypatch,
+                                                 capsys):
+    # A NaN loss at round 2 of a resumed run exits 4 before round 3 runs,
+    # and writes nothing: the head's checkpoint and trace keep their bytes.
+    out, tail = _pretrain_head(tmp_path)
+    names = ("loss_trace.csv", "checkpoint.json", "checkpoint.params")
+    head = {name: (out / name).read_bytes() for name in names}
+    per_round = SMOKE["federation"]["num_clients"] * SMOKE["federation"]["local_steps"]
+    calls = []
+
+    def nan_at_round_2(*args):
+        loss, grad = model.batch_loss_and_grad(*args)
+        calls.append(args)
+        return (math.nan if len(calls) == per_round + 1 else loss), grad
+
+    monkeypatch.setattr(fed, "batch_loss_and_grad", nan_at_round_2)
+    capsys.readouterr()
+    assert main(tail) == EXIT_NUMERIC
+    assert capsys.readouterr().err == "numeric error: global loss at round 2 is nan\n"
+    assert len(calls) == 2 * per_round  # rounds 1 and 2, no later one
+    assert {name: (out / name).read_bytes() for name in names} == head
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+
+
 @pytest.mark.parametrize("case, code, message", [
     ("missing-checkpoint", EXIT_IO, "I/O error: [Errno 2] No such file"),
     ("model-mismatch", EXIT_CONFIG,
@@ -758,12 +782,9 @@ def test_threads_must_be_positive(workspace, tmp_path):
                  "--out", str(tmp_path / "o"), "pretrain"]) == EXIT_CONFIG
 
 
-@pytest.fixture(scope="module")
-def default_runs(tmp_path_factory):
-    """`fedmim --seed 7 pretrain` with default settings, in fresh processes
-    with OpenBLAS pinned to 1 and to 2 threads; maps thread count to the
-    output directory."""
-    root = tmp_path_factory.mktemp("default")
+def _pretrain_at_blas_threads(root: Path, config: tuple[str, ...] = ()) -> dict[int, Path]:
+    """`fedmim <config> --seed 7 pretrain` in fresh processes with OpenBLAS
+    pinned to 1 and to 2 threads; maps thread count to the output directory."""
     src = str(Path(fedmim.__file__).resolve().parents[1])
     runs = {}
     for blas in (1, 2):
@@ -771,12 +792,18 @@ def default_runs(tmp_path_factory):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas), PYTHONPATH=pythonpath)
         out = root / f"blas{blas}"
         subprocess.run(
-            [sys.executable, "-m", "fedmim.cli", "--seed", "7", "--out", str(out),
+            [sys.executable, "-m", "fedmim.cli", *config, "--seed", "7", "--out", str(out),
              "pretrain"],
             env=env, check=True, capture_output=True,
         )
         runs[blas] = out
     return runs
+
+
+@pytest.fixture(scope="module")
+def default_runs(tmp_path_factory):
+    """The default `fedmim --seed 7 pretrain` at 1 and 2 BLAS threads."""
+    return _pretrain_at_blas_threads(tmp_path_factory.mktemp("default"))
 
 
 def test_default_generate_golden_hash(tmp_path):
@@ -802,6 +829,16 @@ def test_pretrain_outputs_independent_of_blas_threads(default_runs):
     for name in ("loss_trace.csv", "checkpoint.params", "checkpoint.json"):
         assert (default_runs[1] / name).read_bytes() == \
             (default_runs[2] / name).read_bytes(), name
+
+
+def test_pretrain_of_41_phantoms_independent_of_blas_threads(tmp_path):
+    # The default run stacks 64 samples, a size whose sums split the same
+    # way at any thread count; 41 once did not.
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"version": 1, "synth": {"n": 41}}))
+    runs = _pretrain_at_blas_threads(tmp_path, ("--config", str(path)))
+    for name in ("loss_trace.csv", "checkpoint.params", "checkpoint.json"):
+        assert (runs[1] / name).read_bytes() == (runs[2] / name).read_bytes(), name
 
 
 def test_default_chain_leaves_out_no_lesion_samples(default_runs, tmp_path):

@@ -1,12 +1,15 @@
 """Federated engine: local updates, aggregation, orchestration, checkpoints."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmim import fed
-from fedmim.errors import ChecksumMismatch, ConfigMismatch, MalformedFile, ShapeMismatch
+from fedmim.errors import (ChecksumMismatch, ConfigMismatch, MalformedFile, NonFiniteLoss,
+                           ShapeMismatch)
 from fedmim.fed import (
     Checkpoint,
     ClientState,
@@ -217,6 +220,28 @@ def test_fedsgd_round_is_one_step_over_stacked_clients(monkeypatch):
     assert [row[0] for row in trace] == list(range(fed_cfg.total_rounds + 1))
     for (_, loss, _), want in zip(trace, expected, strict=True):
         assert abs(loss - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("local_steps", [1, 2])
+@pytest.mark.parametrize("bad_round", [0, 2])
+def test_run_pretraining_stops_at_first_non_finite_round(monkeypatch, local_steps,
+                                                         bad_round):
+    # A NaN loss at round k's first call raises before round k + 1 runs.
+    cfg = small_cfg()
+    clients = [build_client(i, cfg, 2 + i, 4 * i) for i in range(3)]
+    fed_cfg = FederationConfig(3, 5, local_steps, OptimizerConfig(1e-2, 1e-5, 0, 5))
+    per_round = 1 if local_steps == 1 else len(clients) * local_steps
+    calls = []
+
+    def nan_at_round(*args):
+        loss, grad = batch_loss_and_grad(*args)
+        calls.append(args)
+        return (math.nan if len(calls) == bad_round * per_round + 1 else loss), grad
+
+    monkeypatch.setattr(fed, "batch_loss_and_grad", nan_at_round)
+    with pytest.raises(NonFiniteLoss, match=f"^global loss at round {bad_round} is nan$"):
+        run_pretraining(fed_cfg, cfg, clients, init_params(cfg))
+    assert len(calls) == (bad_round + 1) * per_round
 
 
 def test_run_pretraining_client_order_irrelevant():

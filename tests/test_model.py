@@ -1,6 +1,11 @@
 """Reference autoencoder: gradients, schedule, embeddings, probe head."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,7 @@ from hypothesis import strategies as st
 
 from fedmim import synth
 from fedmim.cli import _model_config, load_config
-from fedmim.corrupt import CorruptionConfig
+from fedmim.corrupt import CorruptionConfig, apply_corruption, draw_corruptions
 from fedmim.errors import BadLabel, EmptyVisibleSet, ShapeMismatch
 from fedmim.fed import FederationConfig, run_pretraining
 from fedmim.finetune import batch_probe_loss_and_grad, init_probe, probe_scores
@@ -28,9 +33,11 @@ from fedmim.model import (
 )
 from fedmim.pipeline import PatchSpec, build_clients
 from fedmim.rng import Rng
+from fedmim.tgm import partition_image
 
 from conftest import explicit_sample, random_sample
-from oracles import dense_loss_and_grad, finite_diff_grad, forward, loss_and_grad
+from oracles import (dense_loss_and_grad, finite_diff_grad, forward, loss_and_grad,
+                     sample_major_loss_and_grad)
 from oracles import init_params as scalar_init_params
 
 
@@ -185,6 +192,99 @@ def test_stats_path_matches_dense_path(n, n_vis, n_mask, patch_dim, embed_dim, s
                        part.visible, part.masked)
         sq_errs.append(np.mean((pred - grid.patches[list(part.masked)] / 255.0) ** 2))
     assert loss_a == pytest.approx(np.mean(sq_errs), rel=1e-12)
+
+
+@given(
+    n=st.integers(1, 600),
+    n_vis=st.integers(1, 6),
+    n_mask=st.integers(1, 6),
+    patch_dim=st.integers(1, 12),
+    embed_dim=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, n_vis=3, n_mask=4, patch_dim=6, embed_dim=3, seed=0)
+@example(n=1, n_vis=1, n_mask=1, patch_dim=1, embed_dim=1, seed=1)
+@example(n=257, n_vis=2, n_mask=3, patch_dim=5, embed_dim=4, seed=2)  # two pieces
+@example(n=600, n_vis=6, n_mask=2, patch_dim=12, embed_dim=8, seed=3)
+@settings(max_examples=40, deadline=None)
+def test_patch_major_step_matches_sample_major_oracle(n, n_vis, n_mask, patch_dim,
+                                                      embed_dim, seed):
+    # The patch-major step sums over samples in pieces, in a fixed order,
+    # against the sample-major oracle. The forward pass is the same
+    # arithmetic on reordered rows, so the loss keeps its bytes.
+    cfg = ModelConfig(patch_dim, embed_dim, n_vis + n_mask, seed=0)
+    gen = np.random.default_rng(seed)
+    samples = []
+    for _ in range(n):
+        order = gen.permutation(cfg.num_patches)
+        patches = gen.uniform(0.0, 255.0, (cfg.num_patches, patch_dim))
+        samples.append(explicit_sample(cfg, patches, order[:n_mask], order[n_mask:]))
+    params = gen.normal(0.0, 0.5, cfg.param_count)
+    batch = prepare_batch(cfg, samples)
+    loss_a, grad_a = batch_loss_and_grad(params, cfg, batch)
+    loss_b, grad_b = sample_major_loss_and_grad(params, cfg, batch)
+    assert loss_a == loss_b
+    assert np.abs(grad_a - grad_b).max() <= 1e-13 * np.abs(grad_b).max()
+
+
+def test_prepared_rows_are_views_of_patch_major_arrays():
+    cfg = small_cfg()
+    samples = [random_sample(cfg, Rng(i), 2, 2) for i in range(3)]
+    batch = stack_batches([prepare_batch(cfg, samples[:2]), prepare_batch(cfg, samples[2:])])
+    for rows in (batch.visible, batch.q_visible):
+        assert rows.transpose(1, 0, 2).flags.c_contiguous
+    for i, (grid, part) in enumerate(samples):
+        np.testing.assert_array_equal(batch.visible[i],
+                                      grid.patches[list(part.visible)] / 255.0)
+        np.testing.assert_array_equal(
+            batch.q_visible[i], positional_embeddings(4, 3)[list(part.visible)])
+
+
+# Client sizes of the BLAS thread sweep: every size up to 160, and sizes
+# around the 256-row pieces and the 490 samples where R^T ctx once split.
+BLAS_SWEEP_SIZES = [*range(1, 161), 255, 256, 257, 489, 490, 512, 601]
+
+
+def gradient_digests(sizes) -> list[str]:
+    """sha256 of the loss and gradient of the default model at seed 7 on
+    the first n samples of one fixed corrupted, masked dataset of 200
+    phantoms (repeated past 200), for each n in sizes."""
+    cfg = ModelConfig(patch_dim=64, embed_dim=32, num_patches=64, seed=7)
+    dataset = synth.generate_dataset(200, (0.5, 0.5, 0.0), Rng(3), synth.PhantomSpec())
+    corr = CorruptionConfig()
+    plans = draw_corruptions([s.image.shape for s in dataset], corr,
+                             [Rng(3).spawn(0, i) for i in range(len(dataset))])
+    samples = [partition_image(apply_corruption(s.image, plan, corr), 8, 8, 0.75)
+               for s, plan in zip(dataset, plans)]
+    params = init_params(cfg)
+    digests = []
+    for n in sizes:
+        batch = prepare_batch(cfg, [samples[i % len(samples)] for i in range(n)])
+        loss, grad = batch_loss_and_grad(params, cfg, batch)
+        digests.append(hashlib.sha256(np.float64(loss).tobytes() + grad.tobytes()).hexdigest())
+    return digests
+
+
+def test_gradient_bytes_independent_of_blas_threads():
+    # One fresh process per OpenBLAS thread count: the thread pool's size is
+    # fixed when numpy loads.
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
+                                         os.environ.get("PYTHONPATH")]))
+    code = ("from test_model import BLAS_SWEEP_SIZES, gradient_digests; "
+            "print(*gradient_digests(BLAS_SWEEP_SIZES))")
+    procs = {
+        blas: subprocess.Popen(
+            [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=str(blas), PYTHONPATH=path))
+        for blas in (1, 2)
+    }
+    digests = {blas: proc.communicate(timeout=300)[0].split()
+               for blas, proc in procs.items()}
+    assert all(proc.returncode == 0 for proc in procs.values())
+    assert len(digests[1]) == len(BLAS_SWEEP_SIZES)
+    differ = [n for n, a, b in zip(BLAS_SWEEP_SIZES, digests[1], digests[2]) if a != b]
+    assert differ == []
 
 
 @pytest.mark.parametrize("args", [(0, 8, 0.75), (8, -1, 0.75)])
