@@ -234,6 +234,9 @@ def cmd_pretrain(cfg: dict, out_dir: Path) -> int:
         if ckpt.model_cfg != model_cfg:
             raise ConfigError("checkpoint model config does not match run config")
         params, start_round = ckpt.params, ckpt.round_index
+        if start_round > fed_cfg.total_rounds:
+            raise ConfigError(f"checkpoint round {start_round} is past "
+                              f"federation.total_rounds {fed_cfg.total_rounds}")
         if not trace_path.exists():
             raise OSError(f"resume requires an existing {trace_path}")
     else:
@@ -353,7 +356,7 @@ def cmd_eval(pred_path: Path, gt_path: Path, out_path: Path) -> int:
     return EXIT_OK
 
 
-def cmd_transform(cfg: dict, direction: str, in_path: Path, out_path: Path) -> int:
+def cmd_transform(direction: str, in_path: Path, out_path: Path) -> int:
     img = read_pgm(in_path)
     h, w = img.shape
     warp = (smat.linear_to_convex if direction == "linear-to-convex"
@@ -452,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
             report = Path(args.report) if args.report else Path(args.pred + ".metrics.json")
             return cmd_eval(Path(args.pred), Path(args.truth), report)
         if args.command == "transform":
-            return cmd_transform(cfg, args.direction, Path(args.input), Path(args.output))
+            return cmd_transform(args.direction, Path(args.input), Path(args.output))
         if args.command == "corrupt":
             return cmd_corrupt(cfg, Path(args.input), Path(args.output))
         # argparse admits no command but the ones above and mask-preview.

@@ -1,10 +1,10 @@
 """Federated pre-training engine: broadcast, local full-batch gradient
 steps, sample-count-weighted aggregation, and checkpoint persistence.
 
-Determinism contract: a FedSGD round (one local step) takes one
-gradient step over every client's samples, stacked in ascending
-client-id order; with more local steps, clients run one after another
-and their results are merged in ascending client-id order. Every
+Determinism contract: clients run one after another and their results
+are merged in ascending client-id order. A FedSGD run (one local step)
+has a single client, the union of every client's samples stacked in
+ascending client-id order, and goes through the same round loop. Every
 per-sample random choice is frozen at setup, so two runs with the same
 config, data, and seed produce byte-identical checkpoints.
 """
@@ -22,15 +22,8 @@ import numpy as np
 from .errors import (ChecksumMismatch, ConfigMismatch, MalformedFile, NonFiniteLoss,
                      ShapeMismatch)
 from .image import PatchGrid
-from .model import (
-    ModelConfig,
-    OptimizerConfig,
-    PreparedBatch,
-    batch_loss_and_grad,
-    lr_schedule,
-    prepare_batch,
-    stack_batches,
-)
+from .model import (ModelConfig, OptimizerConfig, PreparedBatch, batch_loss_and_grad,
+                    lr_schedule, prepare_batch, stack_batches)
 from .tgm import MaskPartition
 
 
@@ -51,84 +44,65 @@ class FederationConfig:
             raise ValueError(f"local_steps must be >= 1, got {self.local_steps}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClientState:
-    """One client's frozen pre-processed dataset, plus the loss at the
-    parameters its last local_update started from."""
+    """One client's frozen pre-processed dataset."""
 
     client_id: int
     batch: PreparedBatch
-    start_loss: float | None = None
 
     @property
     def num_samples(self) -> int:
         return self.batch.size
 
 
-def make_client(
-    client_id: int,
-    model_cfg: ModelConfig,
-    samples: list[tuple[PatchGrid, MaskPartition]],
-) -> ClientState:
+def make_client(client_id: int, model_cfg: ModelConfig,
+                samples: list[tuple[PatchGrid, MaskPartition]]) -> ClientState:
     if not samples:
         raise ValueError("client dataset must be non-empty")
     return ClientState(client_id, prepare_batch(model_cfg, samples))
 
 
-def local_update(
-    global_params: np.ndarray,
-    client: ClientState,
-    model_cfg: ModelConfig,
-    steps: int,
-    eta: float,
-) -> np.ndarray:
+def local_update(global_params: np.ndarray, client: ClientState, model_cfg: ModelConfig,
+                 steps: int, eta: float) -> tuple[np.ndarray, float]:
     """E full-batch gradient steps on the client's local mean objective.
 
-    The first step's loss, taken at global_params, goes to
-    client.start_loss. At eta 0 the steps are skipped, as they could not
-    move the parameters; the loss is still taken.
+    Returns the new params and the first step's loss, taken at
+    global_params. At eta 0 the steps are skipped, as they could not move
+    the parameters; the loss is still taken.
     """
     params = global_params
     for step in range(steps):
         loss, grad = batch_loss_and_grad(params, model_cfg, client.batch)
         if step == 0:
-            client.start_loss = loss
+            start_loss = loss
             if eta == 0.0:
                 break
         params = params - eta * grad
-    return params
+    return params, start_loss
 
 
-def aggregate(local_results: list[tuple[np.ndarray, int]]) -> np.ndarray:
-    """Weighted mean with weights n_k / n, summed in list order."""
+def aggregate(local_results: list[tuple[np.ndarray | float, int]]) -> np.ndarray | float:
+    """Weighted mean of (value, n_k) pairs, vectors or floats alike, with
+    weights n_k / n, summed in list order."""
     if not local_results:
         raise ValueError("nothing to aggregate")
-    length = local_results[0][0].size
+    shape = np.shape(local_results[0][0])
     total = sum(n_k for _, n_k in local_results)
     if total < 1:
         raise ValueError("total sample count must be >= 1")
-    acc = np.zeros(length)
-    for vec, n_k in local_results:
-        if vec.size != length:
-            raise ShapeMismatch("parameter vectors differ in length")
-        acc += (n_k / total) * vec
+    acc = 0.0
+    for value, n_k in local_results:
+        if np.shape(value) != shape:
+            raise ShapeMismatch("aggregated values differ in shape")
+        acc += (n_k / total) * value
     return acc
 
 
-def _weighted_mean(losses: list[tuple[float, int]]) -> float:
-    """Sample-count-weighted mean of (loss, n_k) pairs, summed in list order."""
-    total = sum(n_k for _, n_k in losses)
-    acc = 0.0
-    for loss, n_k in losses:
-        acc += n_k * loss
-    return acc / total
-
-
-def global_loss(
-    params: np.ndarray, model_cfg: ModelConfig, clients: list[ClientState]
-) -> float:
+def global_loss(params: np.ndarray, model_cfg: ModelConfig,
+                clients: list[ClientState]) -> float:
     """Sample-count-weighted mean of the per-client mean losses."""
-    return _weighted_mean([
+    return aggregate([
         (batch_loss_and_grad(params, model_cfg, c.batch)[0], c.num_samples)
         for c in sorted(clients, key=lambda c: c.client_id)
     ])
@@ -148,36 +122,29 @@ def run_pretraining(
     is NaN or infinite raises NonFiniteLoss before any later round runs.
 
     With one local step, the n_k-weighted mean of the client steps is one
-    gradient step on the union of the clients' samples (FedSGD), so each
-    round is one step on their batches stacked in client-id order.
+    gradient step on the union of the clients' samples (FedSGD), so the
+    clients' batches, stacked in client-id order, train as one client.
     """
     if not clients:
         raise ValueError("need at least one client")
     clients = sorted(clients, key=lambda c: c.client_id)
-    fedsgd = cfg.local_steps == 1
-    if fedsgd:
-        union = stack_batches([c.batch for c in clients])
+    if cfg.local_steps == 1:
+        clients = [ClientState(clients[0].client_id,
+                               stack_batches([c.batch for c in clients]))]
     params = initial_params
     trace: list[tuple[int, float, float]] = []
     prev_eta = 0.0
     for t in range(start_round, cfg.total_rounds):
         eta = lr_schedule(t, cfg.opt)
-        if fedsgd:
-            start, grad = batch_loss_and_grad(params, model_cfg, union)
-            if eta != 0.0:  # as in local_update: eta 0 keeps params' bytes
-                params = params - eta * grad
-        else:
-            params = aggregate([
-                (local_update(params, c, model_cfg, cfg.local_steps, eta), c.num_samples)
-                for c in clients
-            ])
-            # Each client's first step took its loss at the broadcast params,
-            # so their weighted mean is the global loss this round started from.
-            start = _weighted_mean([(c.start_loss, c.num_samples) for c in clients])
+        results = [(local_update(params, c, model_cfg, cfg.local_steps, eta), c.num_samples)
+                   for c in clients]
+        params = aggregate([(p, n_k) for (p, _), n_k in results])
+        # Each client's first step took its loss at the broadcast params,
+        # so their weighted mean is the global loss this round started from.
+        start = aggregate([(loss, n_k) for (_, loss), n_k in results])
         trace.append(_finite_row(t, start, prev_eta))
         prev_eta = eta
-    final = (batch_loss_and_grad(params, model_cfg, union)[0] if fedsgd
-             else global_loss(params, model_cfg, clients))
+    final = global_loss(params, model_cfg, clients)
     trace.append(_finite_row(cfg.total_rounds, final, prev_eta))
     return params, trace
 
@@ -251,6 +218,9 @@ def load_checkpoint(path_prefix: str) -> Checkpoint:
         seed = manifest["seed"]
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedFile(f"{path_prefix}.json: bad field: {exc}") from exc
+    if type(round_index) is not int or round_index < 0:
+        raise MalformedFile(f"{path_prefix}.json: bad field: round must be an int >= 0, "
+                            f"got {round_index!r}")
 
     if param_count != model_cfg.param_count:
         raise ConfigMismatch(

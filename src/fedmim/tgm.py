@@ -35,7 +35,6 @@ class MaskPartition:
 
     masked: tuple[int, ...]
     visible: tuple[int, ...]
-    mask_ratio: float
 
     def __post_init__(self):
         overlap = set(self.masked) & set(self.visible)
@@ -66,7 +65,7 @@ def select_mask(scores: np.ndarray, mask_ratio: float) -> MaskPartition:
     order = np.argsort(-scores, kind="stable")
     masked = tuple(sorted(order[:n_masked].tolist()))
     visible = tuple(sorted(order[n_masked:].tolist()))
-    return MaskPartition(masked, visible, mask_ratio)
+    return MaskPartition(masked, visible)
 
 
 def partition_image(

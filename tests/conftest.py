@@ -50,7 +50,7 @@ def explicit_sample(cfg: ModelConfig, patches: np.ndarray, masked, visible):
     patch_h, patch_w = _factor(cfg.patch_dim)
     rows, cols = _factor(cfg.num_patches)
     grid = PatchGrid(patch_h, patch_w, rows, cols, np.asarray(patches, dtype=np.float64))
-    part = MaskPartition(tuple(masked), tuple(visible), len(masked) / cfg.num_patches)
+    part = MaskPartition(tuple(masked), tuple(visible))
     return grid, part
 
 

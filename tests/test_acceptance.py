@@ -128,7 +128,7 @@ def test_criterion_2_fedavg_centralized_equivalence():
         for t in range(50):
             eta = model.lr_schedule(t, opt)
             results = [
-                (fed.local_update(fed_params, c, model_cfg, 1, eta), c.num_samples)
+                (fed.local_update(fed_params, c, model_cfg, 1, eta)[0], c.num_samples)
                 for c in clients
             ]
             fed_params = fed.aggregate(results)

@@ -23,6 +23,21 @@ from fedmim.metrics import auroc
 DEFAULT_PRETRAIN_PARAMS_SHA256 = (
     "7a60655a0dce71d6d2edd2b680d070206dd98bebba32c0dd5efeabb0aeddf541"
 )
+# sha256 of the same run's loss_trace.csv.
+DEFAULT_PRETRAIN_TRACE_SHA256 = (
+    "e2b832b3e6a3c26afa34202c50c1a5406c7d8276db41b804d34a3667f6838855"
+)
+
+# sha256 of checkpoint.params and loss_trace.csv from `fedmim --seed 7
+# pretrain` with TWO_STEP_CONFIG: the default run, but with two local
+# steps, so each round runs every client on its own and merges them.
+TWO_STEP_CONFIG = {"version": 1, "federation": {"local_steps": 2}}
+TWO_STEP_PARAMS_SHA256 = (
+    "613b0a7cf5922c26b2e9fe041b95fc0ad84b4b035dfa28b8b1fecbf5cf3ad8ff"
+)
+TWO_STEP_TRACE_SHA256 = (
+    "df6ac13accf7b55fc21873cbece945a3cbdfcd5df2637b9679550924db171f31"
+)
 
 # sha256 of the files `fedmim --seed 7 generate` writes with the default
 # config (see test_default_generate_golden_hash).
@@ -461,6 +476,39 @@ def test_bad_resume_exits_before_synthesis(workspace, tmp_path, capsys, monkeypa
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("bad_round, message", [
+    ("3", "error: {ck}.json: bad field: round must be an int >= 0, got '3'"),
+    (3.0, "error: {ck}.json: bad field: round must be an int >= 0, got 3.0"),
+    (None, "error: {ck}.json: bad field: round must be an int >= 0, got None"),
+    (True, "error: {ck}.json: bad field: round must be an int >= 0, got True"),
+    (-1, "error: {ck}.json: bad field: round must be an int >= 0, got -1"),
+    (99, "configuration error: checkpoint round 99 is past federation.total_rounds 3"),
+], ids=["string", "float", "null", "bool", "negative", "past-end"])
+def test_resume_from_bad_round_is_exit_2_before_synthesis(workspace, tmp_path, capsys,
+                                                          monkeypatch, bad_round, message):
+    # A "round" that is not a non-negative int, or that lies past the run's
+    # last round, exits 2 before any phantom is synthesized or file written.
+    root, _ = workspace
+    ck = tmp_path / "ck"
+    manifest = json.loads((root / "run" / "checkpoint.json").read_text())
+    manifest["round"] = bad_round
+    (tmp_path / "ck.json").write_text(json.dumps(manifest))
+    (tmp_path / "ck.params").write_bytes((root / "run" / "checkpoint.params").read_bytes())
+    out = tmp_path / "o"
+    out.mkdir()
+    trace = (root / "run" / "loss_trace.csv").read_bytes()
+    (out / "loss_trace.csv").write_bytes(trace)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dict(SMOKE, resume_from=str(ck))))
+    monkeypatch.setattr(synth, "generate_dataset", _no_synthesis)
+    capsys.readouterr()
+    assert main(["--config", str(path), "--seed", "5", "--out", str(out),
+                 "pretrain"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == message.format(ck=ck) + "\n"
+    assert [p.name for p in out.iterdir()] == ["loss_trace.csv"]
+    assert (out / "loss_trace.csv").read_bytes() == trace
+
+
 def test_finetune_outputs_and_auroc_recompute(workspace):
     root, _ = workspace
     report = json.loads((root / "ft" / "finetune_report.json").read_text())
@@ -819,10 +867,23 @@ def test_default_generate_golden_hash(tmp_path):
     assert digest.hexdigest() == DEFAULT_GENERATE_SHA256
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_default_pretrain_golden_hash(default_runs):
-    digest = hashlib.sha256(
-        (default_runs[1] / "checkpoint.params").read_bytes()).hexdigest()
-    assert digest == DEFAULT_PRETRAIN_PARAMS_SHA256
+    assert _sha256(default_runs[1] / "checkpoint.params") == DEFAULT_PRETRAIN_PARAMS_SHA256
+    assert _sha256(default_runs[1] / "loss_trace.csv") == DEFAULT_PRETRAIN_TRACE_SHA256
+
+
+def test_two_step_pretrain_golden_hash(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(TWO_STEP_CONFIG))
+    out = tmp_path / "run"
+    assert main(["--config", str(path), "--seed", "7", "--out", str(out),
+                 "pretrain"]) == EXIT_OK
+    assert _sha256(out / "checkpoint.params") == TWO_STEP_PARAMS_SHA256
+    assert _sha256(out / "loss_trace.csv") == TWO_STEP_TRACE_SHA256
 
 
 def test_pretrain_outputs_independent_of_blas_threads(default_runs):

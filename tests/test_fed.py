@@ -1,5 +1,6 @@
 """Federated engine: local updates, aggregation, orchestration, checkpoints."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -53,8 +54,9 @@ def test_local_update_zero_eta_is_identity():
     cfg = small_cfg()
     client = build_client(0, cfg, 3, 10)
     params = init_params(cfg)
-    out = local_update(params, client, cfg, steps=5, eta=0.0)
+    out, loss = local_update(params, client, cfg, steps=5, eta=0.0)
     np.testing.assert_array_equal(out, params)
+    assert loss == batch_loss_and_grad(params, cfg, client.batch)[0]
 
 
 def test_local_update_descends():
@@ -65,7 +67,7 @@ def test_local_update_descends():
     before, _ = batch_loss_and_grad(params, cfg, client.batch)
     for _ in range(4):  # retry with a smaller step if needed
         after, _ = batch_loss_and_grad(
-            local_update(params, client, cfg, 5, eta), cfg, client.batch
+            local_update(params, client, cfg, 5, eta)[0], cfg, client.batch
         )
         if after <= before:
             break
@@ -104,11 +106,23 @@ def test_aggregate_matches_two_pass_oracle(k, dim, seed):
     np.testing.assert_allclose(out, oracle, atol=1e-12)
 
 
+def test_aggregate_floats_like_vectors():
+    # Losses take the same n_k / n weights, in list order, as parameters.
+    assert aggregate([(0.1, 3), (0.7, 5)]) == 3 / 8 * 0.1 + 5 / 8 * 0.7
+    assert aggregate([(0.1, 60)]) == 0.1  # one client: weight exactly 1
+    assert aggregate([(0.1, 3), (0.7, 5)]) == \
+        aggregate([(np.array([0.1]), 3), (np.array([0.7]), 5)])[0]
+
+
 def test_aggregate_errors():
     with pytest.raises(ValueError):
         aggregate([])
+    with pytest.raises(ValueError):
+        aggregate([(np.zeros(3), 0)])
     with pytest.raises(ShapeMismatch):
         aggregate([(np.zeros(3), 1), (np.zeros(4), 1)])
+    with pytest.raises(ShapeMismatch):
+        aggregate([(0.5, 1), (np.zeros(1), 1)])
 
 
 def test_global_loss_single_client_single_sample():
@@ -187,7 +201,7 @@ def test_run_pretraining_trace_is_global_loss(monkeypatch):
     expected = [global_loss(params, cfg, clients)]
     for t in range(fed_cfg.total_rounds):
         eta = lr_schedule(t, fed_cfg.opt)
-        params = aggregate([(local_update(params, c, cfg, 2, eta), c.num_samples)
+        params = aggregate([(local_update(params, c, cfg, 2, eta)[0], c.num_samples)
                             for c in clients])
         expected.append(global_loss(params, cfg, clients))
     assert [row[1] for row in trace] == expected
@@ -211,9 +225,9 @@ def test_fedsgd_round_is_one_step_over_stacked_clients(monkeypatch):
     expected = []
     for t in range(fed_cfg.total_rounds):
         eta = lr_schedule(t, fed_cfg.opt)
-        reference = aggregate([(local_update(reference, c, cfg, 1, eta), c.num_samples)
-                               for c in clients])
-        expected.append(sum(c.start_loss * c.num_samples for c in clients) / total)
+        results = [(local_update(reference, c, cfg, 1, eta), c.num_samples) for c in clients]
+        reference = aggregate([(p, n_k) for (p, _), n_k in results])
+        expected.append(sum(loss * n_k for (_, loss), n_k in results) / total)
     expected.append(global_loss(reference, cfg, clients))
     assert np.abs(params - reference).max() <= 1e-12 * np.abs(reference).max()
     assert np.abs(params - init_params(cfg)).max() > 1e-3  # the rounds moved it
@@ -242,6 +256,21 @@ def test_run_pretraining_stops_at_first_non_finite_round(monkeypatch, local_step
     with pytest.raises(NonFiniteLoss, match=f"^global loss at round {bad_round} is nan$"):
         run_pretraining(fed_cfg, cfg, clients, init_params(cfg))
     assert len(calls) == (bad_round + 1) * per_round
+
+
+@pytest.mark.parametrize("local_steps", [1, 2])
+def test_run_pretraining_leaves_clients_untouched(local_steps):
+    cfg = small_cfg()
+    clients = [build_client(i, cfg, 2 + i, 6 * i) for i in range(3)]
+
+    def values():
+        return [[getattr(c, f.name) for f in dataclasses.fields(c)] for c in clients]
+
+    before = values()
+    fed_cfg = FederationConfig(3, 3, local_steps, OptimizerConfig(1e-2, 1e-5, 1, 3))
+    run_pretraining(fed_cfg, cfg, clients, init_params(cfg))
+    for was, now in zip(before, values(), strict=True):
+        assert all(a is b for a, b in zip(was, now, strict=True))
 
 
 def test_run_pretraining_client_order_irrelevant():
@@ -375,7 +404,12 @@ def _flat_federation(manifest):
      "bad field: need 0 <= warmup"),
     (lambda m: m["model"].pop("seed"), "bad field: ModelConfig.__init__() missing"),
     (_flat_federation, "bad field: 'opt'"),
-], ids=["model-range", "optimizer-range", "model-key", "flat-federation"])
+    (lambda m: m.update(round="10"), "bad field: round must be an int >= 0, got '10'"),
+    (lambda m: m.update(round=10.0), "bad field: round must be an int >= 0, got 10.0"),
+    (lambda m: m.update(round=True), "bad field: round must be an int >= 0, got True"),
+    (lambda m: m.update(round=-1), "bad field: round must be an int >= 0, got -1"),
+], ids=["model-range", "optimizer-range", "model-key", "flat-federation",
+        "round-string", "round-float", "round-bool", "round-negative"])
 def test_checkpoint_bad_manifest_field(tmp_path, edit, message):
     import json
 

@@ -110,7 +110,7 @@ def test_select_mask_rejects_bad_ratio():
 
 def test_partition_rejects_overlap():
     with pytest.raises(ValueError):
-        MaskPartition((0, 1), (1, 2), 0.5)
+        MaskPartition((0, 1), (1, 2))
 
 
 def test_textured_patch_is_masked():
