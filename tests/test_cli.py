@@ -51,6 +51,19 @@ DEFAULT_TRANSFORM_SHA256 = (
     "1a4c90552df816092759e2464975588aacd837679db0e8060f0356c7384d940b"
 )
 
+# sha256 of `fedmim --seed 7 mask-preview` on the first two images of
+# `fedmim --seed 7 generate` (see test_mask_preview_golden_hash).
+DEFAULT_MASK_PREVIEW_SHA256 = (
+    "b92e8386a2521e7f8bd5c406b89b9d947a1cf95a3a05be3487d8f582569c526c"
+)
+
+# sha256 of the files `fedmim --seed 7 finetune` writes from the default
+# pretrain checkpoint and generate directory (see
+# test_default_finetune_golden_hash).
+DEFAULT_FINETUNE_SHA256 = (
+    "7c2e00d6aa3be484e1d98af7e9834dab02c4c2f6535f215d63d6f8d852341427"
+)
+
 
 SMOKE = {
     "version": 1,
@@ -724,11 +737,10 @@ def test_transform_round_trip_matches_library(workspace, tmp_path):
     assert back.read_bytes() == expect_back.read_bytes()
 
 
-def test_transform_golden_hash(tmp_path):
+def test_transform_golden_hash(default_data, tmp_path):
     # sha256 over the name and bytes of both warps of the first image and
     # mask that `fedmim --seed 7 generate` writes with the default config.
-    data = tmp_path / "data"
-    assert main(["--seed", "7", "--out", str(data), "generate"]) == EXIT_OK
+    data = default_data
     digest = hashlib.sha256()
     for stem in ("img_0000", "mask_0000"):
         for direction in ("linear-to-convex", "convex-to-linear"):
@@ -854,11 +866,19 @@ def default_runs(tmp_path_factory):
     return _pretrain_at_blas_threads(tmp_path_factory.mktemp("default"))
 
 
-def test_default_generate_golden_hash(tmp_path):
+@pytest.fixture(scope="module")
+def default_data(tmp_path_factory):
+    """The directory `fedmim --seed 7 generate` writes with the default
+    config. Tests must not modify it."""
+    out = tmp_path_factory.mktemp("default_data") / "data"
+    assert main(["--seed", "7", "--out", str(out), "generate"]) == EXIT_OK
+    return out
+
+
+def test_default_generate_golden_hash(default_data):
     # sha256 over the name and bytes of every file `fedmim --seed 7
     # generate` writes with the default config, in name order.
-    out = tmp_path / "data"
-    assert main(["--seed", "7", "--out", str(out), "generate"]) == EXIT_OK
+    out = default_data
     digest = hashlib.sha256()
     names = sorted(p.name for p in out.iterdir())
     assert len(names) == 2 * 64 + 1
@@ -874,6 +894,33 @@ def _sha256(path: Path) -> str:
 def test_default_pretrain_golden_hash(default_runs):
     assert _sha256(default_runs[1] / "checkpoint.params") == DEFAULT_PRETRAIN_PARAMS_SHA256
     assert _sha256(default_runs[1] / "loss_trace.csv") == DEFAULT_PRETRAIN_TRACE_SHA256
+
+
+def test_mask_preview_golden_hash(default_data, tmp_path):
+    # sha256 over the name and bytes of the preview and its sidecar, for
+    # the first two images of the default generate.
+    digest = hashlib.sha256()
+    for stem in ("img_0000", "img_0001"):
+        out = tmp_path / f"{stem}.preview.pgm"
+        assert main(["--seed", "7", "mask-preview", str(default_data / f"{stem}.pgm"),
+                     str(out)]) == EXIT_OK
+        for path in (out, Path(f"{out}.json")):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == DEFAULT_MASK_PREVIEW_SHA256
+
+
+def test_default_finetune_golden_hash(default_runs, default_data, tmp_path):
+    # sha256 over the name and bytes of every file the default finetune
+    # writes, in name order.
+    out = tmp_path / "ft"
+    assert main(["--seed", "7", "--out", str(out), "finetune",
+                 str(default_runs[1] / "checkpoint"), str(default_data)]) == EXIT_OK
+    names = sorted(p.name for p in out.iterdir())
+    assert len(names) == 3
+    digest = hashlib.sha256()
+    for name in names:
+        digest.update(name.encode() + b"\0" + (out / name).read_bytes())
+    assert digest.hexdigest() == DEFAULT_FINETUNE_SHA256
 
 
 def test_two_step_pretrain_golden_hash(tmp_path):
@@ -902,11 +949,10 @@ def test_pretrain_of_41_phantoms_independent_of_blas_threads(tmp_path):
         assert (runs[1] / name).read_bytes() == (runs[2] / name).read_bytes(), name
 
 
-def test_default_chain_leaves_out_no_lesion_samples(default_runs, tmp_path):
+def test_default_chain_leaves_out_no_lesion_samples(default_runs, default_data, tmp_path):
     # The default class mix emits label 2 (no lesion); a 2-class probe
     # leaves those samples out and keeps each row's labels.json index.
-    data = tmp_path / "data"
-    assert main(["--seed", "7", "--out", str(data), "generate"]) == EXIT_OK
+    data = default_data
     out = tmp_path / "ft"
     assert main(["--seed", "7", "--out", str(out), "finetune",
                  str(default_runs[1] / "checkpoint"), str(data)]) == EXIT_OK
