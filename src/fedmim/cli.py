@@ -23,7 +23,7 @@ from . import fed, metrics, model, smat, synth
 from .corrupt import CorruptionConfig, mixed_corrupt
 from .errors import FedmimError, MalformedFile, NonFiniteLoss, TooFewSamples
 from .finetune import ProbeConfig, extract_features, probe_scores, train_probe
-from .image import PatchGrid, depatchify, read_pgm, write_pgm
+from .image import depatchify, read_pgm, write_pgm
 from .pipeline import PatchSpec, build_clients
 from .rng import Rng
 from .smat import ScanGeometry
@@ -375,21 +375,14 @@ def cmd_corrupt(cfg: dict, in_path: Path, out_path: Path) -> int:
 def cmd_mask_preview(cfg: dict, in_path: Path, out_path: Path) -> int:
     img = read_pgm(in_path)
     patch = _patch_spec(cfg)
-    grid, part = apply_uim(
+    patches, masked = apply_uim(
         img, _corruption(cfg), patch.patch_h, patch.patch_w,
         patch.mask_ratio, Rng(cfg["seed"]),
     )
-    patches = grid.patches.copy()
-    patches[np.asarray(part.masked, dtype=np.int64)] = 0.0
-    preview = depatchify(
-        PatchGrid(grid.patch_h, grid.patch_w, grid.rows, grid.cols, patches)
-    )
-    write_pgm(preview, out_path)
-    sidecar = {
-        "version": 1,
-        "masked": [int(i) for i in part.masked],
-        "visible": [int(i) for i in part.visible],
-    }
+    patches[masked] = 0.0
+    write_pgm(depatchify(patches, patch.patch_h, patch.patch_w, img.shape), out_path)
+    sidecar = {"version": 1, "masked": np.flatnonzero(masked).tolist(),
+               "visible": np.flatnonzero(~masked).tolist()}
     Path(str(out_path) + ".json").write_text(
         json.dumps(sidecar, indent=1) + "\n", encoding="utf-8")
     return EXIT_OK

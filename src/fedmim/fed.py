@@ -21,10 +21,8 @@ import numpy as np
 
 from .errors import (ChecksumMismatch, ConfigMismatch, MalformedFile, NonFiniteLoss,
                      ShapeMismatch)
-from .image import PatchGrid
 from .model import (ModelConfig, OptimizerConfig, PreparedBatch, batch_loss_and_grad,
                     lr_schedule, prepare_batch, stack_batches)
-from .tgm import MaskPartition
 
 
 @dataclass(frozen=True)
@@ -57,7 +55,7 @@ class ClientState:
 
 
 def make_client(client_id: int, model_cfg: ModelConfig,
-                samples: list[tuple[PatchGrid, MaskPartition]]) -> ClientState:
+                samples: list[tuple[np.ndarray, np.ndarray]]) -> ClientState:
     if not samples:
         raise ValueError("client dataset must be non-empty")
     return ClientState(client_id, prepare_batch(model_cfg, samples))

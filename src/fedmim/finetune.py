@@ -55,7 +55,7 @@ def extract_features(
     patch_h: int,
     patch_w: int,
 ) -> np.ndarray:
-    patches = np.stack([patchify(img, patch_h, patch_w).patches for img in images])
+    patches = np.stack([patchify(img, patch_h, patch_w) for img in images])
     return encode_features(params, model_cfg, patches)
 
 

@@ -24,31 +24,9 @@ def as_image(data) -> np.ndarray:
     return img
 
 
-@dataclass(frozen=True)
-class PatchGrid:
-    """An image cut into rows x cols patches of patch_h x patch_w pixels.
-
-    patches has shape (L, N) with L = rows*cols and N = patch_h*patch_w;
-    both patches and pixels within a patch are in row-major order.
-    """
-
-    patch_h: int
-    patch_w: int
-    rows: int
-    cols: int
-    patches: np.ndarray
-
-    @property
-    def num_patches(self) -> int:
-        return self.rows * self.cols
-
-    @property
-    def patch_dim(self) -> int:
-        return self.patch_h * self.patch_w
-
-
-def patchify(img: np.ndarray, patch_h: int, patch_w: int) -> PatchGrid:
-    """Split an image into non-overlapping patches in row-major patch order."""
+def patchify(img: np.ndarray, patch_h: int, patch_w: int) -> np.ndarray:
+    """Split an image into its (L, N) patch rows: L = rows*cols patches of
+    N = patch_h*patch_w pixels, patches and pixels both in row-major order."""
     img = as_image(img)
     h, w = img.shape
     if patch_h < 1 or patch_w < 1 or h % patch_h != 0 or w % patch_w != 0:
@@ -58,16 +36,15 @@ def patchify(img: np.ndarray, patch_h: int, patch_w: int) -> PatchGrid:
     rows = h // patch_h
     cols = w // patch_w
     blocks = img.reshape(rows, patch_h, cols, patch_w).transpose(0, 2, 1, 3)
-    patches = blocks.reshape(rows * cols, patch_h * patch_w).copy()
-    return PatchGrid(patch_h, patch_w, rows, cols, patches)
+    return blocks.reshape(rows * cols, patch_h * patch_w).copy()
 
 
-def depatchify(grid: PatchGrid) -> np.ndarray:
-    """Exact inverse of patchify."""
-    blocks = grid.patches.reshape(grid.rows, grid.cols, grid.patch_h, grid.patch_w)
-    return blocks.transpose(0, 2, 1, 3).reshape(
-        grid.rows * grid.patch_h, grid.cols * grid.patch_w
-    ).copy()
+def depatchify(patches: np.ndarray, patch_h: int, patch_w: int,
+               shape: tuple[int, int]) -> np.ndarray:
+    """Exact inverse of patchify: the (H, W) image of the patch rows."""
+    h, w = shape
+    blocks = patches.reshape(h // patch_h, w // patch_w, patch_h, patch_w)
+    return blocks.transpose(0, 2, 1, 3).reshape(h, w).copy()
 
 
 def convolve2d(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:

@@ -20,9 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyVisibleSet, ShapeMismatch
-from .image import PatchGrid
 from .rng import Rng, uniform_draws
-from .tgm import MaskPartition
 
 PIXEL_SCALE = 255.0
 
@@ -132,29 +130,38 @@ class PreparedBatch:
 
 
 def prepare_batch(
-    cfg: ModelConfig, samples: list[tuple[PatchGrid, MaskPartition]]
+    cfg: ModelConfig, samples: list[tuple[np.ndarray, np.ndarray]]
 ) -> PreparedBatch:
-    """Stack (grid, partition) samples; all must share the same V/M counts."""
-    q = positional_embeddings(cfg.num_patches, cfg.embed_dim)
-    vis, tgt, qv, qm = [], [], [], []
-    for grid, part in samples:
-        if grid.num_patches != cfg.num_patches or grid.patch_dim != cfg.patch_dim:
-            raise ShapeMismatch("grid does not match model config")
-        v_idx = np.asarray(part.visible, dtype=np.int64)
-        m_idx = np.asarray(part.masked, dtype=np.int64)
-        vis.append(grid.patches[v_idx] / PIXEL_SCALE)
-        tgt.append(grid.patches[m_idx] / PIXEL_SCALE)
-        qv.append(q[v_idx])
-        qm.append(q[m_idx])
-    tgt, qm = np.stack(tgt), np.stack(qm)
-    n_mask = tgt.shape[1]
+    """Stack (patches, masked) samples, each (L, N) patch rows and an (L,)
+    bool mask; all must mask the same number of patches. A sample's visible
+    rows, and its masked rows, are kept in ascending patch order."""
+    try:
+        x = np.stack([patches for patches, _ in samples], dtype=np.float64)
+        masked = np.stack([mask for _, mask in samples])
+    except ValueError as exc:
+        raise ShapeMismatch(f"samples do not stack: {exc}") from None
+    num_patches = cfg.num_patches
+    if (x.shape[1:] != (num_patches, cfg.patch_dim) or masked.shape[1:] != (num_patches,)
+            or masked.dtype != np.bool_):
+        raise ShapeMismatch(f"samples must be ({num_patches}, {cfg.patch_dim}) patches and "
+                            f"a ({num_patches},) bool mask, got {x.shape[1:]} and "
+                            f"{masked.shape[1:]} {masked.dtype}")
+    n_mask = int(masked[0].sum())
+    if np.any(masked.sum(axis=1) != n_mask):
+        raise ShapeMismatch("samples mask different numbers of patches")
+    x /= PIXEL_SCALE
+    q = positional_embeddings(num_patches, cfg.embed_dim)
+    # Stable, so each row lists its visible indices, then its masked ones.
+    order = np.argsort(masked, axis=1, kind="stable")
+    v_idx, m_idx = order[:, :num_patches - n_mask].T, order[:, num_patches - n_mask:]
+    rows = np.arange(len(x))
+    tgt, qm = x[rows[:, None], m_idx], q[m_idx]
     s_q, s_t = qm.sum(axis=1), tgt.sum(axis=1)
     # Centred rows keep the loss from being a small difference of large sums.
     flat_t = (tgt - s_t[:, None, :] / n_mask).reshape(-1, cfg.patch_dim)
     flat_q = (qm - s_q[:, None, :] / n_mask).reshape(-1, cfg.embed_dim)
     return PreparedBatch(
-        np.stack(vis, axis=1).transpose(1, 0, 2), tgt,
-        np.stack(qv, axis=1).transpose(1, 0, 2), qm, pe=q,
+        x[rows, v_idx].transpose(1, 0, 2), tgt, q[v_idx].transpose(1, 0, 2), qm, pe=q,
         q2=np.einsum("ri,rj->ij", flat_q, flat_q), s_q=s_q, s_t=s_t,
         t_q=np.einsum("ri,rj->ij", flat_t, flat_q),
         t_sq=float(np.einsum("ri,ri->", flat_t, flat_t)), n_mask=n_mask,

@@ -21,42 +21,27 @@ def pytest_terminal_summary(terminalreporter):
         for line in sorted(ACCEPTANCE_LINES):
             terminalreporter.write_line(line)
 
-from fedmim.image import PatchGrid
 from fedmim.model import ModelConfig
 from fedmim.rng import Rng
-from fedmim.tgm import MaskPartition, select_mask
+from fedmim.tgm import select_mask
 
 
-def random_sample(cfg: ModelConfig, rng: Rng, rows: int, cols: int):
-    """A random (PatchGrid, MaskPartition) pair matching the model config.
+def random_sample(cfg: ModelConfig, rng: Rng):
+    """A random (patches, masked) sample matching the model config.
 
     Pixel values span [0, 255]; the mask is drawn from random texture
     scores so its composition varies across draws.
     """
-    assert rows * cols == cfg.num_patches
     patches = np.array(
         [[rng.uniform(0.0, 255.0) for _ in range(cfg.patch_dim)]
          for _ in range(cfg.num_patches)]
     )
-    # patch_h/patch_w only need to multiply to patch_dim for model-side use.
-    patch_h, patch_w = _factor(cfg.patch_dim)
-    grid = PatchGrid(patch_h, patch_w, rows, cols, patches)
     scores = np.array([rng.random() for _ in range(cfg.num_patches)])
-    part = select_mask(scores, 0.5)
-    return grid, part
+    return patches, select_mask(scores, 0.5)
 
 
-def explicit_sample(cfg: ModelConfig, patches: np.ndarray, masked, visible):
-    patch_h, patch_w = _factor(cfg.patch_dim)
-    rows, cols = _factor(cfg.num_patches)
-    grid = PatchGrid(patch_h, patch_w, rows, cols, np.asarray(patches, dtype=np.float64))
-    part = MaskPartition(tuple(masked), tuple(visible))
-    return grid, part
-
-
-def _factor(n: int) -> tuple[int, int]:
-    """Split n into two factors as close to square as possible."""
-    for a in range(int(np.sqrt(n)), 0, -1):
-        if n % a == 0:
-            return a, n // a
-    return 1, n
+def explicit_sample(cfg: ModelConfig, patches, masked):
+    """(patches, mask), the mask True at the patch indices in masked."""
+    mask = np.zeros(cfg.num_patches, dtype=bool)
+    mask[list(masked)] = True
+    return np.asarray(patches, dtype=np.float64), mask

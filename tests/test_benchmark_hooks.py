@@ -1,0 +1,64 @@
+"""The benchmark's tracer finds every function it times and can size every
+kind of prepared batch, so a rename in the package fails here rather than
+in a traced benchmark run."""
+
+import importlib
+import types
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fedmim import model
+from fedmim.model import ModelConfig, prepare_batch, stack_batches
+from fedmim.rng import Rng
+
+from conftest import random_sample
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    # Compiled from source rather than imported, so no bytecode is written
+    # next to it.
+    module = types.ModuleType("perfbench_tracer")
+    module.__file__ = str(TRACER_PATH)
+    exec(compile(TRACER_PATH.read_text(encoding="utf-8"), str(TRACER_PATH), "exec"),
+         module.__dict__)
+    # A traced segment looks up every layer's module among those loaded.
+    for mod_name, _ in module.LAYERS:
+        importlib.import_module(f"fedmim.{mod_name}")
+    return module
+
+
+def test_every_traced_layer_resolves(tracer):
+    missing = []
+    for mod_name, func in tracer.LAYERS:
+        module = importlib.import_module(f"fedmim.{mod_name}")
+        if not callable(getattr(module, func, None)):
+            missing.append(f"fedmim.{mod_name}.{func}")
+    assert not missing, f"perfbench/tracer.py times missing functions: {missing}"
+
+
+def test_prepared_bytes_sizes_single_and_stacked_batches(tracer):
+    cfg = ModelConfig(patch_dim=4, embed_dim=3, num_patches=4, seed=0)
+    samples = [random_sample(cfg, Rng(i)) for i in range(3)]
+    batch = prepare_batch(cfg, samples)
+    dense = (batch.visible, batch.targets, batch.q_visible, batch.q_masked, batch.pe)
+    assert tracer._prepared_bytes(batch) == sum(a.nbytes for a in dense)
+    stacked = stack_batches([prepare_batch(cfg, samples[:2]), prepare_batch(cfg, samples[2:])])
+    assert tracer._prepared_bytes(stacked) == stacked.visible.nbytes + stacked.q_visible.nbytes
+    assert stacked.visible.nbytes == batch.visible.nbytes == 3 * 2 * 4 * np.float64().nbytes
+
+
+def test_traced_segment_counts_a_prepared_batch(tracer):
+    cfg = ModelConfig(patch_dim=4, embed_dim=3, num_patches=4, seed=0)
+    samples = [random_sample(cfg, Rng(i)) for i in range(2)]
+    run = tracer.Tracer()
+    with run.segment():
+        batch = model.prepare_batch(cfg, samples)
+    assert model.prepare_batch is prepare_batch  # the original is put back
+    spans, counts = run.summary()
+    assert spans["model.prepare_batch"].calls == 1
+    assert counts["model.prepared_batch_bytes"] == tracer._prepared_bytes(batch)

@@ -41,7 +41,7 @@ def small_cfg(seed=0):
 
 
 def build_client(cid, cfg, n_samples, seed):
-    samples = [random_sample(cfg, Rng(seed + i), 2, 2) for i in range(n_samples)]
+    samples = [random_sample(cfg, Rng(seed + i)) for i in range(n_samples)]
     return make_client(cid, cfg, samples)
 
 
@@ -127,7 +127,7 @@ def test_aggregate_errors():
 
 def test_global_loss_single_client_single_sample():
     cfg = small_cfg()
-    sample = random_sample(cfg, Rng(0), 2, 2)
+    sample = random_sample(cfg, Rng(0))
     client = make_client(0, cfg, [sample])
     params = init_params(cfg)
     expected, _ = batch_loss_and_grad(params, cfg, prepare_batch(cfg, [sample]))

@@ -37,24 +37,23 @@ def test_as_image_rejects_bad_shapes():
 
 def test_patchify_single_patch_is_image():
     img = np.arange(12.0).reshape(3, 4)
-    grid = patchify(img, 3, 4)
-    assert grid.num_patches == 1
-    np.testing.assert_array_equal(grid.patches[0].reshape(3, 4), img)
+    patches = patchify(img, 3, 4)
+    assert patches.shape == (1, 12)
+    np.testing.assert_array_equal(patches[0].reshape(3, 4), img)
 
 
 def test_patchify_constant_patches():
     img = np.full((4, 4), 7.0)
-    grid = patchify(img, 2, 2)
-    assert grid.num_patches == 4
-    np.testing.assert_array_equal(grid.patches, np.full((4, 4), 7.0))
-    np.testing.assert_array_equal(depatchify(grid), img)
+    patches = patchify(img, 2, 2)
+    np.testing.assert_array_equal(patches, np.full((4, 4), 7.0))
+    np.testing.assert_array_equal(depatchify(patches, 2, 2, img.shape), img)
 
 
 def test_patchify_row_major_order():
     img = np.arange(16.0).reshape(4, 4)
-    grid = patchify(img, 2, 2)
+    patches = patchify(img, 2, 2)
     # Patch 1 is the top-right 2x2 block, pixels row-major within it.
-    np.testing.assert_array_equal(grid.patches[1], [2.0, 3.0, 6.0, 7.0])
+    np.testing.assert_array_equal(patches[1], [2.0, 3.0, 6.0, 7.0])
 
 
 def test_patchify_rejects_non_divisible():
@@ -69,7 +68,7 @@ def test_patchify_round_trip(img, ph, pw):
     img = img[: (h // ph) * ph, : (w // pw) * pw]
     if img.shape[0] < ph or img.shape[1] < pw:
         return
-    np.testing.assert_array_equal(depatchify(patchify(img, ph, pw)), img)
+    np.testing.assert_array_equal(depatchify(patchify(img, ph, pw), ph, pw, img.shape), img)
 
 
 def test_convolve_identity_kernel():

@@ -102,27 +102,45 @@ def test_positional_embeddings_values():
 
 def test_forward_requires_visible():
     cfg = small_cfg()
-    sample = explicit_sample(cfg, np.zeros((4, 4)), masked=(0, 1, 2, 3), visible=())
+    sample = explicit_sample(cfg, np.zeros((4, 4)), masked=(0, 1, 2, 3))
     with pytest.raises(EmptyVisibleSet):
         batch_loss_and_grad(init_params(cfg), cfg, prepare_batch(cfg, [sample]))
 
 
-def test_forward_order_invariance():
+def test_loss_invariant_to_sample_order():
     cfg = small_cfg()
     params = init_params(cfg)
-    patches = np.random.default_rng(0).uniform(0.0, 255.0, (4, 4))
-    sample_a = explicit_sample(cfg, patches, masked=(2, 3), visible=(0, 1))
-    sample_b = explicit_sample(cfg, patches, masked=(3, 2), visible=(1, 0))
-    loss_a, grad_a = batch_loss_and_grad(params, cfg, prepare_batch(cfg, [sample_a]))
-    loss_b, grad_b = batch_loss_and_grad(params, cfg, prepare_batch(cfg, [sample_b]))
-    assert loss_a == pytest.approx(loss_b, rel=1e-12)
+    samples = [random_sample(cfg, Rng(i)) for i in range(5)]
+    loss_a, grad_a = batch_loss_and_grad(params, cfg, prepare_batch(cfg, samples))
+    shuffled = [samples[i] for i in (3, 0, 4, 2, 1)]
+    loss_b, grad_b = batch_loss_and_grad(params, cfg, prepare_batch(cfg, shuffled))
+    assert abs(loss_a - loss_b) <= 1e-12 * loss_a
     np.testing.assert_allclose(grad_a, grad_b, atol=1e-12)
+
+
+# Batches that prepare_batch must reject, built from one sample (p, m) of
+# small_cfg, whose mask masks 2 of its 4 patches.
+BAD_SAMPLES = {
+    "mask-length": lambda p, m: [(p, m[:3])],
+    "mask-lengths-differ": lambda p, m: [(p, m), (p, m[:3])],
+    "patch-rows": lambda p, m: [(p[:3], m)],
+    "non-bool-mask": lambda p, m: [(p, m.astype(np.int64))],
+    "masked-counts-differ": lambda p, m: [(p, m), (p, np.arange(4) < 3)],
+}
+
+
+@pytest.mark.parametrize("case", BAD_SAMPLES)
+def test_prepare_batch_rejects_bad_samples(case):
+    cfg = small_cfg()
+    patches, mask = random_sample(cfg, Rng(0))
+    with pytest.raises(ShapeMismatch):
+        prepare_batch(cfg, BAD_SAMPLES[case](patches, mask))
 
 
 def test_analytic_gradient_matches_finite_differences():
     for seed in range(5):
         cfg = small_cfg(seed)
-        sample = random_sample(cfg, Rng(100 + seed), 2, 2)
+        sample = random_sample(cfg, Rng(100 + seed))
         params = init_params(cfg)
         _, grad = loss_and_grad(params, cfg, sample)
         fd = finite_diff_grad(lambda p: loss_and_grad(p, cfg, sample)[0], params)
@@ -132,7 +150,7 @@ def test_analytic_gradient_matches_finite_differences():
 def test_batch_loss_is_mean_of_sample_losses():
     cfg = small_cfg()
     params = init_params(cfg)
-    samples = [random_sample(cfg, Rng(i), 2, 2) for i in range(3)]
+    samples = [random_sample(cfg, Rng(i)) for i in range(3)]
     batch = prepare_batch(cfg, samples)
     loss_b, grad_b = batch_loss_and_grad(params, cfg, batch)
     losses, grads = zip(*(loss_and_grad(params, cfg, s) for s in samples))
@@ -145,7 +163,7 @@ def test_stacked_batches_match_one_batch_of_all_samples():
     # centred sums add up to the union's.
     cfg = small_cfg()
     params = init_params(cfg)
-    samples = [random_sample(cfg, Rng(i), 2, 2) for i in range(6)]
+    samples = [random_sample(cfg, Rng(i)) for i in range(6)]
     parts = [prepare_batch(cfg, samples[a:b]) for a, b in ((0, 3), (3, 4), (4, 6))]
     stacked = stack_batches(parts)
     assert stacked.size == 6 and stacked.n_mask == 2 and stacked.targets is None
@@ -153,7 +171,7 @@ def test_stacked_batches_match_one_batch_of_all_samples():
     loss_b, grad_b = batch_loss_and_grad(params, cfg, prepare_batch(cfg, samples))
     assert abs(loss_a - loss_b) <= 1e-12 * loss_b
     assert np.abs(grad_a - grad_b).max() <= 1e-12 * np.abs(grad_b).max()
-    other = explicit_sample(cfg, np.zeros((4, 4)), masked=(0, 1, 2), visible=(3,))
+    other = explicit_sample(cfg, np.zeros((4, 4)), masked=(0, 1, 2))
     with pytest.raises(ShapeMismatch, match="visible or masked patch counts"):
         stack_batches([parts[0], prepare_batch(cfg, [other])])
 
@@ -178,7 +196,7 @@ def test_stats_path_matches_dense_path(n, n_vis, n_mask, patch_dim, embed_dim, s
     for _ in range(n):
         order = gen.permutation(cfg.num_patches)
         patches = gen.uniform(0.0, 255.0, (cfg.num_patches, patch_dim))
-        samples.append(explicit_sample(cfg, patches, order[:n_mask], order[n_mask:]))
+        samples.append(explicit_sample(cfg, patches, order[:n_mask]))
     params = gen.normal(0.0, 0.5, cfg.param_count)
     batch = prepare_batch(cfg, samples)
     loss_a, grad_a = batch_loss_and_grad(params, cfg, batch)
@@ -187,10 +205,10 @@ def test_stats_path_matches_dense_path(n, n_vis, n_mask, patch_dim, embed_dim, s
     assert np.abs(grad_a - grad_b).max() <= 1e-12 * np.abs(grad_b).max()
     # The loss is the mean squared error of the single-sample forward pass.
     sq_errs = []
-    for grid, part in samples:
-        pred = forward(params, cfg, grid.patches[list(part.visible)] / 255.0,
-                       part.visible, part.masked)
-        sq_errs.append(np.mean((pred - grid.patches[list(part.masked)] / 255.0) ** 2))
+    for patches, masked in samples:
+        pred = forward(params, cfg, patches[~masked] / 255.0,
+                       np.flatnonzero(~masked), np.flatnonzero(masked))
+        sq_errs.append(np.mean((pred - patches[masked] / 255.0) ** 2))
     assert loss_a == pytest.approx(np.mean(sq_errs), rel=1e-12)
 
 
@@ -218,7 +236,7 @@ def test_patch_major_step_matches_sample_major_oracle(n, n_vis, n_mask, patch_di
     for _ in range(n):
         order = gen.permutation(cfg.num_patches)
         patches = gen.uniform(0.0, 255.0, (cfg.num_patches, patch_dim))
-        samples.append(explicit_sample(cfg, patches, order[:n_mask], order[n_mask:]))
+        samples.append(explicit_sample(cfg, patches, order[:n_mask]))
     params = gen.normal(0.0, 0.5, cfg.param_count)
     batch = prepare_batch(cfg, samples)
     loss_a, grad_a = batch_loss_and_grad(params, cfg, batch)
@@ -229,15 +247,13 @@ def test_patch_major_step_matches_sample_major_oracle(n, n_vis, n_mask, patch_di
 
 def test_prepared_rows_are_views_of_patch_major_arrays():
     cfg = small_cfg()
-    samples = [random_sample(cfg, Rng(i), 2, 2) for i in range(3)]
+    samples = [random_sample(cfg, Rng(i)) for i in range(3)]
     batch = stack_batches([prepare_batch(cfg, samples[:2]), prepare_batch(cfg, samples[2:])])
     for rows in (batch.visible, batch.q_visible):
         assert rows.transpose(1, 0, 2).flags.c_contiguous
-    for i, (grid, part) in enumerate(samples):
-        np.testing.assert_array_equal(batch.visible[i],
-                                      grid.patches[list(part.visible)] / 255.0)
-        np.testing.assert_array_equal(
-            batch.q_visible[i], positional_embeddings(4, 3)[list(part.visible)])
+    for i, (patches, masked) in enumerate(samples):
+        np.testing.assert_array_equal(batch.visible[i], patches[~masked] / 255.0)
+        np.testing.assert_array_equal(batch.q_visible[i], positional_embeddings(4, 3)[~masked])
 
 
 # Client sizes of the BLAS thread sweep: every size up to 160, and sizes
@@ -318,7 +334,7 @@ def test_perfect_reconstruction_loss_zero():
     _, _, _, b_d = unpack_params(params, cfg)
     b_d[:] = 0.5
     patches = np.full((4, 4), 0.5 * 255.0)
-    sample = explicit_sample(cfg, patches, masked=(2, 3), visible=(0, 1))
+    sample = explicit_sample(cfg, patches, masked=(2, 3))
     loss, grad = loss_and_grad(params, cfg, sample)
     assert loss == pytest.approx(0.0, abs=1e-15)
     np.testing.assert_allclose(grad, 0.0, atol=1e-15)
@@ -368,7 +384,7 @@ def test_encode_features_matches_manual():
     cfg = ModelConfig(patch_dim=4, embed_dim=3, num_patches=4, seed=2)
     params = init_params(cfg)
     imgs = np.random.default_rng(1).uniform(0.0, 255.0, (2, 4, 4))
-    patches = np.stack([patchify(img, 2, 2).patches for img in imgs])
+    patches = np.stack([patchify(img, 2, 2) for img in imgs])
     feats = encode_features(params, cfg, patches)
     assert feats.shape == (2, 3)
     w_e, b_e, _, _ = unpack_params(params, cfg)
@@ -384,7 +400,7 @@ def test_encode_features_deterministic():
     cfg = ModelConfig(patch_dim=16, embed_dim=8, num_patches=16, seed=0)
     params = init_params(cfg)
     img = np.random.default_rng(2).uniform(0.0, 255.0, (16, 16))
-    patches = patchify(img, 4, 4).patches[None]
+    patches = patchify(img, 4, 4)[None]
     np.testing.assert_array_equal(
         encode_features(params, cfg, patches),
         encode_features(params, cfg, patches),

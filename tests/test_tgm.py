@@ -10,7 +10,6 @@ from fedmim.corrupt import CorruptionConfig
 from fedmim.errors import InvalidRatio
 from fedmim.rng import Rng
 from fedmim.tgm import (
-    MaskPartition,
     apply_uim,
     mask_count,
     patch_scores,
@@ -74,23 +73,22 @@ def sort_oracle(scores, mask_ratio):
 )
 @settings(max_examples=200)
 def test_select_mask_matches_sort_oracle(scores, ratio):
-    part = select_mask(scores, ratio)
+    mask = select_mask(scores, ratio)
     masked, visible = sort_oracle(scores, ratio)
-    assert part.masked == masked
-    assert part.visible == visible
-    assert sorted(part.masked + part.visible) == list(range(scores.size))
+    assert mask.dtype == np.bool_ and mask.shape == scores.shape
+    assert tuple(np.flatnonzero(mask)) == masked
+    assert tuple(np.flatnonzero(~mask)) == visible
 
 
 def test_select_mask_tie_breaks_low_index():
-    part = select_mask(np.array([1.0, 1.0, 1.0, 1.0]), 0.5)
-    assert part.masked == (0, 1)
+    mask = select_mask(np.array([1.0, 1.0, 1.0, 1.0]), 0.5)
+    assert mask.tolist() == [True, True, False, False]
 
 
 def test_select_mask_count_matches_round_half_up():
     for n in (4, 7, 64, 100):
         scores = np.arange(float(n))
-        part = select_mask(scores, 0.75)
-        assert len(part.masked) == round_half_up(0.75 * n)
+        assert select_mask(scores, 0.75).sum() == round_half_up(0.75 * n)
 
 
 def test_mask_count():
@@ -108,33 +106,28 @@ def test_select_mask_rejects_bad_ratio():
             select_mask(np.arange(4.0), ratio)
 
 
-def test_partition_rejects_overlap():
-    with pytest.raises(ValueError):
-        MaskPartition((0, 1), (1, 2))
-
-
 def test_textured_patch_is_masked():
     # All texture concentrated in patch 2 of a 2x2 patch grid: with no
     # corruption its score is strictly maximal, so it must be masked.
     img = np.zeros((8, 8))
     img[4:8, 0:4] = np.arange(16.0).reshape(4, 4) * 16.0
-    grid, part = apply_uim(img, CorruptionConfig(p=0.0), 4, 4, 0.5, Rng(0))
-    assert 2 in part.masked
+    _, masked = apply_uim(img, CorruptionConfig(p=0.0), 4, 4, 0.5, Rng(0))
+    assert masked[2]
 
 
 def test_apply_uim_deterministic():
     rng_img = np.random.default_rng(5)
     img = rng_img.uniform(0.0, 255.0, (16, 16))
     cfg = CorruptionConfig(p=0.7)
-    g1, p1 = apply_uim(img, cfg, 4, 4, 0.75, Rng(11))
-    g2, p2 = apply_uim(img, cfg, 4, 4, 0.75, Rng(11))
-    np.testing.assert_array_equal(g1.patches, g2.patches)
-    assert p1 == p2
+    p1, m1 = apply_uim(img, cfg, 4, 4, 0.75, Rng(11))
+    p2, m2 = apply_uim(img, cfg, 4, 4, 0.75, Rng(11))
+    np.testing.assert_array_equal(p1, p2)
+    np.testing.assert_array_equal(m1, m2)
 
 
 def test_apply_uim_partition_covers_grid():
     img = np.random.default_rng(6).uniform(0.0, 255.0, (16, 16))
-    grid, part = apply_uim(img, CorruptionConfig(), 4, 4, 0.75, Rng(0))
-    assert grid.num_patches == 16
-    assert len(part.masked) == 12
-    assert sorted(part.masked + part.visible) == list(range(16))
+    patches, masked = apply_uim(img, CorruptionConfig(), 4, 4, 0.75, Rng(0))
+    assert patches.shape == (16, 16)
+    assert masked.shape == (16,) and masked.dtype == np.bool_
+    assert masked.sum() == 12
