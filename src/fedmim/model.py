@@ -133,8 +133,9 @@ def prepare_batch(
     cfg: ModelConfig, samples: list[tuple[np.ndarray, np.ndarray]]
 ) -> PreparedBatch:
     """Stack (patches, masked) samples, each (L, N) patch rows and an (L,)
-    bool mask; all must mask the same number of patches. A sample's visible
-    rows, and its masked rows, are kept in ascending patch order."""
+    bool mask; all must mask the same number M of patches, 0 < M < L. A
+    sample's visible rows, and its masked rows, are kept in ascending patch
+    order."""
     try:
         x = np.stack([patches for patches, _ in samples], dtype=np.float64)
         masked = np.stack([mask for _, mask in samples])
@@ -149,6 +150,10 @@ def prepare_batch(
     n_mask = int(masked[0].sum())
     if np.any(masked.sum(axis=1) != n_mask):
         raise ShapeMismatch("samples mask different numbers of patches")
+    if n_mask == 0:
+        raise ShapeMismatch("samples mask no patch")
+    if n_mask == num_patches:
+        raise EmptyVisibleSet("need at least one visible patch")
     x /= PIXEL_SCALE
     q = positional_embeddings(num_patches, cfg.embed_dim)
     # Stable, so each row lists its visible indices, then its masked ones.
@@ -218,8 +223,6 @@ def batch_loss_and_grad(
     n, n_vis, _ = batch.visible.shape
     n_mask = batch.n_mask
     patch_px, e = cfg.patch_dim, cfg.embed_dim
-    if n_vis == 0:
-        raise EmptyVisibleSet("need at least one visible patch")
 
     w_d_ctx, w_d_pos = w_d[:, :e], w_d[:, e:]
 

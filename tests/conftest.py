@@ -1,6 +1,10 @@
 """Shared fixtures and helpers for the test suite."""
 
 import numpy as np
+import pytest
+
+pytest.register_assert_rewrite("invariance")
+from invariance import invariance  # noqa: E402,F401  (the fixture)
 
 # Acceptance-criterion results, printed in the terminal summary so each
 # criterion gets one visible pass/fail line even when capture is on.

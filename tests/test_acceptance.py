@@ -5,7 +5,6 @@ The slow criteria (4, 5) run scaled-down but real federated pre-training
 on the synthetic phantom corpus; expect a few minutes total.
 """
 
-import json
 import math
 import time
 from pathlib import Path
@@ -34,6 +33,7 @@ from fedmim.rng import Rng
 from fedmim.tgm import apply_uim, round_half_up, select_mask
 
 from conftest import record_criterion, random_sample
+from invariance import Case
 from oracles import finite_diff_grad, points_mask
 
 REPO = Path(__file__).resolve().parents[1]
@@ -333,7 +333,7 @@ def test_criterion_9_metrics_oracles():
     )
 
 
-def test_criterion_10_cli_determinism(tmp_path):
+def test_criterion_10_cli_determinism(invariance):
     cfg = {
         "version": 1,
         "synth": {"n": 48, "width": 32, "height": 32},
@@ -341,23 +341,18 @@ def test_criterion_10_cli_determinism(tmp_path):
         "federation": {"num_clients": 4, "total_rounds": 6, "local_steps": 2},
         "optimizer": {"warmup_rounds": 2},
     }
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    outs = []
-    for threads in ("1", "8"):
-        out = tmp_path / f"run{threads}"
-        code = cli_main(
-            ["--config", str(cfg_path), "--seed", "21", "--threads", threads,
-             "--out", str(out), "pretrain"]
-        )
-        assert code == EXIT_OK
-        outs.append(out)
+    outs = [
+        invariance.run(Case((("--config", "cfg.json", "--seed", "21", "--threads", threads,
+                              "--out", "run", "pretrain"),), {"cfg.json": cfg}),
+                       perturbation) / "run"
+        for threads, perturbation in (("1", "baseline"), ("8", "blas2"))
+    ]
     identical = all(
         (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
         for name in ("loss_trace.csv", "checkpoint.params", "checkpoint.json")
     )
     record_criterion(
         10, identical,
-        f"cmd_pretrain --threads 1 vs --threads 8: byte-identical trace and "
-        f"checkpoint: {identical}",
+        f"cmd_pretrain --threads 1 at 1 OpenBLAS thread vs --threads 8 at 2, "
+        f"fresh processes: byte-identical trace and checkpoint: {identical}",
     )

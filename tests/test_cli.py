@@ -1,22 +1,18 @@
 """Command-line interface: subcommands, config handling, exit codes."""
 
-import hashlib
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import fedmim
 from fedmim import cli, fed, model, synth
 from fedmim.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, _NULLABLE,
                         load_config, main)
 from fedmim.image import read_pgm, write_pgm
 from fedmim.metrics import auroc
+from invariance import Case
 
 # sha256 of checkpoint.params from `fedmim --seed 7 pretrain` with the
 # default config. A change here means every default run's model changed.
@@ -39,30 +35,52 @@ TWO_STEP_TRACE_SHA256 = (
     "df6ac13accf7b55fc21873cbece945a3cbdfcd5df2637b9679550924db171f31"
 )
 
-# sha256 of the files `fedmim --seed 7 generate` writes with the default
-# config (see test_default_generate_golden_hash).
+# digest (see tests/invariance.py) of every file `fedmim --seed 7
+# generate` writes with the default config, in name order.
 DEFAULT_GENERATE_SHA256 = (
     "58c254bf6d1ce3102dac0f3288c54756764d997ec6de99159117f229383d5dc3"
 )
 
-# sha256 of `fedmim transform` in both directions on the first image and
-# mask of `fedmim --seed 7 generate` (see test_transform_golden_hash).
+# digest of `fedmim transform` in both directions on the first image and
+# mask of `fedmim --seed 7 generate`.
 DEFAULT_TRANSFORM_SHA256 = (
     "1a4c90552df816092759e2464975588aacd837679db0e8060f0356c7384d940b"
 )
 
-# sha256 of `fedmim --seed 7 mask-preview` on the first two images of
-# `fedmim --seed 7 generate` (see test_mask_preview_golden_hash).
+# digest of the previews and sidecars of `fedmim --seed 7 mask-preview` on
+# the first two images of `fedmim --seed 7 generate`.
 DEFAULT_MASK_PREVIEW_SHA256 = (
     "b92e8386a2521e7f8bd5c406b89b9d947a1cf95a3a05be3487d8f582569c526c"
 )
 
-# sha256 of the files `fedmim --seed 7 finetune` writes from the default
-# pretrain checkpoint and generate directory (see
-# test_default_finetune_golden_hash).
+# digest of every file `fedmim --seed 7 finetune` writes from the default
+# pretrain checkpoint and generate directory, in name order.
 DEFAULT_FINETUNE_SHA256 = (
     "7c2e00d6aa3be484e1d98af7e9834dab02c4c2f6535f215d63d6f8d852341427"
 )
+
+# The commands behind the golden hashes, each case run in a fresh process.
+GENERATE = ("--seed", "7", "--out", "data", "generate")
+PRETRAIN = ("--seed", "7", "--out", "run", "pretrain")
+WARPS = [(direction, f"data/{stem}.pgm", f"{stem}.{direction}.pgm")
+         for stem in ("img_0000", "mask_0000")
+         for direction in ("linear-to-convex", "convex-to-linear")]
+PREVIEWED = ("img_0000", "img_0001")
+DEFAULT_IMAGES = Case((GENERATE, *(("transform", *warp) for warp in WARPS), *(
+    ("--seed", "7", "mask-preview", f"data/{stem}.pgm", f"{stem}.preview.pgm")
+    for stem in PREVIEWED)))
+DEFAULT_CHAIN = Case((GENERATE, PRETRAIN,
+                      ("--seed", "7", "--out", "ft", "finetune", "run/checkpoint", "data")))
+TWO_STEP_PRETRAIN = Case((("--config", "c.json", *PRETRAIN),), {"c.json": TWO_STEP_CONFIG})
+
+# Every golden case is checked at each perturbation. The pretrain and
+# finetune bytes still move with numpy's SIMD dispatch.
+PERTURBATIONS = [pytest.param("baseline", id=pytest.HIDDEN_PARAM), "blas2",
+                 "no_x86_v4", "no_x86_v3"]
+DISPATCH_BOUND = [*PERTURBATIONS[:2], *(
+    pytest.param(p, marks=pytest.mark.xfail(strict=True,
+                                            reason="ROADMAP item 3: numpy SIMD dispatch"))
+    for p in PERTURBATIONS[2:])]
 
 
 SMOKE = {
@@ -401,14 +419,9 @@ def _pretrain_head(tmp_path) -> tuple[Path, list[str]]:
     return out, ["--config", str(tail_path), "--seed", "5", "--out", str(out), "pretrain"]
 
 
-def test_pretrain_resume_matches_full_run(workspace, tmp_path):
-    root, _ = workspace
-    out, tail = _pretrain_head(tmp_path)
-    assert main(tail) == EXIT_OK
-    assert (out / "loss_trace.csv").read_bytes() == \
-        (root / "run" / "loss_trace.csv").read_bytes()
-    assert (out / "checkpoint.params").read_bytes() == \
-        (root / "run" / "checkpoint.params").read_bytes()
+def test_pretrain_resume_matches_full_run(invariance):
+    invariance.check(Case((("--config", "cfg.json", "--seed", "5", "--out", "run", "pretrain"),),
+                          {"cfg.json": SMOKE}), "resume1")
 
 
 def test_pretrain_resume_failed_save_keeps_head(workspace, tmp_path, monkeypatch):
@@ -737,18 +750,10 @@ def test_transform_round_trip_matches_library(workspace, tmp_path):
     assert back.read_bytes() == expect_back.read_bytes()
 
 
-def test_transform_golden_hash(default_data, tmp_path):
-    # sha256 over the name and bytes of both warps of the first image and
-    # mask that `fedmim --seed 7 generate` writes with the default config.
-    data = default_data
-    digest = hashlib.sha256()
-    for stem in ("img_0000", "mask_0000"):
-        for direction in ("linear-to-convex", "convex-to-linear"):
-            out = tmp_path / f"{stem}.{direction}.pgm"
-            assert main(["transform", direction, str(data / f"{stem}.pgm"),
-                         str(out)]) == EXIT_OK
-            digest.update(out.name.encode() + b"\0" + out.read_bytes())
-    assert digest.hexdigest() == DEFAULT_TRANSFORM_SHA256
+@pytest.mark.parametrize("perturbation", PERTURBATIONS)
+def test_transform_golden_hash(invariance, perturbation):
+    invariance.check(DEFAULT_IMAGES, perturbation,
+                     {tuple(out for *_, out in WARPS): DEFAULT_TRANSFORM_SHA256})
 
 
 def test_corrupt_p_zero_is_identity(workspace, tmp_path):
@@ -842,122 +847,56 @@ def test_threads_must_be_positive(workspace, tmp_path):
                  "--out", str(tmp_path / "o"), "pretrain"]) == EXIT_CONFIG
 
 
-def _pretrain_at_blas_threads(root: Path, config: tuple[str, ...] = ()) -> dict[int, Path]:
-    """`fedmim <config> --seed 7 pretrain` in fresh processes with OpenBLAS
-    pinned to 1 and to 2 threads; maps thread count to the output directory."""
-    src = str(Path(fedmim.__file__).resolve().parents[1])
-    runs = {}
-    for blas in (1, 2):
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas), PYTHONPATH=pythonpath)
-        out = root / f"blas{blas}"
-        subprocess.run(
-            [sys.executable, "-m", "fedmim.cli", *config, "--seed", "7", "--out", str(out),
-             "pretrain"],
-            env=env, check=True, capture_output=True,
-        )
-        runs[blas] = out
-    return runs
+@pytest.mark.parametrize("perturbation", PERTURBATIONS)
+def test_default_generate_golden_hash(invariance, perturbation):
+    invariance.check(DEFAULT_IMAGES, perturbation, {("data",): DEFAULT_GENERATE_SHA256})
 
 
-@pytest.fixture(scope="module")
-def default_runs(tmp_path_factory):
-    """The default `fedmim --seed 7 pretrain` at 1 and 2 BLAS threads."""
-    return _pretrain_at_blas_threads(tmp_path_factory.mktemp("default"))
+@pytest.mark.parametrize("perturbation", DISPATCH_BOUND)
+def test_default_pretrain_golden_hash(invariance, perturbation):
+    invariance.check(DEFAULT_CHAIN, perturbation,
+                     {"run/checkpoint.params": DEFAULT_PRETRAIN_PARAMS_SHA256,
+                      "run/loss_trace.csv": DEFAULT_PRETRAIN_TRACE_SHA256})
 
 
-@pytest.fixture(scope="module")
-def default_data(tmp_path_factory):
-    """The directory `fedmim --seed 7 generate` writes with the default
-    config. Tests must not modify it."""
-    out = tmp_path_factory.mktemp("default_data") / "data"
-    assert main(["--seed", "7", "--out", str(out), "generate"]) == EXIT_OK
-    return out
+@pytest.mark.parametrize("perturbation", PERTURBATIONS)
+def test_mask_preview_golden_hash(invariance, perturbation):
+    invariance.check(DEFAULT_IMAGES, perturbation,
+                     {tuple(f"{stem}.preview.pgm{ext}" for stem in PREVIEWED
+                            for ext in ("", ".json")):
+                      DEFAULT_MASK_PREVIEW_SHA256})
 
 
-def test_default_generate_golden_hash(default_data):
-    # sha256 over the name and bytes of every file `fedmim --seed 7
-    # generate` writes with the default config, in name order.
-    out = default_data
-    digest = hashlib.sha256()
-    names = sorted(p.name for p in out.iterdir())
-    assert len(names) == 2 * 64 + 1
-    for name in names:
-        digest.update(name.encode() + b"\0" + (out / name).read_bytes())
-    assert digest.hexdigest() == DEFAULT_GENERATE_SHA256
+@pytest.mark.parametrize("perturbation", DISPATCH_BOUND)
+def test_default_finetune_golden_hash(invariance, perturbation):
+    invariance.check(DEFAULT_CHAIN, perturbation, {("ft",): DEFAULT_FINETUNE_SHA256})
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+@pytest.mark.parametrize("perturbation", DISPATCH_BOUND)
+def test_two_step_pretrain_golden_hash(invariance, perturbation):
+    invariance.check(TWO_STEP_PRETRAIN, perturbation,
+                     {"run/checkpoint.params": TWO_STEP_PARAMS_SHA256,
+                      "run/loss_trace.csv": TWO_STEP_TRACE_SHA256})
 
 
-def test_default_pretrain_golden_hash(default_runs):
-    assert _sha256(default_runs[1] / "checkpoint.params") == DEFAULT_PRETRAIN_PARAMS_SHA256
-    assert _sha256(default_runs[1] / "loss_trace.csv") == DEFAULT_PRETRAIN_TRACE_SHA256
+def test_pretrain_outputs_independent_of_blas_threads(invariance):
+    invariance.check(DEFAULT_CHAIN, "blas2")
 
 
-def test_mask_preview_golden_hash(default_data, tmp_path):
-    # sha256 over the name and bytes of the preview and its sidecar, for
-    # the first two images of the default generate.
-    digest = hashlib.sha256()
-    for stem in ("img_0000", "img_0001"):
-        out = tmp_path / f"{stem}.preview.pgm"
-        assert main(["--seed", "7", "mask-preview", str(default_data / f"{stem}.pgm"),
-                     str(out)]) == EXIT_OK
-        for path in (out, Path(f"{out}.json")):
-            digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    assert digest.hexdigest() == DEFAULT_MASK_PREVIEW_SHA256
-
-
-def test_default_finetune_golden_hash(default_runs, default_data, tmp_path):
-    # sha256 over the name and bytes of every file the default finetune
-    # writes, in name order.
-    out = tmp_path / "ft"
-    assert main(["--seed", "7", "--out", str(out), "finetune",
-                 str(default_runs[1] / "checkpoint"), str(default_data)]) == EXIT_OK
-    names = sorted(p.name for p in out.iterdir())
-    assert len(names) == 3
-    digest = hashlib.sha256()
-    for name in names:
-        digest.update(name.encode() + b"\0" + (out / name).read_bytes())
-    assert digest.hexdigest() == DEFAULT_FINETUNE_SHA256
-
-
-def test_two_step_pretrain_golden_hash(tmp_path):
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(TWO_STEP_CONFIG))
-    out = tmp_path / "run"
-    assert main(["--config", str(path), "--seed", "7", "--out", str(out),
-                 "pretrain"]) == EXIT_OK
-    assert _sha256(out / "checkpoint.params") == TWO_STEP_PARAMS_SHA256
-    assert _sha256(out / "loss_trace.csv") == TWO_STEP_TRACE_SHA256
-
-
-def test_pretrain_outputs_independent_of_blas_threads(default_runs):
-    for name in ("loss_trace.csv", "checkpoint.params", "checkpoint.json"):
-        assert (default_runs[1] / name).read_bytes() == \
-            (default_runs[2] / name).read_bytes(), name
-
-
-def test_pretrain_of_41_phantoms_independent_of_blas_threads(tmp_path):
+def test_pretrain_of_41_phantoms_independent_of_blas_threads(invariance):
     # The default run stacks 64 samples, a size whose sums split the same
     # way at any thread count; 41 once did not.
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps({"version": 1, "synth": {"n": 41}}))
-    runs = _pretrain_at_blas_threads(tmp_path, ("--config", str(path)))
-    for name in ("loss_trace.csv", "checkpoint.params", "checkpoint.json"):
-        assert (runs[1] / name).read_bytes() == (runs[2] / name).read_bytes(), name
+    invariance.check(Case((("--config", "c.json", *PRETRAIN),),
+                          {"c.json": {"version": 1, "synth": {"n": 41}}}), "blas2")
 
 
-def test_default_chain_leaves_out_no_lesion_samples(default_runs, default_data, tmp_path):
+def test_default_chain_leaves_out_no_lesion_samples(invariance):
     # The default class mix emits label 2 (no lesion); a 2-class probe
     # leaves those samples out and keeps each row's labels.json index.
-    data = default_data
-    out = tmp_path / "ft"
-    assert main(["--seed", "7", "--out", str(out), "finetune",
-                 str(default_runs[1] / "checkpoint"), str(data)]) == EXIT_OK
+    chain = invariance.run(DEFAULT_CHAIN, "baseline")
+    out = chain / "ft"
     report = json.loads((out / "finetune_report.json").read_text())
-    samples = json.loads((data / "labels.json").read_text())["samples"]
+    samples = json.loads((chain / "data" / "labels.json").read_text())["samples"]
     no_lesion = [rec["index"] for rec in samples if rec["label"] == synth.NONE]
     assert report["no_lesion_left_out"] == len(no_lesion) == 22
     rows = [row.split(",") for row in
@@ -968,7 +907,7 @@ def test_default_chain_leaves_out_no_lesion_samples(default_runs, default_data, 
     assert {r[1] for r in rows if r[2] == "val"} == {"0", "1"}
 
 
-def test_default_chain_bad_label_is_exit_2(default_runs, tmp_path, capsys):
+def test_default_chain_bad_label_is_exit_2(invariance, tmp_path, capsys):
     # Only label 2 is left out; any other label outside [0, 2) is
     # rejected, even when no training epoch runs.
     data = tmp_path / "data"
@@ -978,11 +917,12 @@ def test_default_chain_bad_label_is_exit_2(default_runs, tmp_path, capsys):
     (data / "labels.json").write_text(json.dumps(manifest))
     zero_epochs = tmp_path / "zero_epochs.json"
     zero_epochs.write_text(json.dumps({"version": 1, "probe": {"epochs": 0}}))
+    checkpoint = invariance.run(DEFAULT_CHAIN, "baseline") / "run" / "checkpoint"
     for name, config in (("default", []), ("zero_epochs", ["--config", str(zero_epochs)])):
         capsys.readouterr()
         out = tmp_path / name
         code = main(config + ["--seed", "7", "--out", str(out), "finetune",
-                              str(default_runs[1] / "checkpoint"), str(data)])
+                              str(checkpoint), str(data)])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG, name
         assert err == "error: label 3 outside [0, 2)\n"

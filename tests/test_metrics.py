@@ -1,18 +1,13 @@
 """Metrics: AUROC, Dice/Hausdorff/MAE, AoP, CI, t-test."""
 
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fedmim
 from fedmim.errors import (
     BadLabel,
     DegenerateMask,
@@ -34,6 +29,7 @@ from fedmim.metrics import (
     t_test,
 )
 
+from invariance import snippet
 from oracles import dsc_sets, hausdorff_brute, points_mask, rank_auroc
 
 
@@ -172,15 +168,10 @@ def test_hausdorff_memory_does_not_grow_with_pair_count():
 def test_cli_import_leaves_scipy_submodules_unloaded():
     # Every command pays for what `import fedmim.cli` loads; hausdorff and
     # t_test import their scipy parts when first called.
-    src = str(Path(fedmim.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = ("import sys, fedmim.cli; "
              "print(sorted(m for m in ('scipy.special', 'scipy.spatial', "
              "'scipy.ndimage') if m in sys.modules))")
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                            text=True, check=True,
-                            env=dict(os.environ, PYTHONPATH=pythonpath))
-    assert result.stdout == "[]\n"
+    assert snippet(probe) == {"baseline": "[]\n"}
 
 
 def test_mae_cases():

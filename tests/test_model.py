@@ -2,10 +2,6 @@
 
 import hashlib
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +32,7 @@ from fedmim.rng import Rng
 from fedmim.tgm import partition_image
 
 from conftest import explicit_sample, random_sample
+from invariance import snippet
 from oracles import (dense_loss_and_grad, finite_diff_grad, forward, loss_and_grad,
                      sample_major_loss_and_grad)
 from oracles import init_params as scalar_init_params
@@ -135,6 +132,15 @@ def test_prepare_batch_rejects_bad_samples(case):
     patches, mask = random_sample(cfg, Rng(0))
     with pytest.raises(ShapeMismatch):
         prepare_batch(cfg, BAD_SAMPLES[case](patches, mask))
+
+
+def test_build_clients_rejects_a_mask_of_no_patch():
+    # 0.005 of 64 patches rounds to no masked patch; the loss divides by
+    # the masked count.
+    cfg = ModelConfig(patch_dim=64, embed_dim=8, num_patches=64, seed=7)
+    dataset = synth.generate_dataset(8, (0.5, 0.5, 0.0), Rng(3), synth.PhantomSpec())
+    with pytest.raises(ShapeMismatch, match="samples mask no patch"):
+        build_clients(dataset, 2, 0.5, cfg, CorruptionConfig(), PatchSpec(8, 8, 0.005), 7)
 
 
 def test_analytic_gradient_matches_finite_differences():
@@ -282,25 +288,11 @@ def gradient_digests(sizes) -> list[str]:
 
 
 def test_gradient_bytes_independent_of_blas_threads():
-    # One fresh process per OpenBLAS thread count: the thread pool's size is
-    # fixed when numpy loads.
-    here = Path(__file__).resolve().parent
-    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
-                                         os.environ.get("PYTHONPATH")]))
-    code = ("from test_model import BLAS_SWEEP_SIZES, gradient_digests; "
-            "print(*gradient_digests(BLAS_SWEEP_SIZES))")
-    procs = {
-        blas: subprocess.Popen(
-            [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
-            env=dict(os.environ, OPENBLAS_NUM_THREADS=str(blas), PYTHONPATH=path))
-        for blas in (1, 2)
-    }
-    digests = {blas: proc.communicate(timeout=300)[0].split()
-               for blas, proc in procs.items()}
-    assert all(proc.returncode == 0 for proc in procs.values())
-    assert len(digests[1]) == len(BLAS_SWEEP_SIZES)
-    differ = [n for n, a, b in zip(BLAS_SWEEP_SIZES, digests[1], digests[2]) if a != b]
-    assert differ == []
+    digests = snippet("from test_model import BLAS_SWEEP_SIZES, gradient_digests; "
+                      "print(*gradient_digests(BLAS_SWEEP_SIZES))", ("baseline", "blas2"))
+    one, two = digests["baseline"].split(), digests["blas2"].split()
+    assert len(one) == len(BLAS_SWEEP_SIZES)
+    assert [n for n, a, b in zip(BLAS_SWEEP_SIZES, one, two) if a != b] == []
 
 
 @pytest.mark.parametrize("args", [(0, 8, 0.75), (8, -1, 0.75)])

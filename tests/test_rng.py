@@ -1,20 +1,16 @@
 """Deterministic PRNG: stream stability, derived streams, distributions."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import fedmim
 from fedmim import rng as rng_module
 from fedmim.rng import (_CHARPOLY, Rng, _cut, _jump, _poly_masks, _x_pow,
                         lockstep_random, lockstep_rayleigh, mix_key)
+from invariance import snippet
 from oracles import speckle_envelope, xoshiro_charpoly
 
 _MASK = (1 << 64) - 1
@@ -338,11 +334,6 @@ def test_one_lane_long_draw_takes_few_steps(monkeypatch):
 
 def test_cli_import_computes_no_jump_polynomial():
     # A fresh process pays for jump tables only when it draws.
-    src = str(Path(fedmim.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = ("import fedmim.cli; from fedmim import rng; "
              "print(rng._jump_masks.cache_info().currsize)")
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                            text=True, check=True,
-                            env=dict(os.environ, PYTHONPATH=pythonpath))
-    assert result.stdout == "0\n"
+    assert snippet(probe) == {"baseline": "0\n"}
