@@ -246,13 +246,8 @@ def cmd_pretrain(cfg: dict, out_dir: Path) -> int:
         dataset, fed_cfg.num_clients, cfg["federation"]["alpha"],
         model_cfg, _corruption(cfg), _patch_spec(cfg), cfg["seed"],
     )
-    try:
-        final, trace = fed.run_pretraining(
-            fed_cfg, model_cfg, clients, params, start_round=start_round
-        )
-    except NonFiniteLoss as exc:  # nothing is written: a resumed run keeps its head
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    final, trace = fed.run_pretraining(fed_cfg, model_cfg, clients, params,
+                                       start_round=start_round)
     # The checkpoint goes first: a save that fails leaves the checkpoint
     # and trace this run resumed from as they were, ready for a retry.
     out_dir.mkdir(exist_ok=True)
@@ -456,6 +451,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except NonFiniteLoss as exc:  # nothing is written: a resumed run keeps its head
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except FedmimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

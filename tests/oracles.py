@@ -8,6 +8,7 @@ production path calls them.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import rankdata
@@ -22,7 +23,7 @@ from fedmim.corrupt import (
     gaussian_kernel,
     motion_blur_kernel,
 )
-from fedmim.errors import BadLabel, EmptyVisibleSet, InvalidGeometry
+from fedmim.errors import BadLabel, InvalidGeometry
 from fedmim.image import as_image, convolve2d
 from fedmim.model import (
     ModelConfig,
@@ -50,74 +51,79 @@ def init_params(cfg: ModelConfig) -> np.ndarray:
     return params
 
 
-def forward(
-    params: np.ndarray,
-    cfg: ModelConfig,
-    visible_patches: np.ndarray,
-    visible_idx,
-    masked_idx,
-) -> np.ndarray:
-    """Predict the masked patches; returns shape (len(masked_idx), N).
+def activation(z: np.ndarray) -> np.ndarray:
+    """The encoder's activation, elementwise."""
+    return np.tanh(z)
 
-    visible_patches holds one row per entry of visible_idx. The result is
-    keyed by masked index, so enumeration order of either set is
-    irrelevant.
-    """
-    visible_idx = np.asarray(visible_idx, dtype=np.int64)
-    masked_idx = np.asarray(masked_idx, dtype=np.int64)
-    if visible_idx.size == 0:
-        raise EmptyVisibleSet("need at least one visible patch")
-    w_e, b_e, w_d, b_d = unpack_params(params, cfg)
+
+def activation_slope(h: np.ndarray) -> np.ndarray:
+    """The activation's derivative, as a function of its output h."""
+    return 1.0 - h * h
+
+
+class DenseRows(NamedTuple):
+    """The visible (n, V, .) and masked (n, M, .) rows of n samples, pixels
+    scaled to [0, 1], in ascending patch order, each with its row of the
+    positional embedding table."""
+
+    visible: np.ndarray
+    q_visible: np.ndarray
+    targets: np.ndarray
+    q_masked: np.ndarray
+
+
+def dense_rows(cfg: ModelConfig, samples) -> DenseRows:
+    """The rows of (patches, masked) samples that each mask M patches."""
     q = positional_embeddings(cfg.num_patches, cfg.embed_dim)
-    z = visible_patches @ w_e.T + b_e + q[visible_idx]
-    h = np.tanh(z)
-    context = h.mean(axis=0)
-    phi = np.concatenate(
-        [np.broadcast_to(context, (masked_idx.size, cfg.embed_dim)), q[masked_idx]],
-        axis=1,
-    )
-    return phi @ w_d.T + b_d
+    parts = [(patches[~masked] / 255.0, q[~masked], patches[masked] / 255.0, q[masked])
+             for patches, masked in samples]
+    return DenseRows(*(np.stack(rows) for rows in zip(*parts)))
+
+
+def _dense_forward(params: np.ndarray, cfg: ModelConfig, rows: DenseRows):
+    """The encoder outputs h (n, V, E) and the masked-row residuals
+    (n, M, N) of the prediction [context ; q] W_d^T + b_d."""
+    w_e, b_e, w_d, b_d = unpack_params(params, cfg)
+    e = cfg.embed_dim
+    h = activation(rows.visible @ w_e.T + b_e + rows.q_visible)
+    resid = rows.q_masked @ w_d[:, e:].T + (h.mean(axis=1) @ w_d[:, :e].T + b_d)[:, None, :]
+    resid -= rows.targets
+    return h, resid
+
+
+def dense_loss(params: np.ndarray, cfg: ModelConfig, rows: DenseRows) -> float:
+    """batch_loss_and_grad's loss as the mean squared residual over every
+    masked pixel of rows."""
+    flat_r = _dense_forward(params, cfg, rows)[1].ravel()
+    return float(flat_r @ flat_r / flat_r.size)
 
 
 def dense_loss_and_grad(
-    params: np.ndarray, cfg: ModelConfig, batch: PreparedBatch
+    params: np.ndarray, cfg: ModelConfig, rows: DenseRows
 ) -> tuple[float, np.ndarray]:
-    """batch_loss_and_grad computed from the dense per-masked-row fields
-    (targets, q_masked) only, as a direct sum of squared residuals rather
-    than from the batch's masked-row sums."""
-    w_e, b_e, w_d, b_d = unpack_params(params, cfg)
-    n, n_vis, _ = batch.visible.shape
-    n_mask = batch.targets.shape[1]
-    patch_px = cfg.patch_dim
-    e = cfg.embed_dim
-    w_d_ctx = w_d[:, :e]
-    w_d_pos = w_d[:, e:]
-
-    flat_x = batch.visible.reshape(n * n_vis, patch_px)
-    z = (flat_x @ w_e.T).reshape(n, n_vis, e) + b_e + batch.q_visible
-    h = np.tanh(z)
-    context = h.mean(axis=1)
-    flat_qm = batch.q_masked.reshape(n * n_mask, e)
-    resid = (flat_qm @ w_d_pos.T).reshape(n, n_mask, patch_px)
-    resid += (context @ w_d_ctx.T + b_d)[:, None, :]
-    resid -= batch.targets
+    """dense_loss with its gradient, taken from the dense residuals rather
+    than from a batch's masked-row sums."""
+    h, resid = _dense_forward(params, cfg, rows)
+    n, n_mask, patch_px = resid.shape
     flat_r = resid.ravel()
-    loss = float(flat_r @ flat_r / (n * n_mask * patch_px))
+    d_w_d_pos = resid.reshape(n * n_mask, patch_px).T @ rows.q_masked.reshape(n * n_mask, -1)
+    return (float(flat_r @ flat_r / flat_r.size),
+            _backprop(params, cfg, rows.visible, h, resid.sum(axis=1), d_w_d_pos, n_mask))
 
-    r_per_sample = resid.sum(axis=1)
-    d_w_d_pos = resid.reshape(n * n_mask, patch_px).T @ flat_qm
-    d_w_d_ctx = r_per_sample.T @ context
-    d_b_d = r_per_sample.sum(axis=0)
+
+def _backprop(params, cfg, visible, h, r_per_sample, d_w_d_pos, n_mask) -> np.ndarray:
+    """The flat loss gradient from the encoder outputs h, the per-sample
+    residual sums R (n, N) and the gradient of W_d[:, E:]."""
+    w_d_ctx = unpack_params(params, cfg)[2][:, :cfg.embed_dim]
+    n, n_vis, patch_px = visible.shape
+    d_w_d_ctx = r_per_sample.T @ h.mean(axis=1)
     d_ctx = r_per_sample @ w_d_ctx
-    d_z = (d_ctx[:, None, :] / n_vis) * (1.0 - h * h)
-    flat_dz = d_z.reshape(n * n_vis, e)
-    d_w_e = flat_dz.T @ flat_x
-    d_b_e = flat_dz.sum(axis=0)
-
+    d_z = ((d_ctx[:, None, :] / n_vis) * activation_slope(h)).reshape(n * n_vis, -1)
+    d_w_e = d_z.T @ visible.reshape(n * n_vis, patch_px)
     d_w_d = np.concatenate([d_w_d_ctx, d_w_d_pos], axis=1)
-    grad = np.concatenate([d_w_e.ravel(), d_b_e, d_w_d.ravel(), d_b_d])
-    grad *= 2.0 / (n * n_mask * patch_px)
-    return loss, grad
+    grad = np.concatenate([d_w_e.ravel(), d_z.sum(axis=0), d_w_d.ravel(),
+                           r_per_sample.sum(axis=0)])
+    return grad * (2.0 / (n * n_mask * patch_px))
 
 
 def sample_major_loss_and_grad(
@@ -128,35 +134,19 @@ def sample_major_loss_and_grad(
     over all n samples. Past 256 rows, the bytes of those sums can depend on
     the BLAS thread count."""
     w_e, b_e, w_d, b_d = unpack_params(params, cfg)
-    n, n_vis, _ = batch.visible.shape
-    n_mask = batch.n_mask
-    patch_px = cfg.patch_dim
-    e = cfg.embed_dim
+    n, n_vis, patch_px = batch.visible.shape
+    n_mask, e = batch.n_mask, cfg.embed_dim
     w_d_ctx, w_d_pos = w_d[:, :e], w_d[:, e:]
-
-    flat_x = batch.visible.reshape(n * n_vis, patch_px)
-    z = (flat_x @ w_e.T).reshape(n, n_vis, e)
-    h = np.tanh(z + b_e + batch.q_visible)
-    context = h.mean(axis=1)
-    per_sample = context @ w_d_ctx.T + b_d
+    z = (batch.visible.reshape(n * n_vis, patch_px) @ w_e.T).reshape(n, n_vis, e)
+    h = activation(z + b_e + batch.q_visible)
+    per_sample = h.mean(axis=1) @ w_d_ctx.T + b_d
     r_per_sample = n_mask * per_sample + batch.s_q @ w_d_pos.T - batch.s_t
     g_centred = w_d_pos @ batch.q2 - batch.t_q
     d_w_d_pos = g_centred + r_per_sample.T @ (batch.s_q / n_mask)
     sq_sum = (np.einsum("ij,ij->", r_per_sample, r_per_sample) / n_mask
               + np.einsum("ij,ij->", w_d_pos, g_centred - batch.t_q) + batch.t_sq)
     loss = float(sq_sum / (n * n_mask * patch_px))
-    d_w_d_ctx = r_per_sample.T @ context
-    d_b_d = r_per_sample.sum(axis=0)
-    d_ctx = r_per_sample @ w_d_ctx
-    d_z = (d_ctx[:, None, :] / n_vis) * (1.0 - h * h)
-    flat_dz = d_z.reshape(n * n_vis, e)
-    d_w_e = flat_dz.T @ flat_x
-    d_b_e = flat_dz.sum(axis=0)
-
-    d_w_d = np.concatenate([d_w_d_ctx, d_w_d_pos], axis=1)
-    grad = np.concatenate([d_w_e.ravel(), d_b_e, d_w_d.ravel(), d_b_d])
-    grad *= 2.0 / (n * n_mask * patch_px)
-    return loss, grad
+    return loss, _backprop(params, cfg, batch.visible, h, r_per_sample, d_w_d_pos, n_mask)
 
 
 def loss_and_grad(params: np.ndarray, cfg: ModelConfig, sample) -> tuple[float, np.ndarray]:

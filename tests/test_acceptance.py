@@ -34,7 +34,7 @@ from fedmim.tgm import apply_uim, round_half_up, select_mask
 
 from conftest import record_criterion, random_sample
 from invariance import Case
-from oracles import finite_diff_grad, points_mask
+from oracles import dense_loss, dense_rows, finite_diff_grad, points_mask
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -42,29 +42,6 @@ REPO = Path(__file__).resolve().parents[1]
 def rel_err(analytic, numeric, floor=1e-3):
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return np.abs(analytic - numeric) / denom
-
-
-def make_loss_only(cfg, batch):
-    """Loss evaluation without the gradient, for the finite-difference
-    oracle (the central-difference sweep calls it thousands of times)."""
-    from fedmim.model import unpack_params
-
-    n, n_vis, _ = batch.visible.shape
-    n_mask = batch.targets.shape[1]
-    e = cfg.embed_dim
-
-    def loss_only(params):
-        w_e, b_e, w_d, b_d = unpack_params(params, cfg)
-        z = batch.visible.reshape(n * n_vis, cfg.patch_dim) @ w_e.T
-        z = z.reshape(n, n_vis, e) + b_e + batch.q_visible
-        context = np.tanh(z).mean(axis=1)
-        pred = batch.q_masked.reshape(n * n_mask, e) @ w_d[:, e:].T
-        pred = pred.reshape(n, n_mask, cfg.patch_dim)
-        pred += (context @ w_d[:, :e].T + b_d)[:, None, :]
-        r = (pred - batch.targets).ravel()
-        return float(r @ r / (n * n_mask * cfg.patch_dim))
-
-    return loss_only
 
 
 def test_criterion_1_gradient_correctness():
@@ -77,10 +54,10 @@ def test_criterion_1_gradient_correctness():
     for i, (n, e) in enumerate(sizes):
         cfg = ModelConfig(patch_dim=n, embed_dim=e, num_patches=4, seed=i)
         sample = random_sample(cfg, Rng(1000 + i))
-        batch = prepare_batch(cfg, [sample])
         params = init_params(cfg)
-        _, grad = batch_loss_and_grad(params, cfg, batch)
-        fd = finite_diff_grad(make_loss_only(cfg, batch), params)
+        _, grad = batch_loss_and_grad(params, cfg, prepare_batch(cfg, [sample]))
+        rows = dense_rows(cfg, [sample])
+        fd = finite_diff_grad(lambda p: dense_loss(p, cfg, rows), params)
         worst = max(worst, float(rel_err(grad, fd).max()))
         # Probe head gradient on a matching embedding size, one-sample batch.
         probe = init_probe(2, e, seed=i)

@@ -1,6 +1,6 @@
 """The benchmark's tracer finds every function it times and can size every
-kind of prepared batch, so a rename in the package fails here rather than
-in a traced benchmark run."""
+kind of prepared batch, and its self-check passes, so a rename in the
+package fails here rather than in a benchmark run."""
 
 import importlib
 import types
@@ -14,8 +14,10 @@ from fedmim.model import ModelConfig, prepare_batch, stack_batches
 from fedmim.rng import Rng
 
 from conftest import random_sample
+from invariance import snippet
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -62,3 +64,12 @@ def test_traced_segment_counts_a_prepared_batch(tracer):
     spans, counts = run.summary()
     assert spans["model.prepare_batch"].calls == 1
     assert counts["model.prepared_batch_bytes"] == tracer._prepared_bytes(batch)
+
+
+def test_benchmark_selfcheck_passes():
+    # Run as the script runs, perfbench/ first on the path so that its own
+    # oracles module is imported, and writing no bytecode there.
+    out = snippet(f"import runpy, sys; sys.dont_write_bytecode = True; "
+                  f"sys.path.insert(0, {str(PERFBENCH)!r}); "
+                  f"runpy.run_path({str(PERFBENCH / 'selfcheck.py')!r}, run_name='__main__')")
+    assert out["baseline"].splitlines()[-1] == "selfcheck ok"

@@ -884,10 +884,19 @@ def test_pretrain_outputs_independent_of_blas_threads(invariance):
 
 
 def test_pretrain_of_41_phantoms_independent_of_blas_threads(invariance):
-    # The default run stacks 64 samples, a size whose sums split the same
-    # way at any thread count; 41 once did not.
+    # A one-step run trains its 41 samples stacked as one client, whose 656
+    # visible rows the step sums in three 256-row pieces.
     invariance.check(Case((("--config", "c.json", *PRETRAIN),),
                           {"c.json": {"version": 1, "synth": {"n": 41}}}), "blas2")
+
+
+def test_pretrain_of_520_phantoms_independent_of_blas_threads(invariance):
+    # Past 256 stacked samples the step's sums over samples are cut into
+    # 256-row pieces too; one BLAS product over all 520 rows (model.SUM_PIECE
+    # set to 1 << 30) writes other bytes at 2 OpenBLAS threads.
+    config = {"version": 1, "synth": {"n": 520}, "federation": {"total_rounds": 3},
+              "optimizer": {"warmup_rounds": 1}}
+    invariance.check(Case((("--config", "c.json", *PRETRAIN),), {"c.json": config}), "blas2")
 
 
 def test_default_chain_leaves_out_no_lesion_samples(invariance):

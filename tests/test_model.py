@@ -8,11 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedmim import synth
+from fedmim import pipeline, synth
 from fedmim.cli import _model_config, load_config
 from fedmim.corrupt import CorruptionConfig, apply_corruption, draw_corruptions
 from fedmim.errors import BadLabel, EmptyVisibleSet, ShapeMismatch
-from fedmim.fed import FederationConfig, run_pretraining
+from fedmim.fed import FederationConfig, make_client, run_pretraining
 from fedmim.finetune import batch_probe_loss_and_grad, init_probe, probe_scores
 from fedmim.image import patchify
 from fedmim.model import (
@@ -33,8 +33,8 @@ from fedmim.tgm import partition_image
 
 from conftest import explicit_sample, random_sample
 from invariance import snippet
-from oracles import (dense_loss_and_grad, finite_diff_grad, forward, loss_and_grad,
-                     sample_major_loss_and_grad)
+from oracles import (activation, dense_loss, dense_loss_and_grad, dense_rows,
+                     finite_diff_grad, loss_and_grad, sample_major_loss_and_grad)
 from oracles import init_params as scalar_init_params
 
 
@@ -206,16 +206,12 @@ def test_stats_path_matches_dense_path(n, n_vis, n_mask, patch_dim, embed_dim, s
     params = gen.normal(0.0, 0.5, cfg.param_count)
     batch = prepare_batch(cfg, samples)
     loss_a, grad_a = batch_loss_and_grad(params, cfg, batch)
-    loss_b, grad_b = dense_loss_and_grad(params, cfg, batch)
+    loss_b, grad_b = dense_loss_and_grad(params, cfg, dense_rows(cfg, samples))
     assert abs(loss_a - loss_b) <= 1e-12 * loss_b
     assert np.abs(grad_a - grad_b).max() <= 1e-12 * np.abs(grad_b).max()
-    # The loss is the mean squared error of the single-sample forward pass.
-    sq_errs = []
-    for patches, masked in samples:
-        pred = forward(params, cfg, patches[~masked] / 255.0,
-                       np.flatnonzero(~masked), np.flatnonzero(masked))
-        sq_errs.append(np.mean((pred - patches[masked] / 255.0) ** 2))
-    assert loss_a == pytest.approx(np.mean(sq_errs), rel=1e-12)
+    # The loss is the mean of the single-sample losses.
+    single = [dense_loss(params, cfg, dense_rows(cfg, [sample])) for sample in samples]
+    assert loss_a == pytest.approx(np.mean(single), rel=1e-12)
 
 
 @given(
@@ -301,18 +297,25 @@ def test_patch_spec_rejects_out_of_range(args):
         PatchSpec(*args)
 
 
-def test_stats_loss_matches_residual_sum_after_training():
+def test_stats_loss_matches_residual_sum_after_training(monkeypatch):
     # Near convergence the expanded loss subtracts terms much larger than
     # itself; check it against the direct residual sum where that matters.
     cfg = ModelConfig(patch_dim=64, embed_dim=32, num_patches=64, seed=7)
     dataset = synth.generate_dataset(512, (0.35, 0.35, 0.3), Rng(7), synth.PhantomSpec())
+    samples = []
+
+    def recording_make_client(cid, model_cfg, prepared):
+        samples.append(prepared)
+        return make_client(cid, model_cfg, prepared)
+
+    monkeypatch.setattr(pipeline, "make_client", recording_make_client)
     clients = build_clients(
         dataset, 8, 0.5, cfg, CorruptionConfig(), PatchSpec(8, 8, 0.75), 7)
     fed_cfg = FederationConfig(8, 12, 48, OptimizerConfig(5e-4, 1e-6, 10, 200), seed=7)
     params, _ = run_pretraining(fed_cfg, cfg, clients, init_params(cfg))
-    for client in clients:
+    for client, prepared in zip(clients, samples, strict=True):
         loss_a, grad_a = batch_loss_and_grad(params, cfg, client.batch)
-        loss_b, grad_b = dense_loss_and_grad(params, cfg, client.batch)
+        loss_b, grad_b = dense_loss_and_grad(params, cfg, dense_rows(cfg, prepared))
         assert abs(loss_a - loss_b) <= 1e-10 * loss_b
         assert np.abs(grad_a - grad_b).max() <= 1e-10 * np.abs(grad_b).max()
 
@@ -382,7 +385,7 @@ def test_encode_features_matches_manual():
     w_e, b_e, _, _ = unpack_params(params, cfg)
     q = positional_embeddings(4, 3)
     for feat, img_patches in zip(feats, patches):
-        manual = np.tanh(img_patches / 255.0 @ w_e.T + b_e + q).mean(axis=0)
+        manual = activation(img_patches / 255.0 @ w_e.T + b_e + q).mean(axis=0)
         np.testing.assert_allclose(feat, manual, atol=1e-14)
     with pytest.raises(ShapeMismatch):
         encode_features(params, cfg, patches[:, :3])
