@@ -75,21 +75,21 @@ def motion_blur_kernel(d: int, phi: float) -> np.ndarray:
     return kernel / total
 
 
-def gaussian_taps(sigma: float, radius: int) -> np.ndarray:
-    """Unnormalized Gaussian samples G(u, v; sigma) at integer offsets."""
+def gaussian_weights(sigma: float) -> np.ndarray:
+    """The normalized 1-D Gaussian of radius max(1, ceil(3 sigma)), from
+    math.exp taps summed with math.fsum; its outer product with itself is
+    the 2-D blur kernel."""
     if sigma <= 0.0:
         raise InvalidKernel(f"sigma must be positive, got {sigma}")
-    if radius < 1:
-        raise InvalidKernel(f"radius must be >= 1, got {radius}")
-    offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    u, v = np.meshgrid(offsets, offsets)
-    return np.exp(-(u * u + v * v) / (2.0 * sigma * sigma)) / (2.0 * math.pi * sigma * sigma)
+    radius = max(1, math.ceil(3.0 * sigma))
+    taps = [math.exp(-(u * u) / (2.0 * sigma * sigma)) for u in range(-radius, radius + 1)]
+    return np.array(taps) / math.fsum(taps)
 
 
-def gaussian_kernel(sigma: float) -> np.ndarray:
-    """Normalized Gaussian kernel truncated at radius max(1, ceil(3 sigma))."""
-    taps = gaussian_taps(sigma, max(1, math.ceil(3.0 * sigma)))
-    return taps / taps.sum()
+def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
+    """img blurred by a row pass, then a column pass, of gaussian_weights."""
+    w = gaussian_weights(sigma)
+    return convolve2d(convolve2d(img, w[None, :]), w[:, None])
 
 
 def salt_pepper_draws(shapes: list[tuple[int, int]], p_salt: float, p_pepper: float,
@@ -177,7 +177,7 @@ def apply_corruption(img: np.ndarray, plan: list[tuple[str, object]],
         if op == MOTION:
             out = convolve2d(out, motion_blur_kernel(cfg.motion_d, drawn))
         elif op == GAUSSIAN:
-            out = convolve2d(out, gaussian_kernel(drawn))
+            out = gaussian_blur(out, drawn)
         else:
             out = _salted(out, drawn)
     return out

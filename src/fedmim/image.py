@@ -48,26 +48,26 @@ def depatchify(patches: np.ndarray, patch_h: int, patch_w: int,
 
 
 def convolve2d(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Correlate a square odd-sized kernel over the image.
+    """Correlate an odd-sized (kh, kw) kernel over the image.
 
     Border handling is edge replication; the output has the same shape as
-    the input. out[y, x] = sum_{i,j} kernel[i, j] * img[y+i-r, x+j-r].
+    the input. out[y, x] = sum_{i,j} kernel[i, j] * img[y+i-ry, x+j-rx],
+    summed tap by tap in row-major kernel order.
     """
     img = as_image(img)
     kernel = np.asarray(kernel, dtype=np.float64)
-    if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1] or kernel.shape[0] % 2 == 0:
-        raise ValueError(f"kernel must be square with odd size, got {kernel.shape}")
-    k = kernel.shape[0]
-    r = k // 2
-    padded = np.pad(img, r, mode="edge")
-    h, w = img.shape
-    out = np.zeros_like(img)
-    for i in range(k):
-        for j in range(k):
-            wij = kernel[i, j]
-            if wij != 0.0:
-                out += wij * padded[i : i + h, j : j + w]
-    return out
+    if kernel.ndim != 2 or kernel.shape[0] % 2 == 0 or kernel.shape[1] % 2 == 0:
+        raise ValueError(f"kernel must be 2-D with odd sizes, got {kernel.shape}")
+    (kh, kw), (h, w) = kernel.shape, img.shape
+    # Output rows sit stride apart, as padded rows do, so each tap is one run.
+    stride = w + kw - 1
+    padded = np.pad(img, ((kh // 2, kh // 2), (kw // 2, kw // 2)), mode="edge").ravel()
+    out = np.zeros(h * stride)
+    run = out[: (h - 1) * stride + w]
+    for (i, j), wij in np.ndenumerate(kernel):
+        if wij != 0.0:
+            run += wij * padded[i * stride + j : i * stride + j + run.size]
+    return out.reshape(h, stride)[:, :w].copy()
 
 
 @dataclass(frozen=True)

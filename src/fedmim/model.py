@@ -89,9 +89,9 @@ def init_params(cfg: ModelConfig) -> np.ndarray:
 def positional_embeddings(num_patches: int, embed_dim: int) -> np.ndarray:
     """Fixed sinusoidal table, shape (L, E): even dims sin, odd dims cos."""
     pos = np.arange(num_patches, dtype=np.float64)[:, None]
-    dims = np.arange(embed_dim, dtype=np.float64)[None, :]
-    freqs = 1.0 / np.power(10000.0, 2.0 * np.floor(dims / 2.0) / embed_dim)
-    angles = pos * freqs
+    # math.pow, not np.power, whose SIMD kernels round by the CPU's features.
+    freqs = [1.0 / math.pow(10000.0, 2 * (d // 2) / embed_dim) for d in range(embed_dim)]
+    angles = pos * np.array(freqs)
     table = np.where(np.arange(embed_dim)[None, :] % 2 == 0,
                      np.sin(angles), np.cos(angles))
     return table

@@ -20,10 +20,10 @@ from fedmim.corrupt import (
     SALTPEPPER,
     SIGMA_RANGE,
     CorruptionConfig,
-    gaussian_kernel,
+    gaussian_blur,
     motion_blur_kernel,
 )
-from fedmim.errors import BadLabel, InvalidGeometry
+from fedmim.errors import BadLabel, InvalidGeometry, InvalidKernel
 from fedmim.image import as_image, convolve2d
 from fedmim.model import (
     ModelConfig,
@@ -190,6 +190,40 @@ def probe_loss_and_grad(
     d_w = np.outer(d_logits, feature)
     grad = np.concatenate([d_w.ravel(), d_logits])
     return loss, grad
+
+
+def convolve2d_taps(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """image.convolve2d as one (H, W) window of the edge-padded image per
+    nonzero tap, added in row-major kernel order."""
+    img = as_image(img)
+    kh, kw = kernel.shape
+    padded = np.pad(img, ((kh // 2, kh // 2), (kw // 2, kw // 2)), mode="edge")
+    h, w = img.shape
+    out = np.zeros_like(img)
+    for i in range(kh):
+        for j in range(kw):
+            wij = kernel[i, j]
+            if wij != 0.0:
+                out += wij * padded[i : i + h, j : j + w]
+    return out
+
+
+def gaussian_taps(sigma: float, radius: int) -> np.ndarray:
+    """Unnormalized Gaussian samples G(u, v; sigma) at integer offsets."""
+    if sigma <= 0.0:
+        raise InvalidKernel(f"sigma must be positive, got {sigma}")
+    if radius < 1:
+        raise InvalidKernel(f"radius must be >= 1, got {radius}")
+    offsets = np.arange(-radius, radius + 1, dtype=np.float64)
+    u, v = np.meshgrid(offsets, offsets)
+    return np.exp(-(u * u + v * v) / (2.0 * sigma * sigma)) / (2.0 * math.pi * sigma * sigma)
+
+
+def gaussian_kernel(sigma: float) -> np.ndarray:
+    """The 2-D Gaussian kernel that corrupt.gaussian_blur applies in two 1-D
+    passes, normalized as a whole and truncated at radius max(1, ceil(3 sigma))."""
+    taps = gaussian_taps(sigma, max(1, math.ceil(3.0 * sigma)))
+    return taps / taps.sum()
 
 
 def bilinear_sample(img: np.ndarray, x: float, y: float) -> float:
@@ -366,7 +400,7 @@ def mixed_corrupt(img: np.ndarray, cfg: CorruptionConfig, rng: Rng) -> np.ndarra
         if op == MOTION:
             out = convolve2d(out, motion_blur_kernel(cfg.motion_d, rng.uniform(*PHI_RANGE)))
         elif op == GAUSSIAN:
-            out = convolve2d(out, gaussian_kernel(rng.uniform(*SIGMA_RANGE)))
+            out = gaussian_blur(out, rng.uniform(*SIGMA_RANGE))
         else:
             out = salt_pepper(out, cfg.p_salt, cfg.p_pepper, rng)
     return out

@@ -15,7 +15,7 @@ from fedmim import fed, metrics, model, smat, synth
 from fedmim.cli import EXIT_OK, main as cli_main
 from fedmim.corrupt import (
     CorruptionConfig,
-    gaussian_kernel,
+    gaussian_weights,
     motion_blur_kernel,
     salt_pepper,
 )
@@ -34,7 +34,7 @@ from fedmim.tgm import apply_uim, round_half_up, select_mask
 
 from conftest import record_criterion, random_sample
 from invariance import Case
-from oracles import dense_loss, dense_rows, finite_diff_grad, points_mask
+from oracles import dense_loss, dense_rows, finite_diff_grad, gaussian_kernel, points_mask
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -246,7 +246,8 @@ def test_criterion_8_corruption_kernels():
         for phi in np.linspace(0.0, math.pi, 9):
             worst_sum = max(worst_sum, abs(motion_blur_kernel(d, float(phi)).sum() - 1.0))
     for sigma in (0.5, 1.0, 1.7, 2.5):
-        worst_sum = max(worst_sum, abs(gaussian_kernel(sigma).sum() - 1.0))
+        w = gaussian_weights(sigma)
+        worst_sum = max(worst_sum, abs(w.sum() - 1.0), abs(np.outer(w, w).sum() - 1.0))
     identity_exact = all(
         np.array_equal(motion_blur_kernel(d, 0.0), np.eye(d) / d) for d in (1, 3, 5, 7)
     )

@@ -17,11 +17,11 @@ from invariance import Case
 # sha256 of checkpoint.params from `fedmim --seed 7 pretrain` with the
 # default config. A change here means every default run's model changed.
 DEFAULT_PRETRAIN_PARAMS_SHA256 = (
-    "7a60655a0dce71d6d2edd2b680d070206dd98bebba32c0dd5efeabb0aeddf541"
+    "fa64a8a54bb762fe7e5ea15a9f127a526006fe4d7ed384f0685ebcb7a92ef5ff"
 )
 # sha256 of the same run's loss_trace.csv.
 DEFAULT_PRETRAIN_TRACE_SHA256 = (
-    "e2b832b3e6a3c26afa34202c50c1a5406c7d8276db41b804d34a3667f6838855"
+    "f3e15e2e72cf36df5e439e471a6010737646c7188d616923a4296bd7a52370c4"
 )
 
 # sha256 of checkpoint.params and loss_trace.csv from `fedmim --seed 7
@@ -29,10 +29,10 @@ DEFAULT_PRETRAIN_TRACE_SHA256 = (
 # steps, so each round runs every client on its own and merges them.
 TWO_STEP_CONFIG = {"version": 1, "federation": {"local_steps": 2}}
 TWO_STEP_PARAMS_SHA256 = (
-    "613b0a7cf5922c26b2e9fe041b95fc0ad84b4b035dfa28b8b1fecbf5cf3ad8ff"
+    "e29f579b8d4bcd2ded2cce28bf4b6065a0c42175a5595c059a5ef95d281ff6c0"
 )
 TWO_STEP_TRACE_SHA256 = (
-    "df6ac13accf7b55fc21873cbece945a3cbdfcd5df2637b9679550924db171f31"
+    "eb2135b90e54febbcb1ccd38b258325e9cc22109905fd1f3095faddbda5e32b9"
 )
 
 # digest (see tests/invariance.py) of every file `fedmim --seed 7
@@ -56,7 +56,7 @@ DEFAULT_MASK_PREVIEW_SHA256 = (
 # digest of every file `fedmim --seed 7 finetune` writes from the default
 # pretrain checkpoint and generate directory, in name order.
 DEFAULT_FINETUNE_SHA256 = (
-    "7c2e00d6aa3be484e1d98af7e9834dab02c4c2f6535f215d63d6f8d852341427"
+    "678a676d3ce664947ea40d85da336cc42ae46748a8a3612a8646de81f877ae15"
 )
 
 # The commands behind the golden hashes, each case run in a fresh process.

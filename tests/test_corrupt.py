@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedmim import corrupt
 from fedmim.corrupt import (
     CorruptionConfig,
-    gaussian_kernel,
-    gaussian_taps,
+    gaussian_blur,
+    gaussian_weights,
     apply_corruption,
     draw_corruptions,
     mixed_corrupt,
@@ -43,30 +46,40 @@ def test_motion_kernel_rejects_even():
 
 
 def test_gaussian_tap_ratio():
-    taps = gaussian_taps(1.0, 3)
-    center = taps[3, 3]
-    assert taps[3, 4] / center == pytest.approx(math.exp(-0.5), abs=1e-12)
-    assert taps[4, 3] / center == pytest.approx(math.exp(-0.5), abs=1e-12)
+    w = gaussian_weights(1.0)
+    assert w[4] / w[3] == pytest.approx(math.exp(-0.5), abs=1e-12)
+    assert w[2] / w[3] == pytest.approx(math.exp(-0.5), abs=1e-12)
 
 
 def test_gaussian_kernel_normalized_and_symmetric():
     for sigma in (0.5, 1.0, 2.5):
-        k = gaussian_kernel(sigma)
-        assert k.sum() == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(k, k.T, atol=1e-15)
-        np.testing.assert_allclose(k, np.flipud(k), atol=1e-15)
+        w = gaussian_weights(sigma)
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_array_equal(w, w[::-1])
 
 
 def test_gaussian_default_radius():
-    assert gaussian_kernel(1.0).shape == (7, 7)  # ceil(3*1) = 3
-    assert gaussian_kernel(0.5).shape == (5, 5)  # ceil(1.5) = 2
+    assert gaussian_weights(1.0).shape == (7,)  # ceil(3*1) = 3
+    assert gaussian_weights(0.5).shape == (5,)  # ceil(1.5) = 2
+    assert gaussian_weights(0.1).shape == (3,)  # radius at least 1
 
 
 def test_gaussian_rejects_bad_params():
-    with pytest.raises(InvalidKernel):
-        gaussian_taps(0.0, 3)
-    with pytest.raises(InvalidKernel):
-        gaussian_taps(1.0, 0)
+    for sigma in (0.0, -1.0):
+        with pytest.raises(InvalidKernel):
+            gaussian_weights(sigma)
+
+
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 40)),
+                  elements=st.floats(-300.0, 300.0)),
+       st.floats(0.5, 2.5))
+@settings(max_examples=60, deadline=None)
+def test_gaussian_blur_matches_the_2d_kernel(img, sigma):
+    # Two 1-D passes add in another order than the 2-D taps, so the bytes
+    # may differ; the error stays at a few ulp of the image's scale.
+    expect = oracles.convolve2d_taps(img, oracles.gaussian_kernel(sigma))
+    bound = 1e-12 * max(1.0, float(np.abs(img).max()))
+    assert np.abs(gaussian_blur(img, sigma) - expect).max() <= bound
 
 
 def test_salt_pepper_extremes():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -17,7 +17,7 @@ from fedmim.image import (
     write_pgm,
 )
 
-from oracles import bilinear_sample
+from oracles import bilinear_sample, convolve2d_taps
 
 images = hnp.arrays(
     np.float64,
@@ -111,6 +111,20 @@ def test_convolve_matches_brute_force(img, which):
     np.testing.assert_allclose(
         convolve2d(img, kernel), brute_force_convolve(img, kernel), atol=1e-9
     )
+
+
+odd_sizes = st.integers(0, 8).map(lambda r: 2 * r + 1)
+
+
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 24), st.integers(1, 24)),
+                  elements=st.just(-0.0) | st.floats(-300.0, 300.0)),
+       st.tuples(odd_sizes, odd_sizes).flatmap(lambda shape: hnp.arrays(
+           np.float64, shape, elements=st.just(0.0) | st.floats(-2.0, 2.0))))
+@example(np.array([[-0.0, 1.0, -2.5]]), np.array([[0.0, -1.0, 0.5]]))
+@example(np.arange(-6.0, 6.0).reshape(3, 4), np.array([[1.0], [0.0], [-3.0]]))
+@settings(max_examples=100, deadline=None)
+def test_convolve_bytes_equal_the_tap_loop(img, kernel):
+    assert convolve2d(img, kernel).tobytes() == convolve2d_taps(img, kernel).tobytes()
 
 
 def test_convolve_rejects_even_kernel():

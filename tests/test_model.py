@@ -291,6 +291,24 @@ def test_gradient_bytes_independent_of_blas_threads():
     assert [n for n, a, b in zip(BLAS_SWEEP_SIZES, one, two) if a != b] == []
 
 
+TABLES_DIGEST = """import hashlib
+from fedmim.corrupt import gaussian_weights
+from fedmim.model import positional_embeddings
+h = hashlib.sha256()
+for i in range(201):
+    h.update(gaussian_weights(0.5 + 0.01 * i).tobytes())
+for shape in [(1, 1), (16, 8), (64, 32), (256, 64)]:
+    h.update(positional_embeddings(*shape).tobytes())
+print(h.hexdigest())"""
+
+
+def test_small_tables_independent_of_simd_dispatch():
+    # The Gaussian taps and the embedding frequencies come from math's
+    # scalar exp and pow; numpy's exp and power round by the SIMD target.
+    digests = snippet(TABLES_DIGEST, ("baseline", "no_x86_v4", "no_x86_v3"))
+    assert len(set(digests.values())) == 1, digests
+
+
 @pytest.mark.parametrize("args", [(0, 8, 0.75), (8, -1, 0.75)])
 def test_patch_spec_rejects_out_of_range(args):
     with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import oracles
 from fedmim.errors import InvalidGeometry
 from fedmim.image import convolve2d
-from fedmim.corrupt import gaussian_kernel
 from fedmim.smat import (
     CONVEX,
     LINEAR,
@@ -104,7 +103,7 @@ def test_unwarp_center_samples_vertical_ray():
 def test_round_trip_smooth_image():
     geom = default_geom(128, 128)
     rng = np.random.default_rng(0)
-    img = convolve2d(rng.uniform(0.0, 255.0, (128, 128)), gaussian_kernel(2.0))
+    img = convolve2d(rng.uniform(0.0, 255.0, (128, 128)), oracles.gaussian_kernel(2.0))
     back = convex_to_linear(linear_to_convex(img, geom, 128, 128), geom, 128, 128)
     err = np.abs(back[3:-3, 3:-3] - img[3:-3, 3:-3])
     assert err.mean() < 5.0
