@@ -233,6 +233,11 @@ def cmd_pretrain(cfg: dict, out_dir: Path) -> int:
         ckpt = fed.load_checkpoint(str(resume))
         if ckpt.model_cfg != model_cfg:
             raise ConfigError("checkpoint model config does not match run config")
+        run, saved = asdict(fed_cfg), asdict(ckpt.fed_cfg)
+        for record in (run, saved, run["opt"], saved["opt"]):
+            del record["total_rounds"]  # the horizon may change (ROADMAP item 4)
+        if run != saved:
+            raise ConfigError("checkpoint federation config does not match run config")
         params, start_round = ckpt.params, ckpt.round_index
         if start_round > fed_cfg.total_rounds:
             raise ConfigError(f"checkpoint round {start_round} is past "

@@ -59,14 +59,19 @@ def convolve2d(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     if kernel.ndim != 2 or kernel.shape[0] % 2 == 0 or kernel.shape[1] % 2 == 0:
         raise ValueError(f"kernel must be 2-D with odd sizes, got {kernel.shape}")
     (kh, kw), (h, w) = kernel.shape, img.shape
-    # Output rows sit stride apart, as padded rows do, so each tap is one run.
-    stride = w + kw - 1
-    padded = np.pad(img, ((kh // 2, kh // 2), (kw // 2, kw // 2)), mode="edge").ravel()
+    ry, rx, stride = kh // 2, kw // 2, w + kw - 1
+    # The edge-replicated image, filled in place. Its rows sit stride apart,
+    # as output rows do, so each tap is one run.
+    padded = np.empty((h + kh - 1, stride))
+    padded[ry:ry + h, rx:rx + w] = img
+    padded[ry:ry + h, :rx], padded[ry:ry + h, rx + w:] = img[:, :1], img[:, -1:]
+    padded[:ry], padded[ry + h:] = padded[ry], padded[ry + h - 1]
+    padded = padded.ravel()
     out = np.zeros(h * stride)
     run = out[: (h - 1) * stride + w]
-    for (i, j), wij in np.ndenumerate(kernel):
-        if wij != 0.0:
-            run += wij * padded[i * stride + j : i * stride + j + run.size]
+    for t in np.flatnonzero(kernel).tolist():  # row-major, as kernel.flat
+        start = t // kw * stride + t % kw
+        run += kernel.item(t) * padded[start : start + run.size]
     return out.reshape(h, stride)[:, :w].copy()
 
 

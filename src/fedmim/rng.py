@@ -26,9 +26,9 @@ import math
 import numpy as np
 
 _MASK = 0xFFFFFFFFFFFFFFFF
-# Steps times lanes per block of lockstep draws: bounds the uint64
-# history one block holds (128 KiB).
-_BLOCK_WORDS = 1 << 14
+# Kept draws times lanes per block of lockstep draws: bounds the uint64
+# draws and the float64 values one block holds (512 KiB each).
+_BLOCK_WORDS = 1 << 16
 _UNIT = 1.0 / (1 << 53)
 # The characteristic polynomial of xoshiro256's state step A over GF(2),
 # bit i the coefficient of x**i. The state d steps ahead of s is p(A) s
@@ -172,16 +172,15 @@ class Rng:
             items[i], items[j] = items[j], items[i]
 
 
-def _scramble(s1: np.ndarray) -> np.ndarray:
+def _scramble(s1: np.ndarray) -> None:
     """Turn each s1 into the 53 high bits of xoshiro256**'s output for it
-    (next_u64 >> 11), in place. Returns s1."""
+    (next_u64 >> 11), in place."""
     s1 *= np.uint64(5)
     high = s1 >> np.uint64(57)
     s1 <<= np.uint64(7)
     s1 |= high
     s1 *= np.uint64(9)
     s1 >>= np.uint64(11)
-    return s1
 
 
 def _stepper(s: np.ndarray):
@@ -281,50 +280,59 @@ def _cut(n: int, count: int) -> tuple[int, int]:
     return -(-count // m), m
 
 
-def _lockstep_draws(rngs: list[Rng], count: int):
-    """Yield (start, bits) for the next count draws of every rng in blocks:
-    bits[j, i] is next_u64() >> 11 of rngs[i]'s draw start + j. Blocks
-    come in any order, and every start is even. Each Rng is left at its
-    stream's end state after the last block.
+def _lockstep(rngs: list[Rng], out: np.ndarray, stride: int, convert) -> set[int]:
+    """Fill row i of the (n, count) float64 array out with convert applied,
+    in place, to the random() values of draws 0, stride, 2 * stride, ... of
+    rngs[i]; the draws between are stepped, never stored. Returns the
+    streams with a kept draw of 0; each Rng ends stride * count draws on.
 
     The states are held as one (4, sub * n) uint64 array and stepped
     together: stream i's sub-lane j starts from its state jumped ahead
-    j * m draws, so m steps make all count draws. One jump pass gives
-    every sub-lane's start and each stream's end state.
+    j * m draws, so m steps make all stride * count draws. One jump pass
+    gives every sub-lane's start and each stream's end state. Each op runs
+    once per block of kept draws, which goes into out as one transposed
+    copy per sub-lane.
     """
-    n = len(rngs)
+    n, count = out.shape
     s = np.array([rng._s for rng in rngs], dtype=np.uint64).T.copy()
-    sub, m = _cut(n, count)
+    sub, m = _cut(n, stride * count)
     if sub > 1:
-        jumped = _jump(s.copy(), _jump_masks(count, m, sub))
+        jumped = _jump(s.copy(), _jump_masks(stride * count, m, sub))
         end = jumped[:, 0].copy()
         jumped[:, 0] = s
         lanes = jumped.reshape(4, sub * n)
     else:
         lanes = end = s
-    width = sub * n
+    width, kept = sub * n, m // stride
     s1, step = lanes[1], _stepper(lanes)
-    rows = max(2, _BLOCK_WORDS // width) & ~1
-    for start in range(0, m, rows):
-        hist = np.empty((min(rows, m - start), width), dtype=np.uint64)
-        for row in hist:  # row = s1 before the step, which fixes its draw
+    rows = max(1, min(kept, _BLOCK_WORDS // width))
+    bits, values = np.empty((rows, width), dtype=np.uint64), np.empty((rows, width))
+    zero: set[int] = set()
+    for start in range(0, kept, rows):
+        block = bits[:kept - start]
+        for row in block:  # row = s1 before the steps, which fixes its draw
             row[...] = s1
-            step()
-        bits = _scramble(hist)
-        for j in range(sub):
-            first = j * m + start
-            if first < count:
-                yield first, bits[:count - first, j * n:(j + 1) * n]
+            for _ in range(stride):
+                step()
+        _scramble(block)
+        if not block.all():  # a draw of 0, about 2**-53 a draw
+            zero.update(lane % n for r, lane in np.argwhere(block == 0).tolist()
+                        if lane // n * kept + start + r < count)
+        u = np.multiply(block, _UNIT, out=values[:len(block)])
+        convert(u)
+        for j, first in enumerate(range(start, count, kept)):  # sub-lane j
+            piece = u[:count - first, j * n:(j + 1) * n]
+            out[:, first:first + len(piece)] = piece.T
     for rng, state in zip(rngs, end.T.tolist()):
         rng._s = state
+    return zero
 
 
 def lockstep_random(rngs: list[Rng], out: np.ndarray) -> np.ndarray:
     """Fill row i of the (n, count) float64 array out with the next count
     values of rngs[i].random(), stepping the n streams together. Returns out."""
     if rngs:
-        for start, bits in _lockstep_draws(rngs, out.shape[1]):
-            np.multiply(bits.T, _UNIT, out=out[:, start:start + len(bits)])
+        _lockstep(rngs, out, 1, lambda u: None)
     return out
 
 
@@ -337,29 +345,21 @@ def uniform_draws(rng: Rng, lo: float, hi: float, count: int) -> np.ndarray:
 def lockstep_rayleigh(rngs: list[Rng], out: np.ndarray) -> np.ndarray:
     """Fill row i of the (n, count) float64 array out with count Rayleigh(1)
     radii sqrt(-2 ln u1), each from one Box-Muller pair (u1, u2) of
-    rngs[i], as Rng.normal draws a pair; u2 is drawn to stay in step.
+    rngs[i], as Rng.normal draws a pair; u2 is stepped over to stay in step.
 
     A lane that draws u1 == 0, which Rng.normal draws again (about 2**-53
     a draw), is redone on the scalar path. Returns out.
     """
     if not rngs:
         return out
-    count = out.shape[1]
     starts = [list(rng._s) for rng in rngs]
-    retry: set[int] = set()
-    for start, bits in _lockstep_draws(rngs, 2 * count):
-        u1 = bits[0::2]
-        retry.update(np.flatnonzero((u1 == 0).any(axis=0)).tolist())
-        block = out[:, start // 2:start // 2 + len(u1)]
-        np.multiply(u1.T, _UNIT, out=block)
-        with np.errstate(divide="ignore"):  # a retry lane's u1 == 0
-            np.log(block, out=block)
-        block *= -2.0
-        np.sqrt(block, out=block)
+    with np.errstate(divide="ignore"):  # a retry lane's u1 == 0
+        retry = _lockstep(rngs, out, 2, lambda u1: np.sqrt(  # sqrt(-2 ln u1), in place
+            np.multiply(np.log(u1, out=u1), -2.0, out=u1), out=u1))
     for lane in retry:
         rng = rngs[lane]
         rng._s = starts[lane]
-        for i in range(count):
+        for i in range(out.shape[1]):
             u1 = rng.random()
             while u1 == 0.0:
                 u1 = rng.random()

@@ -109,28 +109,33 @@ def _lesion_mask(spec: PhantomSpec, rng: Rng) -> np.ndarray:
     mask = np.zeros((spec.height, spec.width))
     if lesion is None:
         return mask
-    reach_x = lesion.axis_x * (1.0 + lesion.irregularity)
-    reach_y = lesion.axis_y * (1.0 + lesion.irregularity)
-    if (lesion.center_x - reach_x < 0 or lesion.center_x + reach_x > spec.width - 1
-            or lesion.center_y - reach_y < 0 or lesion.center_y + reach_y > spec.height - 1):
+    # Whatever the signs; a NaN center or reach fails the bounds test.
+    reach_x = abs(lesion.axis_x) * (1.0 + abs(lesion.irregularity))
+    reach_y = abs(lesion.axis_y) * (1.0 + abs(lesion.irregularity))
+    if not (0 <= lesion.center_x - reach_x and lesion.center_x + reach_x <= spec.width - 1
+            and 0 <= lesion.center_y - reach_y and lesion.center_y + reach_y <= spec.height - 1):
         raise LesionOutOfBounds(
             f"lesion at ({lesion.center_x}, {lesion.center_y}) with reach "
             f"({reach_x:.1f}, {reach_y:.1f}) exceeds {spec.width}x{spec.height}"
         )
+    # Off its bounding box a pixel is reach + 1 or more from the center on
+    # some axis, so |dx| or |dy| > 1 + |irregularity| >= |limit|.
+    box = (slice(math.floor(lesion.center_y - reach_y), math.ceil(lesion.center_y + reach_y) + 1),
+           slice(math.floor(lesion.center_x - reach_x), math.ceil(lesion.center_x + reach_x) + 1))
     ys, xs = _pixel_grid(spec.height, spec.width)
-    dx = (xs - lesion.center_x) / lesion.axis_x
-    dy = (ys - lesion.center_y) / lesion.axis_y
+    dx = (xs[box] - lesion.center_x) / lesion.axis_x
+    dy = (ys[box] - lesion.center_y) / lesion.axis_y
     radial = dx * dx + dy * dy
-    if lesion.irregularity == 0.0:
-        # Exact pixel-center ellipse test.
-        return (radial <= 1.0).astype(np.float64)
-    amps, phases = _boundary_wobble(rng)
-    alpha = np.arctan2(dy, dx)
-    wobble = np.zeros_like(alpha)
-    for h, (amp, phase) in enumerate(zip(amps, phases), start=2):
-        wobble += amp * np.sin(h * alpha + phase)
-    limit = 1.0 + lesion.irregularity * wobble
-    return (radial <= limit * limit).astype(np.float64)
+    limit = 1.0  # an exact pixel-center ellipse test
+    if lesion.irregularity != 0.0:
+        amps, phases = _boundary_wobble(rng)
+        alpha = np.arctan2(dy, dx)
+        wobble = np.zeros_like(alpha)
+        for h, (amp, phase) in enumerate(zip(amps, phases), start=2):
+            wobble += amp * np.sin(h * alpha + phase)
+        limit = 1.0 + lesion.irregularity * wobble
+    mask[box] = radial <= limit * limit
+    return mask
 
 
 def _render(specs: list[PhantomSpec], masks: list[np.ndarray],

@@ -35,6 +35,7 @@ from fedmim.model import (
 )
 from fedmim.rng import Rng
 from fedmim.smat import ScanGeometry
+from fedmim.synth import PhantomSpec, _boundary_wobble
 
 
 def init_params(cfg: ModelConfig) -> np.ndarray:
@@ -370,6 +371,28 @@ def speckle_envelope(rng: Rng, count: int) -> np.ndarray:
         g2 = rng.normal()
         envelope[i] = math.hypot(g1, g2)
     return envelope
+
+
+def lesion_mask_full_grid(spec: PhantomSpec, rng: Rng) -> np.ndarray:
+    """synth._lesion_mask of a lesion inside the image, tested on every
+    pixel rather than on the lesion's bounding box; the boundary wobble is
+    drawn from rng in the same way."""
+    lesion = spec.lesion
+    if lesion is None:
+        return np.zeros((spec.height, spec.width))
+    ys, xs = np.mgrid[0:spec.height, 0:spec.width].astype(np.float64)
+    dx = (xs - lesion.center_x) / lesion.axis_x
+    dy = (ys - lesion.center_y) / lesion.axis_y
+    radial = dx * dx + dy * dy
+    if lesion.irregularity == 0.0:
+        return (radial <= 1.0).astype(np.float64)
+    amps, phases = _boundary_wobble(rng)
+    alpha = np.arctan2(dy, dx)
+    wobble = np.zeros_like(alpha)
+    for h, (amp, phase) in enumerate(zip(amps, phases), start=2):
+        wobble += amp * np.sin(h * alpha + phase)
+    limit = 1.0 + lesion.irregularity * wobble
+    return (radial <= limit * limit).astype(np.float64)
 
 
 def salt_pepper(img: np.ndarray, p_salt: float, p_pepper: float, rng: Rng) -> np.ndarray:

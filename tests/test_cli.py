@@ -502,6 +502,32 @@ def test_bad_resume_exits_before_synthesis(workspace, tmp_path, capsys, monkeypa
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("change", [
+    {"federation": {"num_clients": 3, "local_steps": 1}},
+    {"federation": {"local_steps": 1}},
+    {"optimizer": {"eta_max": 1e-3}},
+    {"optimizer": {"warmup_rounds": 0}},
+], ids=["clients-and-steps", "steps", "eta-max", "warmup"])
+def test_resume_from_another_federation_is_exit_2_before_synthesis(
+        tmp_path, capsys, monkeypatch, change):
+    # A checkpoint resumes only the federation it was trained in: any field
+    # but the horizon, total_rounds, that differs exits 2 before any
+    # phantom is synthesized, and the head keeps its checkpoint and trace.
+    out, tail = _pretrain_head(tmp_path)
+    names = ("loss_trace.csv", "checkpoint.json", "checkpoint.params")
+    head = {name: (out / name).read_bytes() for name in names}
+    cfg = json.loads(Path(tail[1]).read_text())
+    for section, fields in change.items():
+        cfg[section] = dict(cfg.get(section, {}), **fields)
+    Path(tail[1]).write_text(json.dumps(cfg))
+    monkeypatch.setattr(synth, "generate_dataset", _no_synthesis)
+    capsys.readouterr()
+    assert main(tail) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("configuration error: checkpoint federation "
+                                       "config does not match run config\n")
+    assert {name: (out / name).read_bytes() for name in names} == head
+
+
 @pytest.mark.parametrize("bad_round, message", [
     ("3", "error: {ck}.json: bad field: round must be an int >= 0, got '3'"),
     (3.0, "error: {ck}.json: bad field: round must be an int >= 0, got 3.0"),

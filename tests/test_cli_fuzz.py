@@ -1,12 +1,17 @@
-"""Fuzzed PGM inputs to the single-image commands: every file, however
-malformed, ends in a documented exit code with at most a one-line message."""
+"""Fuzzed inputs to the commands: PGM files to the single-image commands,
+and damaged checkpoints and labels.json files to finetune and a pretrain
+resume. Every file, however malformed, ends in a documented exit code with
+at most a one-line message."""
 
 import io
+import json
+import shutil
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -102,3 +107,77 @@ def test_single_image_commands_exit_cleanly_on_any_pgm(data):
                     or err.count("\n") != (code != EXIT_OK) or "Traceback" in err):
                 bad.append(f"{argv[0]} {argv[1]}: exit {code}, stderr {err!r}")
         assert not bad, f"input {data!r}:\n" + "\n".join(bad)
+
+
+# A small run; the default lesion axes fit into 32 x 32 phantoms.
+FUZZ_RUN = {
+    "version": 1,
+    "synth": {"n": 16, "width": 32, "height": 32, "class_mix": [0.5, 0.5, 0.0]},
+    "model": {"embed_dim": 4},
+    "federation": {"num_clients": 2, "total_rounds": 2},
+    "optimizer": {"warmup_rounds": 1},
+    "probe": {"epochs": 5, "warmup_rounds": 1},
+}
+FUZZED_FILES = ["run/checkpoint.json", "run/checkpoint.params", "data/labels.json"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_run(tmp_path_factory):
+    """A generated dataset and the checkpoint and trace of a run over it,
+    and the argv of the finetune and pretrain resume that read them."""
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "run.json").write_text(json.dumps(FUZZ_RUN))
+    (root / "resume.json").write_text(json.dumps(dict(FUZZ_RUN, resume_from=str(
+        root / "run" / "checkpoint"))))
+    base = ["--config", str(root / "run.json"), "--seed", "3"]
+    assert main(base + ["--out", str(root / "data"), "generate"]) == EXIT_OK
+    assert main(base + ["--out", str(root / "run"), "pretrain"]) == EXIT_OK
+    # The checkpoint is at round 2 of 2: resuming it runs no round, but
+    # still loads, synthesizes and saves.
+    commands = [
+        base + ["--out", str(root / "ft"), "finetune", str(root / "run" / "checkpoint"),
+                str(root / "data")],
+        ["--config", str(root / "resume.json"), "--seed", "3", "--out", str(root / "tail"),
+         "pretrain"],
+    ]
+    for argv in commands:
+        assert _resume_into_fresh_tail(root, argv) == (EXIT_OK, "")
+    return root, commands
+
+
+def _resume_into_fresh_tail(root: Path, argv: list[str]) -> tuple[int | str, str]:
+    """_run(argv) with <root>/tail holding only the head's trace."""
+    shutil.rmtree(root / "tail", ignore_errors=True)
+    (root / "tail").mkdir()
+    shutil.copy(root / "run" / "loss_trace.csv", root / "tail")
+    return _run(argv)
+
+
+@given(st.sampled_from(FUZZED_FILES), st.booleans(), st.integers(0, 2**16),
+       st.integers(1, 255))
+@example("run/checkpoint.json", False, 0, 1)  # an empty manifest
+@example("run/checkpoint.params", False, 3, 1)  # a partial value
+@example("data/labels.json", True, 0, ord("{") ^ ord("["))  # a list root
+@settings(max_examples=100, deadline=None)
+def test_damaged_checkpoint_or_labels_exit_cleanly(fuzz_run, name, flip, where, xor):
+    # A file cut at a random byte, or with one byte flipped: exit 0 (a flip
+    # can leave the file valid), 2 or 3, one stderr line, no traceback.
+    root, commands = fuzz_run
+    path = root / name
+    original = path.read_bytes()
+    data = bytearray(original)
+    if flip:
+        data[where % len(data)] ^= xor
+    else:
+        del data[where % len(data):]
+    bad = []
+    try:
+        path.write_bytes(bytes(data))
+        for argv in commands:
+            code, err = _resume_into_fresh_tail(root, argv)
+            if (code not in (EXIT_OK, EXIT_CONFIG, EXIT_IO)
+                    or err.count("\n") != (code != EXIT_OK) or "Traceback" in err):
+                bad.append(f"{argv[-1]}: exit {code}, stderr {err!r}")
+    finally:
+        path.write_bytes(original)
+    assert not bad, f"{name} as {bytes(data)[:200]!r}:\n" + "\n".join(bad)

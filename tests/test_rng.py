@@ -195,6 +195,14 @@ def test_lockstep_draws_span_several_blocks():
         assert rng._s == lanes[seeds.index(seed)]._s
 
 
+def _rayleigh_blocks(n: int, count: int) -> tuple[int, int, int]:
+    """(sub, kept, rows) of lockstep_rayleigh over n lanes of count radii:
+    sub sub-lanes of kept radii each, converted rows radii at a time."""
+    sub, m = _cut(n, 2 * count)
+    kept = m // 2
+    return sub, kept, max(1, min(kept, rng_module._BLOCK_WORDS // (sub * n)))
+
+
 def _rotr(x: int, k: int) -> int:
     return ((x >> k) | (x << (64 - k))) & _MASK
 
@@ -248,6 +256,27 @@ def test_lockstep_rayleigh_retry_finishes_on_the_scalar_path(count, zero_draw):
     probe._s = list(crafted)
     draws = [probe.next_u64() for _ in range(zero_draw + 1)]
     assert draws[-1] == 0
+
+
+@pytest.mark.parametrize("where", ["first-sub-lane", "last-sub-lane"])
+def test_lockstep_rayleigh_spans_several_blocks(where):
+    # 3 lanes of 40000 radii take several blocks, the last one short. The
+    # crafted lane's zero u1 falls in a later block, in the first or the
+    # last jumped sub-lane, and that lane finishes on the scalar path.
+    count = 40000
+    sub, kept, rows = _rayleigh_blocks(3, count)
+    assert kept > rows and kept % rows and sub > 1
+    sub_lane = 0 if where == "first-sub-lane" else sub - 1
+    zero_draw = 2 * (sub_lane * kept + rows + 7)
+    assert zero_draw < 2 * count
+    crafted = _step_back([0x1234, 0, 0x5678, 0x9ABC], zero_draw)
+    lanes, scalar = [Rng(21), Rng(0), Rng(22)], [Rng(21), Rng(0), Rng(22)]
+    lanes[1]._s, scalar[1]._s = list(crafted), list(crafted)
+    out = lockstep_rayleigh(lanes, np.empty((3, count)))
+    for row, rng in zip(out, scalar):
+        expect = speckle_envelope(rng, count)
+        np.testing.assert_allclose(row, expect, rtol=1e-15, atol=0.0)
+    assert [rng._s for rng in lanes] == [rng._s for rng in scalar]
 
 
 def test_charpoly_is_rederived_by_berlekamp_massey():

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from fedmim import synth
 from fedmim.errors import LesionOutOfBounds, TooFewSamples
 from fedmim.rng import Rng
 from fedmim.smat import CONVEX, LINEAR, ScanGeometry, linear_to_convex
@@ -20,6 +23,7 @@ from fedmim.synth import (
     partition_clients,
     random_lesion,
 )
+from oracles import lesion_mask_full_grid
 
 
 def test_no_speckle_no_lesion_is_constant():
@@ -78,6 +82,61 @@ def test_lesion_out_of_bounds():
     spec = PhantomSpec(16, 16, 150.0, 0.0, lesion, BENIGN)
     with pytest.raises(LesionOutOfBounds):
         generate_phantom(spec, Rng(0))
+
+
+def test_lesion_with_nan_center_is_out_of_bounds():
+    lesion = Lesion(math.nan, 8.0, 2.0, 2.0, -60.0, 0.0)
+    spec = PhantomSpec(16, 16, 150.0, 0.0, lesion, BENIGN)
+    with pytest.raises(LesionOutOfBounds):
+        generate_phantom(spec, Rng(0))
+
+
+TOP_IRREGULARITY = LesionSpec().irregularity_range[1]
+
+
+@st.composite
+def lesion_phantoms(draw) -> PhantomSpec:
+    """A phantom of any shape with a lesion inside it: drawn by
+    random_lesion, or built with irregularity 0, the top of the default
+    irregularity_range or between (either sign), axes of either sign, and
+    a center whose reach touches the low border, the high border or
+    neither on each axis."""
+    if draw(st.booleans()):
+        # The default axis_range fits a lesion into 32 pixels or more.
+        width, height = draw(st.integers(32, 80)), draw(st.integers(32, 80))
+        label = draw(st.sampled_from([BENIGN, MALIGNANT]))
+        lesion = random_lesion(width, height, label, Rng(draw(st.integers(0, 2**64 - 1))))
+        return PhantomSpec(width, height, lesion=lesion, class_label=label)
+    width, height = draw(st.integers(4, 80)), draw(st.integers(4, 80))
+    irregularity = draw(st.sampled_from([0.0, TOP_IRREGULARITY])
+                        | st.floats(-TOP_IRREGULARITY, TOP_IRREGULARITY))
+    centers, axes = [], []
+    for side in (width, height):
+        # The lesion fits when its reach, |axis| (1 + |irregularity|), is
+        # at most (side - 1) / 2.
+        most = (side - 1) / (2.0 * (1.0 + abs(irregularity)))
+        axis = draw(st.floats(0.5, most) | st.just(most))
+        reach = axis * (1.0 + abs(irregularity))
+        lo, hi = reach, side - 1 - reach
+        assume(lo <= hi)
+        center = draw(st.sampled_from([lo, hi]) | st.floats(lo, hi))
+        assume(center - reach >= 0 and center + reach <= side - 1)
+        centers.append(center)
+        axes.append(-axis if draw(st.booleans()) else axis)
+    lesion = Lesion(*centers, *axes, -60.0, irregularity)
+    return PhantomSpec(width, height, lesion=lesion, class_label=MALIGNANT)
+
+
+@given(lesion_phantoms(), st.integers(0, 2**64 - 1))
+@example(PhantomSpec(9, 5, lesion=Lesion(2.0, 2.0, 2.0, 2.0, -60.0, 0.0)), 0)
+@example(PhantomSpec(64, 40, lesion=Lesion(31.5, 19.5, 31.5 / 1.85, 19.5 / 1.85, -60.0,
+                                           0.85)), 1)
+@settings(max_examples=150, deadline=None)
+def test_lesion_mask_on_its_box_matches_the_full_grid(spec, seed):
+    box, full = Rng(seed), Rng(seed)
+    assert synth._lesion_mask(spec, box).tobytes() == \
+        lesion_mask_full_grid(spec, full).tobytes()
+    assert box._s == full._s
 
 
 def test_random_lesion_class_texture():
