@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fed, metrics, model, smat, synth
 from .corrupt import CorruptionConfig, mixed_corrupt
-from .errors import FedmimError, MalformedFile, NonFiniteLoss, TooFewSamples
+from .errors import FedmimError, NonFiniteLoss
 from .finetune import ProbeConfig, extract_features, probe_scores, train_probe
 from .image import depatchify, read_pgm, write_pgm
 from .pipeline import PatchSpec, build_clients
@@ -223,21 +223,33 @@ def cmd_generate(cfg: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
+def _without_horizon(record: dict) -> dict:
+    """A config record but its federation.total_rounds, the one key that a
+    resume may change (ROADMAP item 4)."""
+    section = record.get("federation")
+    if not isinstance(section, dict):
+        return record
+    return dict(record, federation={k: v for k, v in section.items() if k != "total_rounds"})
+
+
 def cmd_pretrain(cfg: dict, out_dir: Path) -> int:
     model_cfg = _model_config(cfg)
     fed_cfg = _federation(cfg)
+    corruption, patch = _corruption(cfg), _patch_spec(cfg)
     _check_out(out_dir)
     trace_path = out_dir / "loss_trace.csv"
     resume = cfg["resume_from"]
+    # The config the checkpoint keeps, without the model shape keys, which
+    # can only repeat what the patch and synth sections give.
+    record = dict(cfg, model={"embed_dim": model_cfg.embed_dim})
+    del record["resume_from"]
     if resume is not None:
         ckpt = fed.load_checkpoint(str(resume))
-        if ckpt.model_cfg != model_cfg:
-            raise ConfigError("checkpoint model config does not match run config")
-        run, saved = asdict(fed_cfg), asdict(ckpt.fed_cfg)
-        for record in (run, saved, run["opt"], saved["opt"]):
-            del record["total_rounds"]  # the horizon may change (ROADMAP item 4)
-        if run != saved:
-            raise ConfigError("checkpoint federation config does not match run config")
+        if ckpt.config is None:
+            raise ConfigError(f"checkpoint {resume} has no config record to resume by")
+        if _without_horizon(ckpt.config) != _without_horizon(record):
+            what = "model" if ckpt.model_cfg != model_cfg else "federation"
+            raise ConfigError(f"checkpoint {what} config does not match run config")
         params, start_round = ckpt.params, ckpt.round_index
         if start_round > fed_cfg.total_rounds:
             raise ConfigError(f"checkpoint round {start_round} is past "
@@ -247,10 +259,8 @@ def cmd_pretrain(cfg: dict, out_dir: Path) -> int:
     else:
         params, start_round = model.init_params(model_cfg), 0
     dataset = _generate(cfg)
-    clients = build_clients(
-        dataset, fed_cfg.num_clients, cfg["federation"]["alpha"],
-        model_cfg, _corruption(cfg), _patch_spec(cfg), cfg["seed"],
-    )
+    clients = build_clients(dataset, fed_cfg.num_clients, cfg["federation"]["alpha"],
+                            model_cfg, corruption, patch, cfg["seed"])
     final, trace = fed.run_pretraining(fed_cfg, model_cfg, clients, params,
                                        start_round=start_round)
     # The checkpoint goes first: a save that fails leaves the checkpoint
@@ -258,8 +268,8 @@ def cmd_pretrain(cfg: dict, out_dir: Path) -> int:
     out_dir.mkdir(exist_ok=True)
     fed.save_checkpoint(
         str(out_dir / "checkpoint"),
-        fed.Checkpoint(model_cfg, fed_cfg, fed_cfg.total_rounds,
-                       cfg["seed"], final),
+        fed.Checkpoint(model_cfg, fed_cfg, fed_cfg.total_rounds, cfg["seed"], final,
+                       record),
     )
     rows = trace[1:] if resume is not None else trace
     with open(trace_path, "a" if resume is not None else "w",
@@ -280,14 +290,14 @@ def _load_samples(labeled_dir: Path) -> list[dict]:
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # invalid JSON or invalid UTF-8
-        raise MalformedFile(f"{path}: not valid JSON: {exc}") from exc
+        raise FedmimError(f"{path}: not valid JSON: {exc}") from exc
     samples = manifest.get("samples") if isinstance(manifest, dict) else None
     if not isinstance(samples, list):
-        raise MalformedFile(f"{path}: root must be an object with a \"samples\" list")
+        raise FedmimError(f"{path}: root must be an object with a \"samples\" list")
     for i, rec in enumerate(samples):
         for key in ("index", "label"):
             if not isinstance(rec, dict) or type(rec.get(key)) is not int:
-                raise MalformedFile(f"{path}: sample {i} has no integer {key!r} field")
+                raise FedmimError(f"{path}: sample {i} has no integer {key!r} field")
     return samples
 
 
@@ -307,7 +317,7 @@ def cmd_finetune(cfg: dict, checkpoint: Path, labeled_dir: Path, out_dir: Path) 
             if not (num_classes == 2 and rec["label"] == synth.NONE)]
     left_out = len(samples) - len(kept)
     if len(kept) < 2:
-        raise TooFewSamples(
+        raise FedmimError(
             f"{labeled_dir / 'labels.json'}: the probe needs at least 2 samples, "
             f"got {len(kept)}" + (f" after leaving out {left_out} with no lesion"
                                   if left_out else ""))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidKernel
+from .errors import FedmimError
 from .image import as_image, bilinear_sample_grid, convolve2d
 from .rng import Rng, lockstep_random
 
@@ -29,6 +29,9 @@ _OPS = (MOTION, GAUSSIAN, SALTPEPPER)
 # Ranges the per-image motion angle phi and blur sigma are drawn from.
 PHI_RANGE = (0.0, math.pi)
 SIGMA_RANGE = (0.5, 2.5)
+# The longest motion blur. Building its d x d kernel peaks at about 3 MB
+# (13 MB at d = 255), and it is twice the side of a default phantom.
+MAX_MOTION_D = 127
 
 
 @dataclass(frozen=True)
@@ -49,12 +52,14 @@ class CorruptionConfig:
             raise ValueError("salt/pepper probabilities invalid")
         if self.motion_d < 1 or self.motion_d % 2 == 0:
             raise ValueError(f"motion_d must be odd and >= 1, got {self.motion_d}")
+        if self.motion_d > MAX_MOTION_D:
+            raise ValueError(f"motion_d must be <= {MAX_MOTION_D}, got {self.motion_d}")
 
 
 def motion_blur_kernel(d: int, phi: float) -> np.ndarray:
     """Line-segment blur kernel of length d at angle phi, sum exactly 1."""
     if d < 1 or d % 2 == 0:
-        raise InvalidKernel(f"d must be odd and >= 1, got {d}")
+        raise FedmimError(f"d must be odd and >= 1, got {d}")
     identity = np.eye(d, dtype=np.float64)
     c = (d - 1) / 2.0
     ys, xs = np.mgrid[0:d, 0:d].astype(np.float64)
@@ -71,7 +76,7 @@ def motion_blur_kernel(d: int, phi: float) -> np.ndarray:
     kernel = bilinear_sample_grid(identity, sx, sy)
     total = kernel.sum()
     if total <= 0.0:
-        raise InvalidKernel("degenerate motion kernel")
+        raise FedmimError("degenerate motion kernel")
     return kernel / total
 
 
@@ -80,7 +85,7 @@ def gaussian_weights(sigma: float) -> np.ndarray:
     math.exp taps summed with math.fsum; its outer product with itself is
     the 2-D blur kernel."""
     if sigma <= 0.0:
-        raise InvalidKernel(f"sigma must be positive, got {sigma}")
+        raise FedmimError(f"sigma must be positive, got {sigma}")
     radius = max(1, math.ceil(3.0 * sigma))
     taps = [math.exp(-(u * u) / (2.0 * sigma * sigma)) for u in range(-radius, radius + 1)]
     return np.array(taps) / math.fsum(taps)

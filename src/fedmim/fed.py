@@ -19,8 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import (ChecksumMismatch, ConfigMismatch, MalformedFile, NonFiniteLoss,
-                     ShapeMismatch)
+from .errors import FedmimError, NonFiniteLoss
 from .model import (ModelConfig, OptimizerConfig, PreparedBatch, batch_loss_and_grad,
                     lr_schedule, prepare_batch, stack_batches)
 
@@ -92,7 +91,7 @@ def aggregate(local_results: list[tuple[np.ndarray | float, int]]) -> np.ndarray
     acc = 0.0
     for value, n_k in local_results:
         if np.shape(value) != shape:
-            raise ShapeMismatch("aggregated values differ in shape")
+            raise FedmimError("aggregated values differ in shape")
         acc += (n_k / total) * value
     return acc
 
@@ -164,6 +163,7 @@ class Checkpoint:
     round_index: int
     seed: int
     params: np.ndarray
+    config: dict | None = None  # the run config that cli.cmd_pretrain resumes by
 
 
 def _payload_bytes(params: np.ndarray) -> bytes:
@@ -180,6 +180,8 @@ def save_checkpoint(path_prefix: str, cp: Checkpoint) -> None:
         "param_count": int(cp.params.size),
         "crc32": zlib.crc32(payload),
     }
+    if cp.config is not None:
+        manifest["config"] = cp.config
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     # Both files are written in full under temporary names before either
     # replaces the old one, so a save that fails while writing leaves the
@@ -197,12 +199,12 @@ def save_checkpoint(path_prefix: str, cp: Checkpoint) -> None:
 
 def load_checkpoint(path_prefix: str) -> Checkpoint:
     """Read <path_prefix>.json and .params. A missing or unreadable file
-    raises its OSError; bad contents raise MalformedFile naming the file."""
+    raises its OSError; bad contents raise FedmimError naming the file."""
     try:
         with open(f"{path_prefix}.json", "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
     except ValueError as exc:  # invalid JSON or invalid UTF-8
-        raise MalformedFile(f"{path_prefix}.json: not valid JSON: {exc}") from exc
+        raise FedmimError(f"{path_prefix}.json: not valid JSON: {exc}") from exc
     with open(f"{path_prefix}.params", "rb") as fh:
         payload = fh.read()
 
@@ -214,24 +216,23 @@ def load_checkpoint(path_prefix: str) -> Checkpoint:
         crc = manifest["crc32"]
         round_index = manifest["round"]
         seed = manifest["seed"]
+        config = manifest.get("config")  # after the fields above, manifest is a dict
     except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedFile(f"{path_prefix}.json: bad field: {exc}") from exc
+        raise FedmimError(f"{path_prefix}.json: bad field: {exc}") from exc
     if type(round_index) is not int or round_index < 0:
-        raise MalformedFile(f"{path_prefix}.json: bad field: round must be an int >= 0, "
-                            f"got {round_index!r}")
+        raise FedmimError(f"{path_prefix}.json: bad field: round must be an int >= 0, "
+                          f"got {round_index!r}")
+    if not isinstance(config, (dict, type(None))):
+        raise FedmimError(f"{path_prefix}.json: bad field: config must be an object")
 
     if param_count != model_cfg.param_count:
-        raise ConfigMismatch(
-            f"manifest param count {param_count} inconsistent with model config "
-            f"({model_cfg.param_count})"
-        )
+        raise FedmimError(f"manifest param count {param_count} inconsistent with model "
+                          f"config ({model_cfg.param_count})")
     if len(payload) % 8 != 0:
-        raise MalformedFile(f"payload {path_prefix}.params has partial values")
+        raise FedmimError(f"payload {path_prefix}.params has partial values")
     params = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     if params.size != param_count:
-        raise MalformedFile(
-            f"payload holds {params.size} values, manifest says {param_count}"
-        )
+        raise FedmimError(f"payload holds {params.size} values, manifest says {param_count}")
     if zlib.crc32(payload) != crc:
-        raise ChecksumMismatch(f"{path_prefix}.params checksum mismatch")
-    return Checkpoint(model_cfg, fed_cfg, round_index, seed, params)
+        raise FedmimError(f"{path_prefix}.params checksum mismatch")
+    return Checkpoint(model_cfg, fed_cfg, round_index, seed, params, config)

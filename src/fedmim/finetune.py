@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLabel, TooFewSamples
+from .errors import FedmimError
 from .image import patchify
 from .model import ModelConfig, OptimizerConfig, encode_features, lr_schedule
 from .rng import Rng, uniform_draws
@@ -71,7 +71,7 @@ def init_probe(num_classes: int, embed_dim: int, seed: int) -> np.ndarray:
 def _check_labels(labels: np.ndarray, num_classes: int) -> None:
     out_of_range = (labels < 0) | (labels >= num_classes)
     if out_of_range.any():
-        raise BadLabel(f"label {labels[out_of_range][0]} outside [0, {num_classes})")
+        raise FedmimError(f"label {labels[out_of_range][0]} outside [0, {num_classes})")
 
 
 def probe_scores(
@@ -115,7 +115,7 @@ def probe_split(n: int, cfg: ProbeConfig) -> tuple[np.ndarray, np.ndarray]:
     shuffles 0..n-1, and the first round(val_fraction * n) validate."""
     n_val = int(round(cfg.val_fraction * n))
     if n_val < 1 or n - n_val < 1:
-        raise TooFewSamples(f"cannot split {n} samples {1 - cfg.val_fraction:.0%}/{cfg.val_fraction:.0%}")
+        raise FedmimError(f"cannot split {n} samples {1 - cfg.val_fraction:.0%}/{cfg.val_fraction:.0%}")
     order = list(range(n))
     Rng(cfg.seed).shuffle(order)
     return np.array(order[:n_val]), np.array(order[n_val:])

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedFile, NonDivisible
+from .errors import FedmimError
 
 
 def as_image(data) -> np.ndarray:
@@ -30,9 +30,7 @@ def patchify(img: np.ndarray, patch_h: int, patch_w: int) -> np.ndarray:
     img = as_image(img)
     h, w = img.shape
     if patch_h < 1 or patch_w < 1 or h % patch_h != 0 or w % patch_w != 0:
-        raise NonDivisible(
-            f"patch size {patch_h}x{patch_w} does not tile image {h}x{w}"
-        )
+        raise FedmimError(f"patch size {patch_h}x{patch_w} does not tile image {h}x{w}")
     rows = h // patch_h
     cols = w // patch_w
     blocks = img.reshape(rows, patch_h, cols, patch_w).transpose(0, 2, 1, 3)
@@ -155,21 +153,21 @@ def read_pgm(path) -> np.ndarray:
         if i > start:
             tokens.append(raw[start:i])
     if len(tokens) < 4:
-        raise MalformedFile(f"{path}: truncated PGM header")
+        raise FedmimError(f"{path}: truncated PGM header")
     if tokens[0] != b"P5":
-        raise MalformedFile(f"{path}: expected P5 magic, got {tokens[0]!r}")
+        raise FedmimError(f"{path}: expected P5 magic, got {tokens[0]!r}")
     try:
         width, height, maxval = (int(t) for t in tokens[1:4])
     except ValueError as exc:
-        raise MalformedFile(f"{path}: non-numeric PGM header") from exc
+        raise FedmimError(f"{path}: non-numeric PGM header") from exc
     if width < 1 or height < 1:
-        raise MalformedFile(f"{path}: bad dimensions {width}x{height}")
+        raise FedmimError(f"{path}: bad dimensions {width}x{height}")
     if maxval != 255:
-        raise MalformedFile(f"{path}: only maxval 255 supported, got {maxval}")
+        raise FedmimError(f"{path}: only maxval 255 supported, got {maxval}")
     i += 1  # single whitespace byte after maxval
     pixels = raw[i : i + width * height]
     if len(pixels) != width * height:
-        raise MalformedFile(f"{path}: truncated pixel data")
+        raise FedmimError(f"{path}: truncated pixel data")
     return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width).astype(np.float64)
 
 

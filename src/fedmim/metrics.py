@@ -9,15 +9,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    BadLabel,
-    DegenerateMask,
-    DegenerateVariance,
-    EmptySet,
-    LengthMismatch,
-    OneClassOnly,
-    TooFewSamples,
-)
+from .errors import FedmimError
 
 
 def auroc(scores, labels) -> float:
@@ -29,14 +21,14 @@ def auroc(scores, labels) -> float:
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
-        raise LengthMismatch("scores and labels differ in length")
+        raise FedmimError("scores and labels differ in length")
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     bad = labels[(labels != 0) & (labels != 1)]
     if bad.size:
-        raise BadLabel(f"label {bad[0]} outside {{0, 1}}")
+        raise FedmimError(f"label {bad[0]} outside {{0, 1}}")
     if n_pos == 0 or n_neg == 0:
-        raise OneClassOnly("need at least one positive and one negative")
+        raise FedmimError("need at least one positive and one negative")
     # 1-based ranks; a run of tied scores shares its midrank.
     sorted_scores = np.sort(scores)
     ranks = 0.5 * (np.searchsorted(sorted_scores, scores, side="left")
@@ -49,7 +41,7 @@ def auroc(scores, labels) -> float:
 def _pair(a, b, dtype) -> tuple[np.ndarray, np.ndarray]:
     a, b = np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype)
     if a.shape != b.shape:
-        raise LengthMismatch(f"length mismatch: {a.shape} vs {b.shape}")
+        raise FedmimError(f"length mismatch: {a.shape} vs {b.shape}")
     return a, b
 
 
@@ -69,7 +61,7 @@ def hausdorff(pred, truth) -> float:
 
     pred, truth = _pair(pred, truth, bool)
     if not pred.any() or not truth.any():
-        raise EmptySet("hausdorff needs two non-empty masks")
+        raise FedmimError("hausdorff needs two non-empty masks")
     return float(max(distance_transform_edt(~truth)[pred].max(),
                      distance_transform_edt(~pred)[truth].max()))
 
@@ -77,7 +69,7 @@ def hausdorff(pred, truth) -> float:
 def mae(preds, gts) -> float:
     preds, gts = _pair(preds, gts, np.float64)
     if preds.size == 0:
-        raise EmptySet("mae needs at least one sample")
+        raise FedmimError("mae needs at least one sample")
     return float(np.mean(np.abs(gts - preds)))
 
 
@@ -116,9 +108,9 @@ def aop(ps_mask: np.ndarray, fh_mask: np.ndarray) -> float:
     ps_pixels = mask_points(ps_mask)
     fh_boundary = mask_boundary(fh_mask)
     if len(ps_pixels) < 2:
-        raise DegenerateMask("pubic-symphysis mask needs at least 2 pixels")
+        raise FedmimError("pubic-symphysis mask needs at least 2 pixels")
     if not fh_boundary:
-        raise DegenerateMask("fetal-head mask is empty")
+        raise FedmimError("fetal-head mask is empty")
 
     # Long axis: furthest pair, ties to the lexicographically smallest pair.
     # Two or more pixels have two or more boundary pixels, so a pair exists.
@@ -133,7 +125,7 @@ def aop(ps_mask: np.ndarray, fh_mask: np.ndarray) -> float:
     rays = [(px - anchor[0], py - anchor[1]) for px, py in sorted(fh_boundary)
             if (px, py) != anchor]
     if not rays:
-        raise DegenerateMask("fetal-head mask coincides with the anchor")
+        raise FedmimError("fetal-head mask coincides with the anchor")
     best_dir = np.array(max(rays, key=lambda r: math.atan2(r[1], r[0])),
                         dtype=np.float64)
 
@@ -148,7 +140,7 @@ def ci95(samples) -> tuple[float, float]:
     """Mean and half-width of the normal 95% CI: 1.96 * SE."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size < 2:
-        raise TooFewSamples("ci95 needs at least 2 samples")
+        raise FedmimError("ci95 needs at least 2 samples")
     mean = float(samples.mean())
     sd = float(samples.std(ddof=1))
     return mean, 1.96 * sd / math.sqrt(samples.size)
@@ -162,11 +154,11 @@ def t_test(a, b) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.size < 2 or b.size < 2:
-        raise TooFewSamples("t_test needs at least 2 samples per group")
+        raise FedmimError("t_test needs at least 2 samples per group")
     var_a = float(a.var(ddof=1))
     var_b = float(b.var(ddof=1))
     if var_a == 0.0 and var_b == 0.0:
-        raise DegenerateVariance("both samples have zero variance")
+        raise FedmimError("both samples have zero variance")
     se2_a = var_a / a.size
     se2_b = var_b / b.size
     t_stat = (float(a.mean()) - float(b.mean())) / math.sqrt(se2_a + se2_b)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyVisibleSet, ShapeMismatch
+from .errors import FedmimError
 from .rng import Rng, uniform_draws
 
 PIXEL_SCALE = 255.0
@@ -65,7 +65,7 @@ def unpack_params(params: np.ndarray, cfg: ModelConfig):
     """Views into the flat vector: (W_e, b_e, W_d, b_d)."""
     n, e = cfg.patch_dim, cfg.embed_dim
     if params.shape != (cfg.param_count,):
-        raise ShapeMismatch(f"expected {cfg.param_count} params, got {params.shape}")
+        raise FedmimError(f"expected {cfg.param_count} params, got {params.shape}")
     i = 0
     w_e = params[i : i + e * n].reshape(e, n); i += e * n
     b_e = params[i : i + e]; i += e
@@ -140,20 +140,20 @@ def prepare_batch(
         x = np.stack([patches for patches, _ in samples], dtype=np.float64)
         masked = np.stack([mask for _, mask in samples])
     except ValueError as exc:
-        raise ShapeMismatch(f"samples do not stack: {exc}") from None
+        raise FedmimError(f"samples do not stack: {exc}") from None
     num_patches = cfg.num_patches
     if (x.shape[1:] != (num_patches, cfg.patch_dim) or masked.shape[1:] != (num_patches,)
             or masked.dtype != np.bool_):
-        raise ShapeMismatch(f"samples must be ({num_patches}, {cfg.patch_dim}) patches and "
-                            f"a ({num_patches},) bool mask, got {x.shape[1:]} and "
-                            f"{masked.shape[1:]} {masked.dtype}")
+        raise FedmimError(f"samples must be ({num_patches}, {cfg.patch_dim}) patches and "
+                          f"a ({num_patches},) bool mask, got {x.shape[1:]} and "
+                          f"{masked.shape[1:]} {masked.dtype}")
     n_mask = int(masked[0].sum())
     if np.any(masked.sum(axis=1) != n_mask):
-        raise ShapeMismatch("samples mask different numbers of patches")
+        raise FedmimError("samples mask different numbers of patches")
     if n_mask == 0:
-        raise ShapeMismatch("samples mask no patch")
+        raise FedmimError("samples mask no patch")
     if n_mask == num_patches:
-        raise EmptyVisibleSet("need at least one visible patch")
+        raise FedmimError("need at least one visible patch")
     x /= PIXEL_SCALE
     q = positional_embeddings(num_patches, cfg.embed_dim)
     # Stable, so each row lists its visible indices, then its masked ones.
@@ -181,7 +181,7 @@ def stack_batches(batches: list[PreparedBatch]) -> PreparedBatch:
     first = batches[0]
     if any(b.visible.shape[1:] != first.visible.shape[1:] or b.n_mask != first.n_mask
            for b in batches):
-        raise ShapeMismatch("batches differ in their visible or masked patch counts")
+        raise FedmimError("batches differ in their visible or masked patch counts")
 
     def cat(name, axis=0):  # axis 1: the sample axis of a patch-major array
         return np.concatenate([getattr(b, name).swapaxes(0, axis) for b in batches],
@@ -195,6 +195,23 @@ def stack_batches(batches: list[PreparedBatch]) -> PreparedBatch:
         s_q=cat("s_q"), s_t=cat("s_t"), t_q=total("t_q"), t_sq=total("t_sq"),
         n_mask=first.n_mask,
     )
+
+
+def _encode(w_e: np.ndarray, b_e: np.ndarray, rows: np.ndarray, q: np.ndarray,
+            shape: tuple[int, ...]) -> np.ndarray:
+    """The encoder's output for patch rows (r, N) with their positional
+    embeddings q, in a new array of the given shape: rows @ W_e^T, reshaped,
+    then + b_e, + q, and the activation, tanh."""
+    h = (rows @ w_e.T).reshape(shape)
+    h += b_e
+    h += q
+    return np.tanh(h, out=h)
+
+
+def _activation_slope(h: np.ndarray) -> np.ndarray:
+    """The derivative of _encode's activation at its output h, in place."""
+    h *= h
+    return np.subtract(1.0, h, out=h)
 
 
 def _row_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -227,10 +244,8 @@ def batch_loss_and_grad(
     w_d_ctx, w_d_pos = w_d[:, :e], w_d[:, e:]
 
     x = batch.visible.transpose(1, 0, 2).reshape(n_vis * n, patch_px)  # patch-major
-    h = (x @ w_e.T).reshape(n_vis, n, e)  # this buffer holds h, then d_z
-    h += b_e
-    h += batch.q_visible.transpose(1, 0, 2)
-    np.tanh(h, out=h)
+    # This buffer holds h, then d_z.
+    h = _encode(w_e, b_e, x, batch.q_visible.transpose(1, 0, 2), (n_vis, n, e))
     context = h.sum(axis=0) / n_vis  # (n, E)
     per_sample = context @ w_d_ctx.T + b_d  # (n, N) part of every prediction
     r_per_sample = n_mask * per_sample + batch.s_q @ w_d_pos.T - batch.s_t
@@ -243,8 +258,7 @@ def batch_loss_and_grad(
     d_w_d[:, e:] += g_centred  # [R^T ctx, G]
     d_b_d = r_per_sample.sum(axis=0)
     d_ctx = r_per_sample @ w_d_ctx  # (n, E)
-    h *= h
-    np.subtract(1.0, h, out=h)
+    _activation_slope(h)
     h *= d_ctx / n_vis  # d_z
     d_w_e = _row_sum(h.reshape(n_vis * n, e), x)
     d_b_e = np.einsum("vie->e", h)
@@ -269,8 +283,8 @@ def encode_features(params: np.ndarray, cfg: ModelConfig, patches: np.ndarray) -
     """Context vectors (n, E) of raw (n, L, N) patches with every patch
     visible (fine-tune time: no masking)."""
     if patches.shape[1:] != (cfg.num_patches, cfg.patch_dim):
-        raise ShapeMismatch("patches do not match model config")
+        raise FedmimError("patches do not match model config")
     w_e, b_e, _, _ = unpack_params(params, cfg)
     q = positional_embeddings(cfg.num_patches, cfg.embed_dim)
-    z = (patches / PIXEL_SCALE).reshape(-1, cfg.patch_dim) @ w_e.T
-    return np.tanh(z.reshape(*patches.shape[:2], -1) + b_e + q).mean(axis=1)
+    rows = (patches / PIXEL_SCALE).reshape(-1, cfg.patch_dim)  # sample-major
+    return _encode(w_e, b_e, rows, q, (*patches.shape[:2], cfg.embed_dim)).mean(axis=1)

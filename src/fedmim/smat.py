@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidGeometry
+from .errors import FedmimError
 from .image import BilinearPlan, apply_bilinear, as_image, bilinear_plan
 
 LINEAR = "linear"
@@ -36,9 +36,9 @@ class ScanGeometry:
 
     def __post_init__(self):
         if not (0.0 <= self.r_min < self.r_max):
-            raise InvalidGeometry(f"need 0 <= r_min < r_max, got {self.r_min}, {self.r_max}")
+            raise FedmimError(f"need 0 <= r_min < r_max, got {self.r_min}, {self.r_max}")
         if not (0.0 < self.half_angle < np.pi / 2):
-            raise InvalidGeometry(f"half_angle must be in (0, pi/2), got {self.half_angle}")
+            raise FedmimError(f"half_angle must be in (0, pi/2), got {self.half_angle}")
 
     @staticmethod
     def default_for(width: int, height: int) -> "ScanGeometry":
@@ -81,7 +81,7 @@ def convex_to_linear_plan(geom: ScanGeometry, src_shape: tuple[int, int],
     """Where each rectangle pixel samples the sector source: angle by
     column, radius by row."""
     if out_w < 2 or out_h < 2:
-        raise InvalidGeometry("output must be at least 2x2")
+        raise FedmimError("output must be at least 2x2")
     ys, xs = np.mgrid[0:out_h, 0:out_w].astype(np.float64)
     theta = -geom.half_angle + xs / (out_w - 1) * 2.0 * geom.half_angle
     r = geom.r_min + ys / (out_h - 1) * (geom.r_max - geom.r_min)

@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import LesionOutOfBounds, TooFewSamples
+from .errors import FedmimError
 from .rng import Rng, lockstep_rayleigh
 from .smat import CONVEX, LINEAR, ScanGeometry, linear_to_convex
 
@@ -114,10 +114,8 @@ def _lesion_mask(spec: PhantomSpec, rng: Rng) -> np.ndarray:
     reach_y = abs(lesion.axis_y) * (1.0 + abs(lesion.irregularity))
     if not (0 <= lesion.center_x - reach_x and lesion.center_x + reach_x <= spec.width - 1
             and 0 <= lesion.center_y - reach_y and lesion.center_y + reach_y <= spec.height - 1):
-        raise LesionOutOfBounds(
-            f"lesion at ({lesion.center_x}, {lesion.center_y}) with reach "
-            f"({reach_x:.1f}, {reach_y:.1f}) exceeds {spec.width}x{spec.height}"
-        )
+        raise FedmimError(f"lesion at ({lesion.center_x}, {lesion.center_y}) with reach "
+                          f"({reach_x:.1f}, {reach_y:.1f}) exceeds {spec.width}x{spec.height}")
     # Off its bounding box a pixel is reach + 1 or more from the center on
     # some axis, so |dx| or |dy| > 1 + |irregularity| >= |limit|.
     box = (slice(math.floor(lesion.center_y - reach_y), math.ceil(lesion.center_y + reach_y) + 1),
@@ -264,9 +262,7 @@ def partition_clients(
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be a finite number > 0, got {alpha}")
     if len(dataset) < num_clients:
-        raise TooFewSamples(
-            f"{len(dataset)} samples cannot cover {num_clients} clients"
-        )
+        raise FedmimError(f"{len(dataset)} samples cannot cover {num_clients} clients")
     if num_clients == 1:
         return [list(dataset)]
 
@@ -286,7 +282,5 @@ def partition_clients(
                 assignment[min(client, num_clients - 1)].append(idx)
         if all(assignment):
             return [[dataset[i] for i in client_idx] for client_idx in assignment]
-    raise TooFewSamples(
-        f"could not give every one of {num_clients} clients a sample in "
-        f"{_PARTITION_TRIES} tries"
-    )
+    raise FedmimError(f"could not give every one of {num_clients} clients a sample in "
+                      f"{_PARTITION_TRIES} tries")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .corrupt import CorruptionConfig, mixed_corrupt
-from .errors import InvalidRatio
+from .errors import FedmimError
 from .image import as_image, convolve2d, patchify
 from .rng import Rng
 
@@ -26,7 +26,7 @@ def mask_count(mask_ratio: float, num_patches: int) -> int:
     """How many of num_patches patches a mask ratio in (0,1) masks:
     round_half_up(mask_ratio * num_patches)."""
     if not (0.0 < mask_ratio < 1.0):
-        raise InvalidRatio(f"mask ratio must be in (0,1), got {mask_ratio}")
+        raise FedmimError(f"mask ratio must be in (0,1), got {mask_ratio}")
     return round_half_up(mask_ratio * num_patches)
 
 

@@ -23,7 +23,7 @@ from fedmim.corrupt import (
     gaussian_blur,
     motion_blur_kernel,
 )
-from fedmim.errors import BadLabel, InvalidGeometry, InvalidKernel
+from fedmim.errors import FedmimError
 from fedmim.image import as_image, convolve2d
 from fedmim.model import (
     ModelConfig,
@@ -180,7 +180,7 @@ def probe_loss_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Softmax cross-entropy over one sample; exact probe gradient."""
     if not (0 <= label < num_classes):
-        raise BadLabel(f"label {label} outside [0, {num_classes})")
+        raise FedmimError(f"label {label} outside [0, {num_classes})")
     w_c = probe_params[: num_classes * feature.size].reshape(num_classes, feature.size)
     logits = w_c @ feature + probe_params[num_classes * feature.size :]
     exp = np.exp(logits - logits.max())
@@ -212,9 +212,9 @@ def convolve2d_taps(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 def gaussian_taps(sigma: float, radius: int) -> np.ndarray:
     """Unnormalized Gaussian samples G(u, v; sigma) at integer offsets."""
     if sigma <= 0.0:
-        raise InvalidKernel(f"sigma must be positive, got {sigma}")
+        raise FedmimError(f"sigma must be positive, got {sigma}")
     if radius < 1:
-        raise InvalidKernel(f"radius must be >= 1, got {radius}")
+        raise FedmimError(f"radius must be >= 1, got {radius}")
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     u, v = np.meshgrid(offsets, offsets)
     return np.exp(-(u * u + v * v) / (2.0 * sigma * sigma)) / (2.0 * math.pi * sigma * sigma)
@@ -283,7 +283,7 @@ def convex_to_linear(img: np.ndarray, geom: ScanGeometry, out_w: int, out_h: int
     """smat.convex_to_linear with its polar map rebuilt on every call."""
     img = as_image(img)
     if out_w < 2 or out_h < 2:
-        raise InvalidGeometry("output must be at least 2x2")
+        raise FedmimError("output must be at least 2x2")
     ys, xs = np.mgrid[0:out_h, 0:out_w].astype(np.float64)
     theta = -geom.half_angle + xs / (out_w - 1) * 2.0 * geom.half_angle
     r = geom.r_min + ys / (out_h - 1) * (geom.r_max - geom.r_min)

@@ -507,12 +507,16 @@ def test_bad_resume_exits_before_synthesis(workspace, tmp_path, capsys, monkeypa
     {"federation": {"local_steps": 1}},
     {"optimizer": {"eta_max": 1e-3}},
     {"optimizer": {"warmup_rounds": 0}},
-], ids=["clients-and-steps", "steps", "eta-max", "warmup"])
+    {"federation": {"alpha": 50.0}},
+    {"synth": {"speckle_strength": 0.9}},
+    {"corruption": {"p": 1.0}},
+], ids=["clients-and-steps", "steps", "eta-max", "warmup", "alpha", "speckle", "corruption"])
 def test_resume_from_another_federation_is_exit_2_before_synthesis(
         tmp_path, capsys, monkeypatch, change):
-    # A checkpoint resumes only the federation it was trained in: any field
-    # but the horizon, total_rounds, that differs exits 2 before any
-    # phantom is synthesized, and the head keeps its checkpoint and trace.
+    # A checkpoint resumes only the federation it was trained in, on the
+    # same data: any config value but the horizon, total_rounds, that
+    # differs exits 2 before any phantom is synthesized, and the head keeps
+    # its checkpoint and trace.
     out, tail = _pretrain_head(tmp_path)
     names = ("loss_trace.csv", "checkpoint.json", "checkpoint.params")
     head = {name: (out / name).read_bytes() for name in names}
@@ -526,6 +530,23 @@ def test_resume_from_another_federation_is_exit_2_before_synthesis(
     assert capsys.readouterr().err == ("configuration error: checkpoint federation "
                                        "config does not match run config\n")
     assert {name: (out / name).read_bytes() for name in names} == head
+
+
+def test_resume_from_checkpoint_without_config_is_exit_2_before_synthesis(
+        tmp_path, capsys, monkeypatch):
+    # A checkpoint whose manifest has no "config" record, as pretrain wrote
+    # them before it kept one, cannot show what it was trained on.
+    out, tail = _pretrain_head(tmp_path)
+    manifest = json.loads((out / "checkpoint.json").read_text())
+    del manifest["config"]
+    (out / "checkpoint.json").write_text(json.dumps(manifest))
+    trace = (out / "loss_trace.csv").read_bytes()
+    monkeypatch.setattr(synth, "generate_dataset", _no_synthesis)
+    capsys.readouterr()
+    assert main(tail) == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"configuration error: checkpoint {out}/checkpoint "
+                                       f"has no config record to resume by\n")
+    assert (out / "loss_trace.csv").read_bytes() == trace
 
 
 @pytest.mark.parametrize("bad_round, message", [
@@ -817,6 +838,27 @@ def test_mask_preview(workspace, tmp_path):
     first_masked = sidecar["masked"][0]
     r, c = divmod(first_masked, 4)
     assert np.all(preview[r * 8:(r + 1) * 8, c * 8:(c + 1) * 8] == 0.0)
+
+
+@pytest.mark.parametrize("motion_d", [129, 100001, 100000000001])
+def test_huge_motion_d_is_exit_2_before_any_work(workspace, tmp_path, capsys, monkeypatch,
+                                                 motion_d):
+    # A motion blur builds d x d arrays, so a d past corrupt.MAX_MOTION_D
+    # exits 2 naming the key, in every command that corrupts, before any
+    # phantom is synthesized or file written.
+    root, _ = workspace
+    monkeypatch.setattr(synth, "generate_dataset", _no_synthesis)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dict(SMOKE, corruption={"p": 1.0, "motion_d": motion_d})))
+    src = str(root / "data" / "img_0000.pgm")
+    for command in (["corrupt", src, str(tmp_path / "c.pgm")],
+                    ["mask-preview", src, str(tmp_path / "m.pgm")],
+                    ["--out", str(tmp_path / "o"), "pretrain"]):
+        capsys.readouterr()
+        assert main(["--config", str(path), "--seed", "2", *command]) == EXIT_CONFIG, command
+        assert capsys.readouterr().err == (f"configuration error: motion_d must be "
+                                           f"<= 127, got {motion_d}\n"), command
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
 def test_parser_reuse_leaks_no_options(workspace, tmp_path):

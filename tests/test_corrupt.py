@@ -20,7 +20,7 @@ from fedmim.corrupt import (
     salt_pepper,
     salt_pepper_draws,
 )
-from fedmim.errors import InvalidKernel
+from fedmim.errors import FedmimError
 from fedmim.rng import Rng
 import oracles
 
@@ -41,7 +41,7 @@ def test_motion_kernel_sums_to_one():
 
 
 def test_motion_kernel_rejects_even():
-    with pytest.raises(InvalidKernel):
+    with pytest.raises(FedmimError, match="^d must be odd and >= 1, got 4$"):
         motion_blur_kernel(4, 0.0)
 
 
@@ -66,7 +66,7 @@ def test_gaussian_default_radius():
 
 def test_gaussian_rejects_bad_params():
     for sigma in (0.0, -1.0):
-        with pytest.raises(InvalidKernel):
+        with pytest.raises(FedmimError, match=f"^sigma must be positive, got {sigma}$"):
             gaussian_weights(sigma)
 
 

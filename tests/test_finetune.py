@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fedmim.errors import BadLabel, TooFewSamples
+from fedmim.errors import FedmimError
 from fedmim.finetune import (
     ProbeConfig,
     batch_probe_loss_and_grad,
@@ -61,14 +61,15 @@ def test_batch_probe_grad_matches_per_sample_mean():
 
 
 def test_batch_probe_grad_matches_finite_differences():
-    features, labels = toy_features(10, 4, 2)
-    probe = init_probe(2, 4, seed=3)
-    _, grad = batch_probe_loss_and_grad(probe, features, labels, 2)
-    fd = finite_diff_grad(
-        lambda p: batch_probe_loss_and_grad(p, features, labels, 2)[0], probe
-    )
-    denom = np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-3)
-    assert (np.abs(grad - fd) / denom).max() < 1e-6
+    features, two_class = toy_features(10, 4, 2)
+    for num_classes, labels in ((2, two_class), (3, np.arange(10) % 3)):
+        probe = init_probe(num_classes, 4, seed=3)
+        _, grad = batch_probe_loss_and_grad(probe, features, labels, num_classes)
+        fd = finite_diff_grad(
+            lambda p: batch_probe_loss_and_grad(p, features, labels, num_classes)[0], probe
+        )
+        denom = np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-3)
+        assert (np.abs(grad - fd) / denom).max() < 1e-6
 
 
 def test_probe_scores_rows_are_distributions():
@@ -144,17 +145,22 @@ def test_probe_split_is_train_probes_split(n, val_fraction, seed):
 
 def test_train_probe_rejects_tiny_dataset():
     features, labels = toy_features(2)
-    with pytest.raises(TooFewSamples):
+    with pytest.raises(FedmimError, match="^cannot split 2 samples 80%/20%$"):
         train_probe(features, labels, ProbeConfig(num_classes=2, val_fraction=0.2))
 
 
 def test_train_probe_rejects_bad_label_in_either_split():
     features, labels = toy_features()
     split = train_probe(features, labels, ProbeConfig(num_classes=2, epochs=0, seed=3))
-    for where in (split.val_indices[0], split.train_indices[0]):
-        for epochs in (0, 3):
+    probe = init_probe(2, features.shape[1], seed=0)
+    for label in (-1, 2):  # -1 would otherwise index the last class
+        message = rf"^label {label} outside \[0, 2\)$"
+        for where in (split.val_indices[0], split.train_indices[0]):
             bad = labels.copy()
-            bad[where] = 2
-            with pytest.raises(BadLabel, match="label 2 "):
-                train_probe(features, bad, ProbeConfig(num_classes=2, epochs=epochs,
-                                                       warmup_rounds=1, seed=3))
+            bad[where] = label
+            with pytest.raises(FedmimError, match=message):
+                batch_probe_loss_and_grad(probe, features, bad, 2)
+            for epochs in (0, 3):
+                with pytest.raises(FedmimError, match=message):
+                    train_probe(features, bad, ProbeConfig(num_classes=2, epochs=epochs,
+                                                           warmup_rounds=1, seed=3))

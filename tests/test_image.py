@@ -1,12 +1,14 @@
 """Patch arithmetic, convolution, bilinear sampling, and PGM round trips."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fedmim.errors import MalformedFile, NonDivisible
+from fedmim.errors import FedmimError
 from fedmim.image import (
     as_image,
     bilinear_sample_grid,
@@ -57,7 +59,7 @@ def test_patchify_row_major_order():
 
 
 def test_patchify_rejects_non_divisible():
-    with pytest.raises(NonDivisible):
+    with pytest.raises(FedmimError, match="^patch size 2x2 does not tile image 5x4$"):
         patchify(np.zeros((5, 4)), 2, 2)
 
 
@@ -183,18 +185,19 @@ def test_pgm_reads_comments(tmp_path):
     np.testing.assert_array_equal(read_pgm(path), [[1.0, 2.0], [3.0, 4.0]])
 
 
-@pytest.mark.parametrize(
-    "raw",
-    [
-        b"P2\n2 2\n255\n\x00\x00\x00\x00",  # wrong magic
-        b"P5\n2 2\n65535\n\x00\x00\x00\x00",  # unsupported maxval
-        b"P5\n2 2\n255\n\x00\x00",  # truncated pixels
-        b"P5\n2\n255\n",  # truncated header
-        b"P5\nx 2\n255\n\x00\x00\x00\x00",  # non-numeric
-    ],
-)
+# Malformed PGM files, each with the message read_pgm gives after the path.
+MALFORMED_PGM = {
+    b"P2\n2 2\n255\n\x00\x00\x00\x00": "expected P5 magic, got b'P2'",
+    b"P5\n2 2\n65535\n\x00\x00\x00\x00": "only maxval 255 supported, got 65535",
+    b"P5\n2 2\n255\n\x00\x00": "truncated pixel data",
+    b"P5\n2\n255\n": "truncated PGM header",
+    b"P5\nx 2\n255\n\x00\x00\x00\x00": "non-numeric PGM header",
+}
+
+
+@pytest.mark.parametrize("raw", list(MALFORMED_PGM))
 def test_pgm_malformed(tmp_path, raw):
     path = tmp_path / "bad.pgm"
     path.write_bytes(raw)
-    with pytest.raises(MalformedFile):
+    with pytest.raises(FedmimError, match=re.escape(f"bad.pgm: {MALFORMED_PGM[raw]}") + "$"):
         read_pgm(path)

@@ -1,4 +1,4 @@
-"""Reference autoencoder: gradients, schedule, embeddings, probe head."""
+"""Reference autoencoder: gradients, schedule, embeddings, features."""
 
 import hashlib
 import math
@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from fedmim import pipeline, synth
 from fedmim.cli import _model_config, load_config
 from fedmim.corrupt import CorruptionConfig, apply_corruption, draw_corruptions
-from fedmim.errors import BadLabel, EmptyVisibleSet, ShapeMismatch
+from fedmim.errors import FedmimError
 from fedmim.fed import FederationConfig, make_client, run_pretraining
-from fedmim.finetune import batch_probe_loss_and_grad, init_probe, probe_scores
 from fedmim.image import patchify
 from fedmim.model import (
     ModelConfig,
@@ -100,7 +99,7 @@ def test_positional_embeddings_values():
 def test_forward_requires_visible():
     cfg = small_cfg()
     sample = explicit_sample(cfg, np.zeros((4, 4)), masked=(0, 1, 2, 3))
-    with pytest.raises(EmptyVisibleSet):
+    with pytest.raises(FedmimError, match="^need at least one visible patch$"):
         batch_loss_and_grad(init_params(cfg), cfg, prepare_batch(cfg, [sample]))
 
 
@@ -116,13 +115,16 @@ def test_loss_invariant_to_sample_order():
 
 
 # Batches that prepare_batch must reject, built from one sample (p, m) of
-# small_cfg, whose mask masks 2 of its 4 patches.
+# small_cfg, whose mask masks 2 of its 4 patches, each with its message.
 BAD_SAMPLES = {
-    "mask-length": lambda p, m: [(p, m[:3])],
-    "mask-lengths-differ": lambda p, m: [(p, m), (p, m[:3])],
-    "patch-rows": lambda p, m: [(p[:3], m)],
-    "non-bool-mask": lambda p, m: [(p, m.astype(np.int64))],
-    "masked-counts-differ": lambda p, m: [(p, m), (p, np.arange(4) < 3)],
+    "mask-length": (lambda p, m: [(p, m[:3])],
+                    r"^samples must be .* got \(4, 4\) and \(3,\) bool$"),
+    "mask-lengths-differ": (lambda p, m: [(p, m), (p, m[:3])], "^samples do not stack: "),
+    "patch-rows": (lambda p, m: [(p[:3], m)], r"^samples must be .* got \(3, 4\) and \(4,\) bool$"),
+    "non-bool-mask": (lambda p, m: [(p, m.astype(np.int64))],
+                      r"^samples must be .* got \(4, 4\) and \(4,\) int64$"),
+    "masked-counts-differ": (lambda p, m: [(p, m), (p, np.arange(4) < 3)],
+                             "^samples mask different numbers of patches$"),
 }
 
 
@@ -130,8 +132,9 @@ BAD_SAMPLES = {
 def test_prepare_batch_rejects_bad_samples(case):
     cfg = small_cfg()
     patches, mask = random_sample(cfg, Rng(0))
-    with pytest.raises(ShapeMismatch):
-        prepare_batch(cfg, BAD_SAMPLES[case](patches, mask))
+    build, message = BAD_SAMPLES[case]
+    with pytest.raises(FedmimError, match=message):
+        prepare_batch(cfg, build(patches, mask))
 
 
 def test_build_clients_rejects_a_mask_of_no_patch():
@@ -139,7 +142,7 @@ def test_build_clients_rejects_a_mask_of_no_patch():
     # the masked count.
     cfg = ModelConfig(patch_dim=64, embed_dim=8, num_patches=64, seed=7)
     dataset = synth.generate_dataset(8, (0.5, 0.5, 0.0), Rng(3), synth.PhantomSpec())
-    with pytest.raises(ShapeMismatch, match="samples mask no patch"):
+    with pytest.raises(FedmimError, match="^samples mask no patch$"):
         build_clients(dataset, 2, 0.5, cfg, CorruptionConfig(), PatchSpec(8, 8, 0.005), 7)
 
 
@@ -178,7 +181,7 @@ def test_stacked_batches_match_one_batch_of_all_samples():
     assert abs(loss_a - loss_b) <= 1e-12 * loss_b
     assert np.abs(grad_a - grad_b).max() <= 1e-12 * np.abs(grad_b).max()
     other = explicit_sample(cfg, np.zeros((4, 4)), masked=(0, 1, 2))
-    with pytest.raises(ShapeMismatch, match="visible or masked patch counts"):
+    with pytest.raises(FedmimError, match="visible or masked patch counts"):
         stack_batches([parts[0], prepare_batch(cfg, [other])])
 
 
@@ -226,12 +229,16 @@ def test_stats_path_matches_dense_path(n, n_vis, n_mask, patch_dim, embed_dim, s
 @example(n=1, n_vis=1, n_mask=1, patch_dim=1, embed_dim=1, seed=1)
 @example(n=257, n_vis=2, n_mask=3, patch_dim=5, embed_dim=4, seed=2)  # two pieces
 @example(n=600, n_vis=6, n_mask=2, patch_dim=12, embed_dim=8, seed=3)
+@example(n=461, n_vis=3, n_mask=1, patch_dim=12, embed_dim=1, seed=101847)  # E = 1 rounding
 @settings(max_examples=40, deadline=None)
 def test_patch_major_step_matches_sample_major_oracle(n, n_vis, n_mask, patch_dim,
                                                       embed_dim, seed):
     # The patch-major step sums over samples in pieces, in a fixed order,
     # against the sample-major oracle. The forward pass is the same
-    # arithmetic on reordered rows, so the loss keeps its bytes.
+    # arithmetic on reordered rows, so for E >= 2 the loss keeps its bytes.
+    # At E = 1, numpy computes rows @ W_e^T with a matrix-vector kernel whose
+    # rounding depends on each row's position, so reordering the rows can
+    # move the loss in its last bits.
     cfg = ModelConfig(patch_dim, embed_dim, n_vis + n_mask, seed=0)
     gen = np.random.default_rng(seed)
     samples = []
@@ -243,7 +250,10 @@ def test_patch_major_step_matches_sample_major_oracle(n, n_vis, n_mask, patch_di
     batch = prepare_batch(cfg, samples)
     loss_a, grad_a = batch_loss_and_grad(params, cfg, batch)
     loss_b, grad_b = sample_major_loss_and_grad(params, cfg, batch)
-    assert loss_a == loss_b
+    if embed_dim >= 2:
+        assert loss_a == loss_b
+    else:
+        assert abs(loss_a - loss_b) <= 1e-13 * loss_b
     assert np.abs(grad_a - grad_b).max() <= 1e-13 * np.abs(grad_b).max()
 
 
@@ -405,45 +415,5 @@ def test_encode_features_matches_manual():
     for feat, img_patches in zip(feats, patches):
         manual = activation(img_patches / 255.0 @ w_e.T + b_e + q).mean(axis=0)
         np.testing.assert_allclose(feat, manual, atol=1e-14)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(FedmimError, match="^patches do not match model config$"):
         encode_features(params, cfg, patches[:, :3])
-
-
-def test_encode_features_deterministic():
-    cfg = ModelConfig(patch_dim=16, embed_dim=8, num_patches=16, seed=0)
-    params = init_params(cfg)
-    img = np.random.default_rng(2).uniform(0.0, 255.0, (16, 16))
-    patches = patchify(img, 4, 4)[None]
-    np.testing.assert_array_equal(
-        encode_features(params, cfg, patches),
-        encode_features(params, cfg, patches),
-    )
-
-
-def test_probe_probabilities_simplex():
-    probe = init_probe(3, 5, seed=0)
-    features = np.random.default_rng(0).normal(size=(1, 5))
-    probs = probe_scores(probe, features, 3)[0]
-    assert probs.shape == (3,)
-    assert np.all(probs > 0.0)
-    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_probe_gradient_matches_finite_differences():
-    rng = np.random.default_rng(4)
-    for seed in range(5):
-        probe = init_probe(3, 6, seed=seed)
-        features = rng.normal(size=(1, 6))
-        labels = np.array([seed % 3])
-        _, grad = batch_probe_loss_and_grad(probe, features, labels, 3)
-        fd = finite_diff_grad(
-            lambda p: batch_probe_loss_and_grad(p, features, labels, 3)[0], probe
-        )
-        assert rel_err(grad, fd).max() < 1e-6
-
-
-def test_probe_rejects_bad_label():
-    probe = init_probe(2, 4, seed=0)
-    for bad in (-1, 2):  # -1 would otherwise index the last class
-        with pytest.raises(BadLabel, match=f"label {bad} "):
-            batch_probe_loss_and_grad(probe, np.zeros((3, 4)), np.array([0, bad, 1]), 2)

@@ -1,4 +1,4 @@
-"""Scan-mode conversion: sector geometry, round trips, dataset balancing."""
+"""Scan-mode conversion: sector geometry and round trips."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fedmim.errors import InvalidGeometry
+from fedmim.errors import FedmimError
 from fedmim.image import convolve2d
 from fedmim.smat import (
-    CONVEX,
-    LINEAR,
     ScanGeometry,
     convex_to_linear,
     convex_to_linear_plan,
@@ -26,28 +24,10 @@ def default_geom(w=64, h=64):
     return ScanGeometry.default_for(w, h)
 
 
-def balance_dataset(
-    tagged: list[tuple[np.ndarray, str]], geom: ScanGeometry
-) -> list[tuple[np.ndarray, str]]:
-    """The originals plus each image's opposite-mode transform, so the two
-    warps compose into a mode-balanced set twice the input's size."""
-    out: list[tuple[np.ndarray, str]] = []
-    for img, mode in tagged:
-        if mode not in (LINEAR, CONVEX):
-            raise ValueError(f"unknown mode tag {mode!r}")
-        h, w = img.shape
-        out.append((img, mode))
-        if mode == LINEAR:
-            out.append((linear_to_convex(img, geom, w, h), CONVEX))
-        else:
-            out.append((convex_to_linear(img, geom, w, h), LINEAR))
-    return out
-
-
 def test_geometry_validation():
-    with pytest.raises(InvalidGeometry, match="^need 0 <= r_min < r_max, got 10.0, 5.0$"):
+    with pytest.raises(FedmimError, match="^need 0 <= r_min < r_max, got 10.0, 5.0$"):
         ScanGeometry(0, 0, 10.0, 5.0, 0.5)
-    with pytest.raises(InvalidGeometry, match=r"^half_angle must be in \(0, pi/2\), got 2.0$"):
+    with pytest.raises(FedmimError, match=r"^half_angle must be in \(0, pi/2\), got 2.0$"):
         ScanGeometry(0, 0, 1.0, 5.0, 2.0)
     default_geom()
 
@@ -113,7 +93,7 @@ def test_convex_to_linear_rejects_tiny_output():
     geom = default_geom(8, 8)
     for out_w, out_h in [(1, 8), (8, 1), (0, 0)]:
         convex_to_linear(np.zeros((8, 8)), geom, 8, 8)  # a valid key is cached
-        with pytest.raises(InvalidGeometry, match="^output must be at least 2x2$"):
+        with pytest.raises(FedmimError, match="^output must be at least 2x2$"):
             convex_to_linear(np.zeros((8, 8)), geom, out_w, out_h)
 
 
@@ -170,27 +150,3 @@ def test_warp_plans_are_read_only_and_bounded():
         for arr in (plan.corners, plan.weights, plan.keep):
             assert not arr.flags.writeable
         assert plan_of.cache_info().maxsize <= 8
-
-
-def test_balance_dataset_doubles_and_evens_modes():
-    geom = default_geom(16, 16)
-    tagged = [
-        (np.full((16, 16), 10.0), LINEAR),
-        (np.full((16, 16), 20.0), LINEAR),
-        (linear_to_convex(np.full((16, 16), 30.0), geom, 16, 16), CONVEX),
-    ]
-    out = balance_dataset(tagged, geom)
-    assert len(out) == 6
-    modes = [m for _, m in out]
-    assert modes.count(LINEAR) == modes.count(CONVEX) == 3
-    # Originals are preserved in order.
-    assert out[0][1] == LINEAR and out[0][0] is tagged[0][0]
-
-
-def test_balance_dataset_empty():
-    assert balance_dataset([], default_geom()) == []
-
-
-def test_balance_dataset_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        balance_dataset([(np.zeros((8, 8)), "doppler")], default_geom(8, 8))

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fedmim import synth
-from fedmim.errors import LesionOutOfBounds, TooFewSamples
+from fedmim.errors import FedmimError
 from fedmim.rng import Rng
 from fedmim.smat import CONVEX, LINEAR, ScanGeometry, linear_to_convex
 from fedmim.synth import (
@@ -80,14 +80,14 @@ def test_lesion_contrast_within_speckle_noise():
 def test_lesion_out_of_bounds():
     lesion = Lesion(2.0, 2.0, 6.0, 6.0, -60.0, 0.0)
     spec = PhantomSpec(16, 16, 150.0, 0.0, lesion, BENIGN)
-    with pytest.raises(LesionOutOfBounds):
+    with pytest.raises(FedmimError, match=r"^lesion at \(2.0, 2.0\) with reach \(6.0, 6.0\) exceeds 16x16$"):
         generate_phantom(spec, Rng(0))
 
 
 def test_lesion_with_nan_center_is_out_of_bounds():
     lesion = Lesion(math.nan, 8.0, 2.0, 2.0, -60.0, 0.0)
     spec = PhantomSpec(16, 16, 150.0, 0.0, lesion, BENIGN)
-    with pytest.raises(LesionOutOfBounds):
+    with pytest.raises(FedmimError, match=r"^lesion at \(nan, 8.0\) with reach "):
         generate_phantom(spec, Rng(0))
 
 
@@ -319,7 +319,7 @@ def test_partition_errors():
         partition_clients([_Tagged(0)], 0, 0.5, Rng(0))
     with pytest.raises(ValueError):
         partition_clients([_Tagged(0)], 1, 0.0, Rng(0))
-    with pytest.raises(TooFewSamples):
+    with pytest.raises(FedmimError, match="^1 samples cannot cover 2 clients$"):
         partition_clients([_Tagged(0)], 2, 0.5, Rng(0))
 
 

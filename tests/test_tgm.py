@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fedmim.corrupt import CorruptionConfig
-from fedmim.errors import InvalidRatio
+from fedmim.errors import FedmimError
 from fedmim.rng import Rng
 from fedmim.tgm import (
     apply_uim,
@@ -96,13 +96,13 @@ def test_mask_count():
     assert mask_count(0.75, 2) == 2  # round_half_up(1.5) masks both
     assert mask_count(0.005, 64) == 0
     for ratio in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(InvalidRatio):
+        with pytest.raises(FedmimError, match=rf"^mask ratio must be in \(0,1\), got {ratio}$"):
             mask_count(ratio, 64)
 
 
 def test_select_mask_rejects_bad_ratio():
     for ratio in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(InvalidRatio):
+        with pytest.raises(FedmimError, match=rf"^mask ratio must be in \(0,1\), got {ratio}$"):
             select_mask(np.arange(4.0), ratio)
 
 
