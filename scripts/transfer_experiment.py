@@ -31,12 +31,9 @@ LESION = synth.LesionSpec(
 )
 
 
-def mode_normalized(samples, geom):
-    return [
-        smat.convex_to_linear(s.image, geom, 64, 64)
-        if s.mode == smat.CONVEX else s.image
-        for s in samples
-    ]
+def mode_normalized(samples):
+    return [smat.convex_to_linear(s.image) if s.mode == smat.CONVEX else s.image
+            for s in samples]
 
 
 def probe_auroc(params, cfg, probe_images, probe_labels, held_images, held_labels,
@@ -58,7 +55,6 @@ def transfer_aurocs(seed=7, rounds=300):
     """The held-out probe AUROCs of the pre-trained encoder and of random
     encoders, one per probe seed 0..4: (pretrained, random)."""
     base = synth.PhantomSpec()
-    geom = smat.ScanGeometry.default_for(64, 64)
     corpus = synth.generate_dataset(256, (0.5, 0.5, 0.0), Rng(seed), base, LESION)
     probe_set = synth.generate_dataset(300, (0.5, 0.5, 0.0), Rng(9), base, LESION)
     held_out = synth.generate_dataset(200, (0.5, 0.5, 0.0), Rng(8), base, LESION)
@@ -75,8 +71,8 @@ def transfer_aurocs(seed=7, rounds=300):
         fed_cfg, model_cfg, clients, model.init_params(model_cfg)
     )
 
-    probe = (mode_normalized(probe_set, geom), np.array([s.label for s in probe_set]),
-             mode_normalized(held_out, geom), np.array([s.label for s in held_out]))
+    probe = (mode_normalized(probe_set), np.array([s.label for s in probe_set]),
+             mode_normalized(held_out), np.array([s.label for s in held_out]))
     aucs_pre, aucs_rand = [], []
     for probe_seed in range(5):
         aucs_pre.append(probe_auroc(pretrained, model_cfg, *probe, probe_seed))

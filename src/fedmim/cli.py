@@ -26,17 +26,12 @@ from .finetune import ProbeConfig, extract_features, probe_scores, train_probe
 from .image import depatchify, read_pgm, write_pgm
 from .pipeline import PatchSpec, build_clients
 from .rng import Rng
-from .smat import ScanGeometry
 from .tgm import apply_uim, mask_count
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
-
-
-class ConfigError(FedmimError):
-    """Raised for malformed or contradictory run configuration."""
 
 
 def _fields(defaults, *drop: str) -> dict:
@@ -100,10 +95,10 @@ def _merge(defaults: dict, override: dict, path: str = "") -> dict:
         elif where in _SHAPE_KEYS:
             default = _SHAPE_KEYS[where]
         else:
-            raise ConfigError(f"unknown config key: {where}")
+            raise ValueError(f"unknown config key: {where}")
         if isinstance(default, dict):
             if not isinstance(value, dict):
-                raise ConfigError(f"{where} must be an object")
+                raise ValueError(f"{where} must be an object")
             out[key] = _merge(default, value, where)
         else:
             expect = _NULLABLE.get(where, default)
@@ -111,7 +106,7 @@ def _merge(defaults: dict, override: dict, path: str = "") -> dict:
             if not (nulled or _same_type(expect, value)):
                 kind = (_KINDS.get(type(expect))
                         or f"a list of {len(expect)} numbers")
-                raise ConfigError(f"{where} must be {kind}, got {value!r}")
+                raise ValueError(f"{where} must be {kind}, got {value!r}")
             out[key] = value
     return out
 
@@ -123,11 +118,11 @@ def load_config(path: str | None) -> dict:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise ValueError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
+        raise ValueError("config root must be a JSON object")
     if raw.get("version") != 1:
-        raise ConfigError(f"unsupported config version: {raw.get('version')!r}")
+        raise ValueError(f"unsupported config version: {raw.get('version')!r}")
     return _merge(_DEFAULTS, raw)
 
 
@@ -137,20 +132,20 @@ def _model_config(cfg: dict) -> model.ModelConfig:
     of which mask_count(mask_ratio, L) are masked: some, but not all."""
     patch, phantom = _patch_spec(cfg), _phantom_spec(cfg)
     if phantom.height % patch.patch_h or phantom.width % patch.patch_w:
-        raise ConfigError(
+        raise ValueError(
             f"patch.patch_h x patch.patch_w ({patch.patch_h}x{patch.patch_w}) "
             f"does not tile synth.height x synth.width "
             f"({phantom.height}x{phantom.width})")
     num_patches = (phantom.height // patch.patch_h) * (phantom.width // patch.patch_w)
     masked = mask_count(patch.mask_ratio, num_patches)
     if not 0 < masked < num_patches:
-        raise ConfigError(
+        raise ValueError(
             f"patch.mask_ratio {patch.mask_ratio} masks {masked} of the "
             f"{num_patches} patches; it must mask some but not all")
     shape = {"patch_dim": patch.patch_h * patch.patch_w, "num_patches": num_patches}
     for key, value in shape.items():
         if cfg["model"].get(key, value) != value:
-            raise ConfigError(
+            raise ValueError(
                 f"model.{key} {cfg['model'][key]} does not match the {value} "
                 f"that the patch and synth sections give")
     return model.ModelConfig(embed_dim=cfg["model"]["embed_dim"], **shape,
@@ -178,7 +173,7 @@ def _federation(cfg: dict) -> fed.FederationConfig:
     f = cfg["federation"]
     # The split's alpha is read only after synthesis; check it before.
     if not 0.0 < f["alpha"] < math.inf:
-        raise ConfigError(
+        raise ValueError(
             f"federation.alpha must be a finite number > 0, got {f['alpha']}")
     return fed.FederationConfig(
         num_clients=f["num_clients"], total_rounds=f["total_rounds"],
@@ -246,13 +241,13 @@ def cmd_pretrain(cfg: dict, out_dir: Path) -> int:
     if resume is not None:
         ckpt = fed.load_checkpoint(str(resume))
         if ckpt.config is None:
-            raise ConfigError(f"checkpoint {resume} has no config record to resume by")
+            raise ValueError(f"checkpoint {resume} has no config record to resume by")
         if _without_horizon(ckpt.config) != _without_horizon(record):
             what = "model" if ckpt.model_cfg != model_cfg else "federation"
-            raise ConfigError(f"checkpoint {what} config does not match run config")
+            raise ValueError(f"checkpoint {what} config does not match run config")
         params, start_round = ckpt.params, ckpt.round_index
         if start_round > fed_cfg.total_rounds:
-            raise ConfigError(f"checkpoint round {start_round} is past "
+            raise ValueError(f"checkpoint round {start_round} is past "
                               f"federation.total_rounds {fed_cfg.total_rounds}")
         if not trace_path.exists():
             raise OSError(f"resume requires an existing {trace_path}")
@@ -309,7 +304,7 @@ def cmd_finetune(cfg: dict, checkpoint: Path, labeled_dir: Path, out_dir: Path) 
     ckpt = fed.load_checkpoint(str(checkpoint))
     # The init seed does not shape the encoder, so any probe seed may use it.
     if replace(ckpt.model_cfg, seed=model_cfg.seed) != model_cfg:
-        raise ConfigError("checkpoint model config does not match run config")
+        raise ValueError("checkpoint model config does not match run config")
     samples = _load_samples(labeled_dir)
     # A 2-class probe tells benign from malignant lesions; a phantom with
     # no lesion is neither, so it is left out rather than rejected.
@@ -367,11 +362,9 @@ def cmd_eval(pred_path: Path, gt_path: Path, out_path: Path) -> int:
 
 
 def cmd_transform(direction: str, in_path: Path, out_path: Path) -> int:
-    img = read_pgm(in_path)
-    h, w = img.shape
     warp = (smat.linear_to_convex if direction == "linear-to-convex"
             else smat.convex_to_linear)
-    write_pgm(warp(img, ScanGeometry.default_for(w, h), w, h), out_path)
+    write_pgm(warp(read_pgm(in_path)), out_path)
     return EXIT_OK
 
 
@@ -441,11 +434,11 @@ def main(argv: list[str] | None = None) -> int:
             cfg["seed"] = args.seed
         # Rng keeps only a seed's low 64 bits; a wider seed would alias.
         if not 0 <= cfg["seed"] < 2**64:
-            raise ConfigError(f"seed must be in [0, 2**64), got {cfg['seed']}")
+            raise ValueError(f"seed must be in [0, 2**64), got {cfg['seed']}")
         # --threads is checked for compatibility but has no effect: clients
         # always run serially.
         if args.threads is not None and args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+            raise ValueError(f"--threads must be >= 1, got {args.threads}")
         out_dir = Path(args.out)
         if args.command == "generate":
             return cmd_generate(cfg, out_dir)
@@ -463,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_corrupt(cfg, Path(args.input), Path(args.output))
         # argparse admits no command but the ones above and mask-preview.
         return cmd_mask_preview(cfg, Path(args.input), Path(args.output))
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NonFiniteLoss as exc:  # nothing is written: a resumed run keeps its head

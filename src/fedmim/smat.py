@@ -5,14 +5,13 @@ Both directions are inverse-mapped warps: we iterate over output pixels,
 compute the matching source coordinate through the polar geometry, and
 bilinearly sample the source. The angle theta is measured from the
 vertical down-axis (atan2(dx, dy)), matching a top-center apex with the
-beam pointing down. The map depends only on the geometry and the sizes,
-so each direction builds its bilinear plan once per (geometry, source
-size, output size) and applies it to every image of that key.
+beam pointing down. A warp keeps the image's size, and its probe follows
+from that size alone, so each direction builds its bilinear plan once
+per image shape and applies it to every image of that shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,34 +22,16 @@ from .image import BilinearPlan, apply_bilinear, as_image, bilinear_plan
 LINEAR = "linear"
 CONVEX = "convex"
 
+# The one probe of an H x W image: apex at (x, y) = ((W - 1) / 2, 0), the
+# top centre; radii from 0.08 H to 0.98 H; a sector 30 degrees either side
+# of the vertical.
+_HALF_ANGLE = np.deg2rad(30.0)
 
-@dataclass(frozen=True)
-class ScanGeometry:
-    """Convex-probe sector: apex position, radius band, and half-angle."""
 
-    apex_x: float
-    apex_y: float
-    r_min: float
-    r_max: float
-    half_angle: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.r_min < self.r_max):
-            raise FedmimError(f"need 0 <= r_min < r_max, got {self.r_min}, {self.r_max}")
-        if not (0.0 < self.half_angle < np.pi / 2):
-            raise FedmimError(f"half_angle must be in (0, pi/2), got {self.half_angle}")
-
-    @staticmethod
-    def default_for(width: int, height: int) -> "ScanGeometry":
-        # Probe geometry is configurable; these defaults give a ~60 degree
-        # sector spanning most of the image height.
-        return ScanGeometry(
-            apex_x=(width - 1) / 2.0,
-            apex_y=0.0,
-            r_min=0.08 * height,
-            r_max=0.98 * height,
-            half_angle=np.deg2rad(30.0),
-        )
+def _sector(shape: tuple[int, int]) -> tuple[float, float, float]:
+    """The apex column and the radius band of an H x W image's probe."""
+    h, w = shape
+    return (w - 1) / 2.0, 0.08 * h, 0.98 * h
 
 
 # Plans kept per direction: a run warps at one or two sizes, and a
@@ -59,44 +40,42 @@ _PLANS = 4
 
 
 @lru_cache(maxsize=_PLANS)
-def linear_to_convex_plan(geom: ScanGeometry, src_shape: tuple[int, int],
-                          out_w: int, out_h: int) -> BilinearPlan:
+def linear_to_convex_plan(shape: tuple[int, int]) -> BilinearPlan:
     """Where each sector pixel samples the rectangular source: column by
     angle, row by radius; pixels outside the sector keep nothing."""
-    h_src, w_src = src_shape
-    ys, xs = np.mgrid[0:out_h, 0:out_w].astype(np.float64)
-    dx = xs - geom.apex_x
-    dy = ys - geom.apex_y
-    r = np.hypot(dx, dy)
-    theta = np.arctan2(dx, dy)
-    in_sector = (r >= geom.r_min) & (r <= geom.r_max) & (np.abs(theta) <= geom.half_angle)
-    u = (theta + geom.half_angle) / (2.0 * geom.half_angle) * (w_src - 1)
-    v = (r - geom.r_min) / (geom.r_max - geom.r_min) * (h_src - 1)
-    return bilinear_plan(src_shape, u, v, within=in_sector)
+    h, w = shape
+    apex_x, r_min, r_max = _sector(shape)
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    dx = xs - apex_x
+    r = np.hypot(dx, ys)
+    theta = np.arctan2(dx, ys)
+    in_sector = (r >= r_min) & (r <= r_max) & (np.abs(theta) <= _HALF_ANGLE)
+    u = (theta + _HALF_ANGLE) / (2.0 * _HALF_ANGLE) * (w - 1)
+    v = (r - r_min) / (r_max - r_min) * (h - 1)
+    return bilinear_plan(shape, u, v, within=in_sector)
 
 
 @lru_cache(maxsize=_PLANS)
-def convex_to_linear_plan(geom: ScanGeometry, src_shape: tuple[int, int],
-                          out_w: int, out_h: int) -> BilinearPlan:
+def convex_to_linear_plan(shape: tuple[int, int]) -> BilinearPlan:
     """Where each rectangle pixel samples the sector source: angle by
     column, radius by row."""
-    if out_w < 2 or out_h < 2:
+    h, w = shape
+    if w < 2 or h < 2:
         raise FedmimError("output must be at least 2x2")
-    ys, xs = np.mgrid[0:out_h, 0:out_w].astype(np.float64)
-    theta = -geom.half_angle + xs / (out_w - 1) * 2.0 * geom.half_angle
-    r = geom.r_min + ys / (out_h - 1) * (geom.r_max - geom.r_min)
-    sx = geom.apex_x + r * np.sin(theta)
-    sy = geom.apex_y + r * np.cos(theta)
-    return bilinear_plan(src_shape, sx, sy)
+    apex_x, r_min, r_max = _sector(shape)
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    theta = -_HALF_ANGLE + xs / (w - 1) * 2.0 * _HALF_ANGLE
+    r = r_min + ys / (h - 1) * (r_max - r_min)
+    return bilinear_plan(shape, apex_x + r * np.sin(theta), r * np.cos(theta))
 
 
-def linear_to_convex(img: np.ndarray, geom: ScanGeometry, out_w: int, out_h: int) -> np.ndarray:
+def linear_to_convex(img: np.ndarray) -> np.ndarray:
     """Warp a rectangular image onto the sector; pixels outside are exactly 0."""
     img = as_image(img)
-    return apply_bilinear(linear_to_convex_plan(geom, img.shape, out_w, out_h), img)
+    return apply_bilinear(linear_to_convex_plan(img.shape), img)
 
 
-def convex_to_linear(img: np.ndarray, geom: ScanGeometry, out_w: int, out_h: int) -> np.ndarray:
+def convex_to_linear(img: np.ndarray) -> np.ndarray:
     """Unwarp a sector image back to a rectangle (angle -> column, radius -> row)."""
     img = as_image(img)
-    return apply_bilinear(convex_to_linear_plan(geom, img.shape, out_w, out_h), img)
+    return apply_bilinear(convex_to_linear_plan(img.shape), img)

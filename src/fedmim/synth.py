@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import FedmimError
 from .rng import Rng, lockstep_rayleigh
-from .smat import CONVEX, LINEAR, ScanGeometry, linear_to_convex
+from .smat import CONVEX, LINEAR, linear_to_convex
 
 BENIGN = 0
 MALIGNANT = 1
@@ -220,7 +220,6 @@ def generate_dataset(
         raise ValueError(f"class_mix must be a probability vector, got {class_mix}")
     if n == 0:
         return []
-    geom = ScanGeometry.default_for(base_spec.width, base_spec.height)
     children = [rng.spawn(i) for i in range(n)]
     specs = [_draw_spec(base_spec, class_mix, child, lesion_spec)
              for child in children]
@@ -232,8 +231,8 @@ def generate_dataset(
     for image, mask, spec, child in zip(images, masks, specs, children):
         mode = LINEAR
         if child.random() < 0.5:
-            image[...] = linear_to_convex(image, geom, base_spec.width, base_spec.height)
-            mask[...] = linear_to_convex(mask, geom, base_spec.width, base_spec.height) >= 0.5
+            image[...] = linear_to_convex(image)
+            mask[...] = linear_to_convex(mask) >= 0.5
             mode = CONVEX
         samples.append(LabeledSample(image, mask, spec.class_label, mode))
     return samples

@@ -34,7 +34,6 @@ from fedmim.model import (
     unpack_params,
 )
 from fedmim.rng import Rng
-from fedmim.smat import ScanGeometry
 from fedmim.synth import PhantomSpec, _boundary_wobble
 
 
@@ -263,32 +262,61 @@ def bilinear_sample_grid(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.
     return np.where(inside, out, 0.0)
 
 
-def linear_to_convex(img: np.ndarray, geom: ScanGeometry, out_w: int, out_h: int) -> np.ndarray:
+class Sector(NamedTuple):
+    """A convex probe: apex position, radius band, and half-angle."""
+
+    apex_x: float
+    apex_y: float
+    r_min: float
+    r_max: float
+    half_angle: float
+
+
+def sector(h: int, w: int) -> Sector:
+    """The probe smat warps an H x W image with, restated as the reference:
+    apex at the top centre, radii from 0.08 H to 0.98 H, 30 degrees either
+    side of the vertical."""
+    return Sector((w - 1) / 2.0, 0.0, 0.08 * h, 0.98 * h, np.deg2rad(30.0))
+
+
+def sector_exterior(h: int, w: int) -> np.ndarray:
+    """The (H, W) pixels that lie outside an H x W image's sector."""
+    g = sector(h, w)
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    r = np.hypot(xs - g.apex_x, ys - g.apex_y)
+    theta = np.arctan2(xs - g.apex_x, ys - g.apex_y)
+    return (r < g.r_min) | (r > g.r_max) | (np.abs(theta) > g.half_angle)
+
+
+def linear_to_convex(img: np.ndarray) -> np.ndarray:
     """smat.linear_to_convex with its polar map rebuilt on every call."""
     img = as_image(img)
-    h_src, w_src = img.shape
-    ys, xs = np.mgrid[0:out_h, 0:out_w].astype(np.float64)
-    dx = xs - geom.apex_x
-    dy = ys - geom.apex_y
+    h, w = img.shape
+    g = sector(h, w)
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    dx = xs - g.apex_x
+    dy = ys - g.apex_y
     r = np.hypot(dx, dy)
     theta = np.arctan2(dx, dy)
-    in_sector = (r >= geom.r_min) & (r <= geom.r_max) & (np.abs(theta) <= geom.half_angle)
-    u = (theta + geom.half_angle) / (2.0 * geom.half_angle) * (w_src - 1)
-    v = (r - geom.r_min) / (geom.r_max - geom.r_min) * (h_src - 1)
+    in_sector = (r >= g.r_min) & (r <= g.r_max) & (np.abs(theta) <= g.half_angle)
+    u = (theta + g.half_angle) / (2.0 * g.half_angle) * (w - 1)
+    v = (r - g.r_min) / (g.r_max - g.r_min) * (h - 1)
     out = bilinear_sample_grid(img, u, v)
     return np.where(in_sector, out, 0.0)
 
 
-def convex_to_linear(img: np.ndarray, geom: ScanGeometry, out_w: int, out_h: int) -> np.ndarray:
+def convex_to_linear(img: np.ndarray) -> np.ndarray:
     """smat.convex_to_linear with its polar map rebuilt on every call."""
     img = as_image(img)
-    if out_w < 2 or out_h < 2:
+    h, w = img.shape
+    if w < 2 or h < 2:
         raise FedmimError("output must be at least 2x2")
-    ys, xs = np.mgrid[0:out_h, 0:out_w].astype(np.float64)
-    theta = -geom.half_angle + xs / (out_w - 1) * 2.0 * geom.half_angle
-    r = geom.r_min + ys / (out_h - 1) * (geom.r_max - geom.r_min)
-    sx = geom.apex_x + r * np.sin(theta)
-    sy = geom.apex_y + r * np.cos(theta)
+    g = sector(h, w)
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    theta = -g.half_angle + xs / (w - 1) * 2.0 * g.half_angle
+    r = g.r_min + ys / (h - 1) * (g.r_max - g.r_min)
+    sx = g.apex_x + r * np.sin(theta)
+    sy = g.apex_y + r * np.cos(theta)
     return bilinear_sample_grid(img, sx, sy)
 
 

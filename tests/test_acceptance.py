@@ -34,7 +34,8 @@ from fedmim.tgm import apply_uim, round_half_up, select_mask
 
 from conftest import record_criterion, random_sample
 from invariance import Case
-from oracles import dense_loss, dense_rows, finite_diff_grad, gaussian_kernel, points_mask
+from oracles import (dense_loss, dense_rows, finite_diff_grad, gaussian_kernel, points_mask,
+                     sector_exterior)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -194,19 +195,15 @@ def test_criterion_5_pretraining_transfers(monkeypatch):
 
 
 def test_criterion_6_smat_round_trip():
-    geom = smat.ScanGeometry.default_for(128, 128)
     rng = np.random.default_rng(11)
     worst_mae = 0.0
     exterior_clean = True
-    ys, xs = np.mgrid[0:128, 0:128].astype(np.float64)
-    r = np.hypot(xs - geom.apex_x, ys - geom.apex_y)
-    theta = np.arctan2(xs - geom.apex_x, ys - geom.apex_y)
-    outside = (r < geom.r_min) | (r > geom.r_max) | (np.abs(theta) > geom.half_angle)
+    outside = sector_exterior(128, 128)
     for _ in range(20):
         img = convolve2d(rng.uniform(0.0, 1.0, (128, 128)), gaussian_kernel(2.0))
-        convex = smat.linear_to_convex(img, geom, 128, 128)
+        convex = smat.linear_to_convex(img)
         exterior_clean &= bool(np.all(convex[outside] == 0.0))
-        back = smat.convex_to_linear(convex, geom, 128, 128)
+        back = smat.convex_to_linear(convex)
         err = np.abs(back[6:-6, 6:-6] - img[6:-6, 6:-6])
         worst_mae = max(worst_mae, float(err.mean()))
     ok = worst_mae < 5.0 / 255.0 and exterior_clean

@@ -1,11 +1,16 @@
 """Command-line interface: subcommands, config handling, exit codes."""
 
+import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedmim import cli, fed, model, synth
 from fedmim.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, _NULLABLE,
@@ -58,6 +63,9 @@ DEFAULT_MASK_PREVIEW_SHA256 = (
 DEFAULT_FINETUNE_SHA256 = (
     "678a676d3ce664947ea40d85da336cc42ae46748a8a3612a8646de81f877ae15"
 )
+
+# The config of the README's criterion-4 experiment.
+EXPERIMENT_CONFIG = Path(__file__).resolve().parents[1] / "scripts" / "pretrain_experiment.json"
 
 # The commands behind the golden hashes, each case run in a fresh process.
 GENERATE = ("--seed", "7", "--out", "data", "generate")
@@ -777,7 +785,7 @@ def test_eval_empty_and_full_masks(tmp_path, pred, truth, dsc, hd):
 
 
 def test_transform_round_trip_matches_library(workspace, tmp_path):
-    from fedmim.smat import ScanGeometry, convex_to_linear, linear_to_convex
+    from fedmim.smat import convex_to_linear, linear_to_convex
 
     root, _ = workspace
     src = root / "data" / "img_0000.pgm"
@@ -786,12 +794,11 @@ def test_transform_round_trip_matches_library(workspace, tmp_path):
     assert main(["transform", "linear-to-convex", str(src), str(mid)]) == EXIT_OK
     assert main(["transform", "convex-to-linear", str(mid), str(back)]) == EXIT_OK
     img = read_pgm(src)
-    geom = ScanGeometry.default_for(32, 32)
-    lib_mid = linear_to_convex(img, geom, 32, 32)
+    lib_mid = linear_to_convex(img)
     expect_mid = tmp_path / "lib_mid.pgm"
     write_pgm(lib_mid, expect_mid)
     assert mid.read_bytes() == expect_mid.read_bytes()
-    lib_back = convex_to_linear(read_pgm(mid), geom, 32, 32)
+    lib_back = convex_to_linear(read_pgm(mid))
     expect_back = tmp_path / "lib_back.pgm"
     write_pgm(lib_back, expect_back)
     assert back.read_bytes() == expect_back.read_bytes()
@@ -967,6 +974,16 @@ def test_pretrain_of_520_phantoms_independent_of_blas_threads(invariance):
     invariance.check(Case((("--config", "c.json", *PRETRAIN),), {"c.json": config}), "blas2")
 
 
+def test_experiment_config_independent_of_blas_threads(invariance):
+    # The criterion-4 run of scripts/pretrain_experiment.json, cut to two
+    # rounds: 512 phantoms, 8 clients and 48 local steps, whose client sums
+    # of about 1000 rows pass the 256-row pieces.
+    config = json.loads(EXPERIMENT_CONFIG.read_text(encoding="utf-8"))
+    config["federation"]["total_rounds"] = 2
+    config["optimizer"] = {"warmup_rounds": 1}
+    invariance.check(Case((("--config", "c.json", *PRETRAIN),), {"c.json": config}), "blas2")
+
+
 def test_default_chain_leaves_out_no_lesion_samples(invariance):
     # The default class mix emits label 2 (no lesion); a 2-class probe
     # leaves those samples out and keeps each row's labels.json index.
@@ -1048,28 +1065,50 @@ def _with_leaf(cfg: dict, where: str, value) -> dict:
     return out
 
 
-def test_config_leaf_sweep_exits_cleanly(tmp_path, capsys):
+def _run_config(cfg: dict, argv: list[str], root: Path) -> tuple[int | str, str]:
+    """main with cfg, written to root/c.json, and argv: the exit code, or the
+    exception that escaped main, and stderr."""
+    path = root / "c.json"
+    path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(["--config", str(path)] + argv)
+        except Exception as exc:  # an exception escaping main is the failure
+            code = f"{type(exc).__name__}: {exc}"
+    return code, err.getvalue()
+
+
+def _exits_cleanly(code: int | str, err: str) -> bool:
+    """Whether a run ended in a documented exit code, with one stderr line
+    if it failed and none if not, and no traceback."""
+    return (code in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC)
+            and err.count("\n") == (code != EXIT_OK) and "Traceback" not in err)
+
+
+@pytest.fixture(scope="module")
+def sweep_run(tmp_path_factory):
+    """A dataset and checkpoint of SWEEP_BASE at seed 3, and a function
+    that gives the argv of a run with one leaf set, writing to out:
+    finetune on them for a probe leaf, else pretrain."""
+    root = tmp_path_factory.mktemp("sweep")
+    data, ckpt = root / "data", root / "run" / "checkpoint"
+    finetune = ["finetune", str(ckpt), str(data)]
+    for argv in (["--out", str(data), "generate"],
+                 ["--out", str(ckpt.parent), "pretrain"],
+                 ["--out", str(root / "ft")] + finetune):
+        assert _run_config(SWEEP_BASE, ["--seed", "3"] + argv, root) == (EXIT_OK, "")
+
+    def argv_of(where: str, out: Path) -> list[str]:
+        return ["--out", str(out)] + (finetune if where.startswith("probe.") else ["pretrain"])
+    return argv_of
+
+
+def test_config_leaf_sweep_exits_cleanly(tmp_path, sweep_run):
     # Every numeric config leaf at edge values ends in a documented exit
     # code with at most a one-line message: pretrain for each leaf outside
     # "probe", finetune on one fixed dataset and checkpoint for each probe
     # leaf.
-    def run(cfg: dict, argv: list[str]) -> tuple[int | str, str]:
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(cfg))
-        capsys.readouterr()
-        try:
-            code = main(["--config", str(path), "--seed", "3"] + argv)
-        except Exception as exc:  # an exception escaping main is the failure
-            code = f"{type(exc).__name__}: {exc}"
-        return code, capsys.readouterr().err
-
-    data, ckpt = tmp_path / "data", tmp_path / "run" / "checkpoint"
-    finetune = ["finetune", str(ckpt), str(data)]
-    for argv in (["--out", str(data), "generate"],
-                 ["--out", str(ckpt.parent), "pretrain"],
-                 ["--out", str(tmp_path / "ft")] + finetune):
-        assert run(SWEEP_BASE, argv) == (EXIT_OK, "")
-
     bad = []
     leaves = list(_numeric_leaves(load_config(None)))
     for where, default in leaves:
@@ -1079,11 +1118,9 @@ def test_config_leaf_sweep_exits_cleanly(tmp_path, capsys):
         else:
             values = SWEEP_INTS if isinstance(default, int) else SWEEP_FLOATS
         for i, value in enumerate(values):
-            out = ["--out", str(tmp_path / f"{where}-{i}")]
-            argv = out + (finetune if where.startswith("probe.") else ["pretrain"])
-            code, err = run(_with_leaf(SWEEP_BASE, where, value), argv)
-            if (code not in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC)
-                    or err.count("\n") != (code != EXIT_OK) or "Traceback" in err):
+            argv = ["--seed", "3"] + sweep_run(where, tmp_path / f"{where}-{i}")
+            code, err = _run_config(_with_leaf(SWEEP_BASE, where, value), argv, tmp_path)
+            if not _exits_cleanly(code, err):
                 bad.append(f"{where}={value!r}: exit {code}, stderr {err!r}")
             range_ok = LESION_RANGES.get(where)
             if range_ok and not range_ok(*value) and not (
@@ -1092,3 +1129,39 @@ def test_config_leaf_sweep_exits_cleanly(tmp_path, capsys):
                            f"not exit 2 naming the key")
     assert not bad, "\n".join(bad)
     assert len(leaves) == 32  # all 34 leaves but version and resume_from
+
+
+# Seeds at and past either end of [0, 2**64); None runs without --seed,
+# so the config's own seed counts.
+FUZZ_SEEDS = [None, -1, 0, 2**64 - 1, 2**64]
+ODD_VALUES = [math.nan, math.inf, -math.inf, -0.0, "x", True, False, None, {}, {"a": 1}]
+
+
+def leaf_settings() -> st.SearchStrategy:
+    """(dotted key, value) of one numeric config leaf: a small integer (a
+    large one would be valid work, not a bad input), a non-finite or
+    signed-zero float, a value of another JSON type, or a list of a length
+    other than the default's."""
+    def values(leaf):
+        where, default = leaf
+        length = len(default) if isinstance(default, list) else None
+        return st.tuples(st.just(where), st.one_of(
+            st.integers(-3, 8), st.sampled_from(ODD_VALUES),
+            st.lists(st.integers(-3, 8), max_size=4).filter(lambda v: len(v) != length)))
+    return st.sampled_from(list(_numeric_leaves(load_config(None)))).flatmap(values)
+
+
+@given(leaf_settings(), st.sampled_from(FUZZ_SEEDS))
+@example(("seed", 2**64), None)  # a config seed past the range
+@example(("synth.class_mix", [1, 0]), 0)  # a list one short
+@settings(max_examples=200, deadline=None)
+def test_config_leaf_fuzz_exits_cleanly(sweep_run, leaf, seed):
+    # One leaf of the SWEEP_BASE run set to a drawn value, at a drawn seed:
+    # the sweep's clean exit, whatever the value's type.
+    where, value = leaf
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        argv = ([] if seed is None else ["--seed", str(seed)]) + sweep_run(where, root / "out")
+        code, err = _run_config(_with_leaf(SWEEP_BASE, where, value), argv, root)
+    assert _exits_cleanly(code, err), \
+        f"{where}={value!r}, --seed {seed}: exit {code}, stderr {err!r}"

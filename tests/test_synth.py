@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fedmim import synth
 from fedmim.errors import FedmimError
 from fedmim.rng import Rng
-from fedmim.smat import CONVEX, LINEAR, ScanGeometry, linear_to_convex
+from fedmim.smat import CONVEX, LINEAR, linear_to_convex
 from fedmim.synth import (
     BENIGN,
     MALIGNANT,
@@ -215,7 +215,6 @@ def test_generate_dataset_lanes_equal_each_phantom_alone():
     spec = PhantomSpec(24, 16)
     mix = (0.4, 0.4, 0.2)
     samples = generate_dataset(12, mix, Rng(9), spec)
-    geom = ScanGeometry.default_for(24, 16)
     for i, sample in enumerate(samples):
         rng = Rng(9).spawn(i)
         u = rng.random()
@@ -224,8 +223,8 @@ def test_generate_dataset_lanes_equal_each_phantom_alone():
         alone = generate_phantom(PhantomSpec(24, 16, lesion=lesion, class_label=label), rng)
         image, mask, mode = alone.image, alone.lesion_mask, LINEAR
         if rng.random() < 0.5:
-            image = linear_to_convex(image, geom, 24, 16)
-            mask = (linear_to_convex(mask, geom, 24, 16) >= 0.5).astype(np.float64)
+            image = linear_to_convex(image)
+            mask = (linear_to_convex(mask) >= 0.5).astype(np.float64)
             mode = CONVEX
         assert (sample.label, sample.mode) == (label, mode)
         assert sample.image.tobytes() == image.tobytes()
