@@ -41,9 +41,8 @@ def _fields(defaults, *drop: str) -> dict:
             for k, v in asdict(defaults).items() if k not in drop}
 
 
-# The phantom keys of the "synth" section: PhantomSpec's fields but the
-# per-sample lesion and label.
-_PHANTOM = _fields(synth.PhantomSpec(), "lesion", "class_label")
+# The phantom keys of the "synth" section: PhantomSpec's fields.
+_PHANTOM = _fields(synth.PhantomSpec())
 
 # Default run configuration; a config file overrides leaf values. The
 # "patch", "corruption", "optimizer", "synth.lesion" and "probe" sections
@@ -152,6 +151,11 @@ def _model_config(cfg: dict) -> model.ModelConfig:
                              seed=cfg["seed"])
 
 
+def _same_model(ckpt_cfg: model.ModelConfig, model_cfg: model.ModelConfig) -> bool:
+    """Whether a checkpoint's model has the run's shape, whatever its init seed."""
+    return replace(ckpt_cfg, seed=model_cfg.seed) == model_cfg
+
+
 def _patch_spec(cfg: dict) -> PatchSpec:
     return PatchSpec(**cfg["patch"])
 
@@ -243,7 +247,7 @@ def cmd_pretrain(cfg: dict, out_dir: Path) -> int:
         if ckpt.config is None:
             raise ValueError(f"checkpoint {resume} has no config record to resume by")
         if _without_horizon(ckpt.config) != _without_horizon(record):
-            what = "model" if ckpt.model_cfg != model_cfg else "federation"
+            what = "federation" if _same_model(ckpt.model_cfg, model_cfg) else "model"
             raise ValueError(f"checkpoint {what} config does not match run config")
         params, start_round = ckpt.params, ckpt.round_index
         if start_round > fed_cfg.total_rounds:
@@ -302,8 +306,7 @@ def cmd_finetune(cfg: dict, checkpoint: Path, labeled_dir: Path, out_dir: Path) 
     num_classes = probe_cfg.num_classes
     _check_out(out_dir)
     ckpt = fed.load_checkpoint(str(checkpoint))
-    # The init seed does not shape the encoder, so any probe seed may use it.
-    if replace(ckpt.model_cfg, seed=model_cfg.seed) != model_cfg:
+    if not _same_model(ckpt.model_cfg, model_cfg):
         raise ValueError("checkpoint model config does not match run config")
     samples = _load_samples(labeled_dir)
     # A 2-class probe tells benign from malignant lesions; a phantom with

@@ -5,9 +5,9 @@ its center with a bilinear warp, then renormalized to sum 1; phi = 0
 reproduces (1/d) * U exactly. Following the source formulas, p_s is the
 probability of a pixel going to 0 and p_p of going to 255.
 
-No draw depends on a pixel, so the draws of many images (draw_corruptions)
-come apart from the pixel work (apply_corruption), and their
-salt-and-pepper draws run in lockstep lanes.
+No draw depends on a pixel, so the draws of many images of one shape
+(draw_corruptions) come apart from the pixel work (apply_corruption), and
+their salt-and-pepper draws run in lockstep lanes.
 """
 
 from __future__ import annotations
@@ -97,26 +97,20 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     return convolve2d(convolve2d(img, w[None, :]), w[:, None])
 
 
-def salt_pepper_draws(shapes: list[tuple[int, int]], p_salt: float, p_pepper: float,
-                      rngs: list[Rng]) -> list[np.ndarray]:
-    """The salt-and-pepper draws of images of the given shapes, one rng
-    each: per pixel, 2 (salt, u < p_salt), 1 (pepper, u < p_salt +
-    p_pepper) or 0 (unchanged), from one uniform u per pixel in row-major
-    order. The images of one shape draw in lockstep, one lane each; every
-    rng draws what salt_pepper alone would draw.
+def salt_pepper_draws(shape: tuple[int, int], p_salt: float, p_pepper: float,
+                      rngs: list[Rng]) -> np.ndarray:
+    """The (n, H, W) int8 salt-and-pepper draws of n images of the given
+    shape, one rng each: per pixel, 2 (salt, u < p_salt), 1 (pepper, u <
+    p_salt + p_pepper) or 0 (unchanged), from one uniform u per pixel in
+    row-major order. The images draw in lockstep, one lane each; every rng
+    draws what salt_pepper alone would draw.
     """
     if p_salt + p_pepper > 1.0 or p_salt < 0.0 or p_pepper < 0.0:
         raise ValueError("need p_salt, p_pepper >= 0 and p_salt + p_pepper <= 1")
-    by_shape: dict[tuple[int, int], list[int]] = {}
-    for i, shape in enumerate(shapes):
-        by_shape.setdefault(shape, []).append(i)
-    codes: list[np.ndarray] = [None] * len(shapes)
-    for shape, members in by_shape.items():
-        u = np.empty((len(members),) + shape)
-        lockstep_random([rngs[i] for i in members], u.reshape(len(members), -1))
-        for i, lane in zip(members, u):
-            codes[i] = (lane < p_salt).astype(np.int8) + (lane < p_salt + p_pepper)
-    return codes
+    u = np.empty((len(rngs), *shape))
+    # An explicit row length: numpy cannot infer -1 when there are no rngs.
+    lockstep_random(rngs, u.reshape(len(rngs), shape[0] * shape[1]))
+    return (u < p_salt).astype(np.int8) + (u < p_salt + p_pepper)
 
 
 def _salted(img: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -130,7 +124,7 @@ def salt_pepper(img: np.ndarray, p_salt: float, p_pepper: float, rng: Rng) -> np
     reproducible no matter how the caller parallelizes across images.
     """
     img = as_image(img)
-    return _salted(img, salt_pepper_draws([img.shape], p_salt, p_pepper, [rng])[0])
+    return _salted(img, salt_pepper_draws(img.shape, p_salt, p_pepper, [rng])[0])
 
 
 def _draw_ops(cfg: CorruptionConfig, rng: Rng) -> list[str]:
@@ -147,9 +141,9 @@ def _blur_draw(op: str, rng: Rng) -> tuple[str, float]:
     return op, rng.uniform(*(PHI_RANGE if op == MOTION else SIGMA_RANGE))
 
 
-def draw_corruptions(shapes: list[tuple[int, int]], cfg: CorruptionConfig,
+def draw_corruptions(shape: tuple[int, int], cfg: CorruptionConfig,
                      rngs: list[Rng]) -> list[list[tuple[str, object]]]:
-    """What mixed_corrupt draws for images of the given shapes, one rng
+    """What mixed_corrupt draws for images of the given shape, one rng
     each, as each image's ops in order with their draws: (MOTION, phi),
     (GAUSSIAN, sigma) or (SALTPEPPER, salt_pepper_draws codes).
 
@@ -164,8 +158,7 @@ def draw_corruptions(shapes: list[tuple[int, int]], cfg: CorruptionConfig,
         plans.append([_blur_draw(op, rng) for op in ops[:cut]])
         rests.append(ops[cut + 1:] if cut < len(ops) else None)
     noisy = [i for i, rest in enumerate(rests) if rest is not None]
-    codes = salt_pepper_draws([shapes[i] for i in noisy], cfg.p_salt, cfg.p_pepper,
-                              [rngs[i] for i in noisy])
+    codes = salt_pepper_draws(shape, cfg.p_salt, cfg.p_pepper, [rngs[i] for i in noisy])
     for i, code in zip(noisy, codes):
         plans[i].append((SALTPEPPER, code))
         plans[i].extend(_blur_draw(op, rngs[i]) for op in rests[i])
@@ -191,4 +184,4 @@ def apply_corruption(img: np.ndarray, plan: list[tuple[str, object]],
 def mixed_corrupt(img: np.ndarray, cfg: CorruptionConfig, rng: Rng) -> np.ndarray:
     """Apply 1-3 distinct corruption ops in draw order, w.p. cfg.p overall."""
     img = as_image(img)
-    return apply_corruption(img, draw_corruptions([img.shape], cfg, [rng])[0], cfg)
+    return apply_corruption(img, draw_corruptions(img.shape, cfg, [rng])[0], cfg)

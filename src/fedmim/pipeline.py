@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corrupt import CorruptionConfig, apply_corruption, draw_corruptions
+from .errors import FedmimError
 from .fed import ClientState, make_client
 from .model import ModelConfig
 from .rng import Rng
@@ -43,12 +44,15 @@ def build_clients(
     (seed, cid, idx), so the objective is identical across rounds and
     however the work is scheduled. Every client's corruption is drawn in
     one lockstep call, and each client's images are corrupted as it is
-    built.
+    built. Every image must have one shape.
     """
     shards = partition_clients(dataset, num_clients, alpha, Rng(seed).spawn(-1))
+    shapes = sorted({s.image.shape for s in dataset})
+    if len(shapes) > 1:
+        raise FedmimError(f"dataset images must share one shape, got {shapes}")
     root = Rng(seed)
     plans = iter(draw_corruptions(
-        [s.image.shape for shard in shards for s in shard], corr_cfg,
+        shapes[0], corr_cfg,
         [root.spawn(cid, idx) for cid, shard in enumerate(shards)
          for idx in range(len(shard))]))
     clients = []

@@ -5,7 +5,7 @@ rendering, and Dirichlet non-IID client partitioning."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -64,8 +64,6 @@ class PhantomSpec:
     height: int = 64
     background_level: float = 150.0
     speckle_strength: float = 0.25
-    lesion: Lesion | None = None
-    class_label: int = NONE
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
@@ -104,8 +102,7 @@ def _pixel_grid(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     return ys, xs
 
 
-def _lesion_mask(spec: PhantomSpec, rng: Rng) -> np.ndarray:
-    lesion = spec.lesion
+def _lesion_mask(spec: PhantomSpec, lesion: Lesion | None, rng: Rng) -> np.ndarray:
     mask = np.zeros((spec.height, spec.width))
     if lesion is None:
         return mask
@@ -136,24 +133,24 @@ def _lesion_mask(spec: PhantomSpec, rng: Rng) -> np.ndarray:
     return mask
 
 
-def _render(specs: list[PhantomSpec], masks: list[np.ndarray],
+def _render(spec: PhantomSpec, lesions: list[Lesion | None], masks: list[np.ndarray],
             rngs: list[Rng]) -> np.ndarray:
-    """The (n, H, W) linear-mode images of phantoms that share their size
-    and speckle strength, each given its lesion mask and the rng that drew
-    it: background plus lesion contrast, times Rayleigh speckle.
+    """The (n, H, W) linear-mode images of n phantoms of spec, each given
+    its lesion (or None), its lesion mask and the rng that drew them:
+    background plus lesion contrast, times Rayleigh speckle.
 
     Each pixel's speckle envelope is the radius of one Box-Muller pair of
     its phantom's rng, drawn in lockstep with the other phantoms'.
     """
-    first = specs[0]
-    images = np.empty((len(specs), first.height, first.width))
-    strength = first.speckle_strength
+    images = np.empty((len(rngs), spec.height, spec.width))
+    strength = spec.speckle_strength
     if strength > 0.0:
-        lockstep_rayleigh(rngs, images.reshape(len(specs), -1))
-    for img, spec, mask in zip(images, specs, masks):
+        # An explicit row length: numpy cannot infer -1 when n is 0.
+        lockstep_rayleigh(rngs, images.reshape(len(rngs), spec.height * spec.width))
+    for img, lesion, mask in zip(images, lesions, masks):
         base = np.full(img.shape, spec.background_level)
-        if spec.lesion is not None:
-            base = base + spec.lesion.intensity_delta * mask
+        if lesion is not None:
+            base = base + lesion.intensity_delta * mask
         if strength > 0.0:
             # base * (1 + strength * (envelope / mean - 1)), in place.
             img /= _RAYLEIGH_MEAN
@@ -167,10 +164,11 @@ def _render(specs: list[PhantomSpec], masks: list[np.ndarray],
     return images
 
 
-def generate_phantom(spec: PhantomSpec, rng: Rng) -> LabeledSample:
+def generate_phantom(spec: PhantomSpec, rng: Rng, lesion: Lesion | None = None,
+                     label: int = NONE) -> LabeledSample:
     """Render one linear-mode phantom with its ground-truth lesion mask."""
-    mask = _lesion_mask(spec, rng)
-    return LabeledSample(_render([spec], [mask], [rng])[0], mask, spec.class_label, LINEAR)
+    mask = _lesion_mask(spec, lesion, rng)
+    return LabeledSample(_render(spec, [lesion], [mask], [rng])[0], mask, label, LINEAR)
 
 
 def random_lesion(width: int, height: int, label: int, rng: Rng,
@@ -190,14 +188,9 @@ def random_lesion(width: int, height: int, label: int, rng: Rng,
     axis_y = rng.uniform(*spec.axis_range) * scale
     margin_x = axis_x * (1.0 + irregularity) + 1.0
     margin_y = axis_y * (1.0 + irregularity) + 1.0
-    return Lesion(
-        center_x=rng.uniform(margin_x, width - 1 - margin_x),
-        center_y=rng.uniform(margin_y, height - 1 - margin_y),
-        axis_x=axis_x,
-        axis_y=axis_y,
-        intensity_delta=intensity_delta,
-        irregularity=irregularity,
-    )
+    center_x = rng.uniform(margin_x, width - 1 - margin_x)
+    center_y = rng.uniform(margin_y, height - 1 - margin_y)
+    return Lesion(center_x, center_y, axis_x, axis_y, intensity_delta, irregularity)
 
 
 def generate_dataset(
@@ -218,44 +211,41 @@ def generate_dataset(
         raise ValueError(f"n must be >= 0, got {n}")
     if not (abs(sum(class_mix) - 1.0) <= 1e-9 and all(p >= 0 for p in class_mix)):
         raise ValueError(f"class_mix must be a probability vector, got {class_mix}")
-    if n == 0:
-        return []
     children = [rng.spawn(i) for i in range(n)]
-    specs = [_draw_spec(base_spec, class_mix, child, lesion_spec)
-             for child in children]
-    masks = [_lesion_mask(spec, child) for spec, child in zip(specs, children)]
+    drawn = [_draw_lesion(base_spec, class_mix, child, lesion_spec) for child in children]
+    masks = [_lesion_mask(base_spec, lesion, child)
+             for (_, lesion), child in zip(drawn, children)]
     # A convex sample's warp overwrites its linear image and mask, so the
     # speckle goes straight into the buffer the images live in.
-    images = _render(specs, masks, children)
+    images = _render(base_spec, [lesion for _, lesion in drawn], masks, children)
     samples: list[LabeledSample] = []
-    for image, mask, spec, child in zip(images, masks, specs, children):
+    for image, mask, (label, _), child in zip(images, masks, drawn, children):
         mode = LINEAR
         if child.random() < 0.5:
             image[...] = linear_to_convex(image)
             mask[...] = linear_to_convex(mask) >= 0.5
             mode = CONVEX
-        samples.append(LabeledSample(image, mask, spec.class_label, mode))
+        samples.append(LabeledSample(image, mask, label, mode))
     return samples
 
 
-def _draw_spec(base_spec: PhantomSpec, class_mix: tuple[float, float, float],
-               rng: Rng, lesion_spec: LesionSpec) -> PhantomSpec:
-    """One sample's class label, per class_mix, and lesion."""
+def _draw_lesion(base_spec: PhantomSpec, class_mix: tuple[float, float, float],
+                 rng: Rng, lesion_spec: LesionSpec) -> tuple[int, Lesion | None]:
+    """One sample's class label, per class_mix, and lesion (None for NONE)."""
     u = rng.random()
     if u < class_mix[0]:
         label = BENIGN
     elif u < class_mix[0] + class_mix[1]:
         label = MALIGNANT
     else:
-        return replace(base_spec, lesion=None, class_label=NONE)
-    lesion = random_lesion(base_spec.width, base_spec.height, label, rng, lesion_spec)
-    return replace(base_spec, lesion=lesion, class_label=label)
+        return NONE, None
+    return label, random_lesion(base_spec.width, base_spec.height, label, rng, lesion_spec)
 
 
 def partition_clients(
     dataset: list, num_clients: int, alpha: float, rng: Rng
 ) -> list[list]:
-    """Dirichlet(alpha) non-IID split by class; every client gets >= 1 item."""
+    """Dirichlet(alpha) non-IID split by label; every client gets >= 1 item."""
     if num_clients < 1:
         raise ValueError("num_clients must be >= 1")
     if not 0.0 < alpha < math.inf:
@@ -267,8 +257,7 @@ def partition_clients(
 
     by_class: dict[int, list[int]] = {}
     for idx, sample in enumerate(dataset):
-        label = getattr(sample, "label", 0)
-        by_class.setdefault(label, []).append(idx)
+        by_class.setdefault(sample.label, []).append(idx)
 
     for _ in range(_PARTITION_TRIES):
         assignment: list[list[int]] = [[] for _ in range(num_clients)]

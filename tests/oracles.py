@@ -34,7 +34,7 @@ from fedmim.model import (
     unpack_params,
 )
 from fedmim.rng import Rng
-from fedmim.synth import PhantomSpec, _boundary_wobble
+from fedmim.synth import Lesion, PhantomSpec, _boundary_wobble
 
 
 def init_params(cfg: ModelConfig) -> np.ndarray:
@@ -401,11 +401,10 @@ def speckle_envelope(rng: Rng, count: int) -> np.ndarray:
     return envelope
 
 
-def lesion_mask_full_grid(spec: PhantomSpec, rng: Rng) -> np.ndarray:
+def lesion_mask_full_grid(spec: PhantomSpec, lesion: Lesion | None, rng: Rng) -> np.ndarray:
     """synth._lesion_mask of a lesion inside the image, tested on every
     pixel rather than on the lesion's bounding box; the boundary wobble is
     drawn from rng in the same way."""
-    lesion = spec.lesion
     if lesion is None:
         return np.zeros((spec.height, spec.width))
     ys, xs = np.mgrid[0:spec.height, 0:spec.width].astype(np.float64)

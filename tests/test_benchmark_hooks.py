@@ -3,6 +3,8 @@ kind of prepared batch, and its self-check passes, so a rename in the
 package fails here rather than in a benchmark run."""
 
 import importlib
+import json
+import shutil
 import types
 from pathlib import Path
 
@@ -73,3 +75,20 @@ def test_benchmark_selfcheck_passes():
                   f"sys.path.insert(0, {str(PERFBENCH)!r}); "
                   f"runpy.run_path({str(PERFBENCH / 'selfcheck.py')!r}, run_name='__main__')")
     assert out["baseline"].splitlines()[-1] == "selfcheck ok"
+
+
+@pytest.mark.parametrize("workload", ["many-clients", "cli-chain"])
+def test_benchmark_workload_runs_correct(workload, tmp_path):
+    # One untimed pass of the workload, traced, so a change to a signature
+    # it calls fails here. It runs from a copy of perfbench/ beside a link
+    # to src/, so its results file goes to tmp_path.
+    bench = tmp_path / "perfbench"
+    shutil.copytree(PERFBENCH, bench, ignore=shutil.ignore_patterns("out", "__pycache__"))
+    (tmp_path / "src").symlink_to(PERFBENCH.parent / "src")
+    out = snippet(f"import runpy, sys; sys.dont_write_bytecode = True; "
+                  f"sys.path.insert(0, {str(bench)!r}); "
+                  f"sys.argv = ['run.py', '--workload', {workload!r}, '--seconds', '0', "
+                  f"'--trace', '1', '--seed', '3']; "
+                  f"runpy.run_path({str(bench / 'run.py')!r}, run_name='__main__')")
+    result = json.loads(out["baseline"].splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0

@@ -540,6 +540,18 @@ def test_resume_from_another_federation_is_exit_2_before_synthesis(
     assert {name: (out / name).read_bytes() for name in names} == head
 
 
+def test_resume_at_another_seed_is_a_federation_mismatch(tmp_path, capsys, monkeypatch):
+    # The seed does not shape the model, so a resume at another seed is
+    # refused as another federation, not as another model.
+    out, tail = _pretrain_head(tmp_path)
+    tail[tail.index("--seed") + 1] = "6"
+    monkeypatch.setattr(synth, "generate_dataset", _no_synthesis)
+    capsys.readouterr()
+    assert main(tail) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("configuration error: checkpoint federation "
+                                       "config does not match run config\n")
+
+
 def test_resume_from_checkpoint_without_config_is_exit_2_before_synthesis(
         tmp_path, capsys, monkeypatch):
     # A checkpoint whose manifest has no "config" record, as pretrain wrote

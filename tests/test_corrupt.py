@@ -10,6 +10,9 @@ from hypothesis.extra import numpy as hnp
 
 from fedmim import corrupt
 from fedmim.corrupt import (
+    GAUSSIAN,
+    MOTION,
+    SALTPEPPER,
     CorruptionConfig,
     gaussian_blur,
     gaussian_weights,
@@ -117,37 +120,60 @@ def test_salt_pepper_equals_scalar_oracle(shape, p_salt, p_pepper):
         assert lane._s == scalar._s
 
 
-def test_salt_pepper_draws_of_mixed_shapes_equal_the_oracle():
+def test_salt_pepper_draws_equal_the_oracle():
     # Codes 2 (salt), 1 (pepper) and 0 (unchanged) mark the pixels the
     # oracle sets to 0, sets to 255 and leaves at 100.
-    shapes = [(8, 8), (5, 9), (8, 8), (1, 3), (5, 9)]
-    lanes = [Rng(40 + i) for i in range(len(shapes))]
-    codes = salt_pepper_draws(shapes, 0.2, 0.2, lanes)
-    for i, (shape, code) in enumerate(zip(shapes, codes)):
-        scalar = Rng(40 + i)
-        expect = oracles.salt_pepper(np.full(shape, 100.0), 0.2, 0.2, scalar)
-        assert code.shape == shape
-        np.testing.assert_array_equal(code, np.select([expect == 0.0, expect == 255.0],
-                                                      [2, 1], 0))
-        assert lanes[i]._s == scalar._s
+    for shape in [(8, 8), (5, 9), (1, 3)]:
+        lanes = [Rng(40 + i) for i in range(5)]
+        codes = salt_pepper_draws(shape, 0.2, 0.2, lanes)
+        assert codes.shape == (5, *shape) and codes.dtype == np.int8
+        for i, code in enumerate(codes):
+            scalar = Rng(40 + i)
+            expect = oracles.salt_pepper(np.full(shape, 100.0), 0.2, 0.2, scalar)
+            np.testing.assert_array_equal(code, np.select([expect == 0.0, expect == 255.0],
+                                                          [2, 1], 0))
+            assert lanes[i]._s == scalar._s
+
+
+def test_salt_pepper_draws_of_no_images():
+    codes = salt_pepper_draws((5, 7), 0.1, 0.1, [])
+    assert codes.shape == (0, 5, 7) and codes.dtype == np.int8
 
 
 def test_drawn_corruptions_equal_the_scalar_oracle():
-    # 40 images of two shapes take every op order: salt-and-pepper before,
+    # 40 images of each shape take every op order: salt-and-pepper before,
     # between and after the blurs, alone, or not at all.
     cfg = CorruptionConfig(p=0.9, p_salt=0.1, p_pepper=0.1)
-    imgs = [np.arange(float(h * w)).reshape(h, w) % 200.0
-            for h, w in [(16, 16), (12, 20)] * 20]
-    lanes = [Rng(seed) for seed in range(len(imgs))]
-    plans = draw_corruptions([img.shape for img in imgs], cfg, lanes)
-    for seed, (img, plan) in enumerate(zip(imgs, plans)):
-        scalar = Rng(seed)
+    for h, w in [(16, 16), (12, 20)]:
+        img = np.arange(float(h * w)).reshape(h, w) % 200.0
+        lanes = [Rng(seed) for seed in range(40)]
+        plans = draw_corruptions((h, w), cfg, lanes)
+        assert {op for plan in plans for op, _ in plan} == {MOTION, GAUSSIAN, SALTPEPPER}
+        for seed, plan in enumerate(plans):
+            scalar = Rng(seed)
+            out = apply_corruption(img, plan, cfg)
+            assert out.tobytes() == oracles.mixed_corrupt(img, cfg, scalar).tobytes()
+            assert lanes[seed]._s == scalar._s
+            alone = Rng(seed)
+            assert mixed_corrupt(img, cfg, alone).tobytes() == out.tobytes()
+            assert alone._s == scalar._s
+
+
+def test_drawn_corruptions_with_no_salt_and_pepper():
+    # The lockstep salt-and-pepper draw runs with no lanes when no image
+    # reaches it: none at all, none corrupted, or only blurs drawn.
+    cfg = CorruptionConfig(p=1.0, p_salt=0.1, p_pepper=0.1)
+    assert draw_corruptions((5, 7), cfg, []) == []
+    assert draw_corruptions((5, 7), CorruptionConfig(p=0.0), [Rng(s) for s in range(3)]) == \
+        [[], [], []]
+    seeds = [s for s in range(40) if SALTPEPPER not in corrupt._draw_ops(cfg, Rng(s))]
+    img = np.arange(35.0).reshape(5, 7)
+    plans = draw_corruptions((5, 7), cfg, [Rng(s) for s in seeds])
+    assert len(plans) == len(seeds) >= 3
+    for seed, plan in zip(seeds, plans):
+        assert plan and all(op in (MOTION, GAUSSIAN) for op, _ in plan)
         out = apply_corruption(img, plan, cfg)
-        assert out.tobytes() == oracles.mixed_corrupt(img, cfg, scalar).tobytes()
-        assert lanes[seed]._s == scalar._s
-        alone = Rng(seed)
-        assert mixed_corrupt(img, cfg, alone).tobytes() == out.tobytes()
-        assert alone._s == scalar._s
+        assert out.tobytes() == oracles.mixed_corrupt(img, cfg, Rng(seed)).tobytes()
 
 
 def test_salt_pepper_rejects_bad_probs():
@@ -186,9 +212,9 @@ def test_mixed_corrupt_op_inclusion_frequency(monkeypatch):
     # reach salt-pepper; the ops are drawn before any of them runs.
     calls = []
 
-    def counting_salt_pepper_draws(shapes, *args):
-        calls.append(len(shapes))
-        return salt_pepper_draws(shapes, *args)
+    def counting_salt_pepper_draws(shape, p_salt, p_pepper, rngs):
+        calls.append(len(rngs))
+        return salt_pepper_draws(shape, p_salt, p_pepper, rngs)
 
     monkeypatch.setattr(corrupt, "salt_pepper_draws", counting_salt_pepper_draws)
     img = np.full((12, 12), 128.0)

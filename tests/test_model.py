@@ -146,6 +146,21 @@ def test_build_clients_rejects_a_mask_of_no_patch():
         build_clients(dataset, 2, 0.5, cfg, CorruptionConfig(), PatchSpec(8, 8, 0.005), 7)
 
 
+def test_build_clients_rejects_images_of_two_shapes(monkeypatch):
+    # The corruption draws are taken for one image shape, so a dataset of
+    # two shapes is refused before any is drawn.
+    def no_draws(*args):
+        raise AssertionError("corruption drawn")
+
+    monkeypatch.setattr(pipeline, "draw_corruptions", no_draws)
+    cfg = ModelConfig(patch_dim=64, embed_dim=8, num_patches=16, seed=7)
+    dataset = [*synth.generate_dataset(1, (1.0, 0.0, 0.0), Rng(3), synth.PhantomSpec(32, 32)),
+               *synth.generate_dataset(1, (1.0, 0.0, 0.0), Rng(4), synth.PhantomSpec(64, 64))]
+    with pytest.raises(FedmimError, match=r"^dataset images must share one shape, "
+                                          r"got \[\(32, 32\), \(64, 64\)\]$"):
+        build_clients(dataset, 2, 0.5, cfg, CorruptionConfig(), PatchSpec(8, 8, 0.75), 7)
+
+
 def test_analytic_gradient_matches_finite_differences():
     for seed in range(5):
         cfg = small_cfg(seed)
@@ -280,7 +295,7 @@ def gradient_digests(sizes) -> list[str]:
     cfg = ModelConfig(patch_dim=64, embed_dim=32, num_patches=64, seed=7)
     dataset = synth.generate_dataset(200, (0.5, 0.5, 0.0), Rng(3), synth.PhantomSpec())
     corr = CorruptionConfig()
-    plans = draw_corruptions([s.image.shape for s in dataset], corr,
+    plans = draw_corruptions(dataset[0].image.shape, corr,
                              [Rng(3).spawn(0, i) for i in range(len(dataset))])
     samples = [partition_image(apply_corruption(s.image, plan, corr), 8, 8, 0.75)
                for s, plan in zip(dataset, plans)]

@@ -50,8 +50,8 @@ def test_phantom_spec_rejects_out_of_range(kwargs, message):
 
 def test_benign_lesion_is_exact_ellipse():
     lesion = Lesion(16.0, 16.0, 6.0, 4.0, -60.0, 0.0)
-    spec = PhantomSpec(32, 32, 150.0, 0.0, lesion, BENIGN)
-    sample = generate_phantom(spec, Rng(0))
+    spec = PhantomSpec(32, 32, 150.0, 0.0)
+    sample = generate_phantom(spec, Rng(0), lesion, BENIGN)
     ys, xs = np.mgrid[0:32, 0:32].astype(np.float64)
     inside = ((xs - 16.0) / 6.0) ** 2 + ((ys - 16.0) / 4.0) ** 2 <= 1.0
     np.testing.assert_array_equal(sample.lesion_mask, inside.astype(np.float64))
@@ -63,10 +63,10 @@ def test_lesion_contrast_within_speckle_noise():
     # Mean inside minus mean outside should approximate intensity_delta
     # within 3 sigma of the speckle fluctuation.
     lesion = Lesion(32.0, 32.0, 10.0, 10.0, -60.0, 0.0)
-    spec = PhantomSpec(64, 64, 150.0, 0.25, lesion, BENIGN)
+    spec = PhantomSpec(64, 64, 150.0, 0.25)
     deltas = []
     for seed in range(5):
-        s = generate_phantom(spec, Rng(seed))
+        s = generate_phantom(spec, Rng(seed), lesion, BENIGN)
         m = s.lesion_mask > 0.5
         deltas.append(s.image[m].mean() - s.image[~m].mean())
     # Speckle sd per pixel ~ strength * level * sqrt(2 - pi/2) / sqrt(pi/2);
@@ -79,24 +79,24 @@ def test_lesion_contrast_within_speckle_noise():
 
 def test_lesion_out_of_bounds():
     lesion = Lesion(2.0, 2.0, 6.0, 6.0, -60.0, 0.0)
-    spec = PhantomSpec(16, 16, 150.0, 0.0, lesion, BENIGN)
+    spec = PhantomSpec(16, 16, 150.0, 0.0)
     with pytest.raises(FedmimError, match=r"^lesion at \(2.0, 2.0\) with reach \(6.0, 6.0\) exceeds 16x16$"):
-        generate_phantom(spec, Rng(0))
+        generate_phantom(spec, Rng(0), lesion, BENIGN)
 
 
 def test_lesion_with_nan_center_is_out_of_bounds():
     lesion = Lesion(math.nan, 8.0, 2.0, 2.0, -60.0, 0.0)
-    spec = PhantomSpec(16, 16, 150.0, 0.0, lesion, BENIGN)
+    spec = PhantomSpec(16, 16, 150.0, 0.0)
     with pytest.raises(FedmimError, match=r"^lesion at \(nan, 8.0\) with reach "):
-        generate_phantom(spec, Rng(0))
+        generate_phantom(spec, Rng(0), lesion, BENIGN)
 
 
 TOP_IRREGULARITY = LesionSpec().irregularity_range[1]
 
 
 @st.composite
-def lesion_phantoms(draw) -> PhantomSpec:
-    """A phantom of any shape with a lesion inside it: drawn by
+def lesion_phantoms(draw) -> tuple[PhantomSpec, Lesion]:
+    """A phantom of any shape and a lesion inside it: drawn by
     random_lesion, or built with irregularity 0, the top of the default
     irregularity_range or between (either sign), axes of either sign, and
     a center whose reach touches the low border, the high border or
@@ -106,7 +106,7 @@ def lesion_phantoms(draw) -> PhantomSpec:
         width, height = draw(st.integers(32, 80)), draw(st.integers(32, 80))
         label = draw(st.sampled_from([BENIGN, MALIGNANT]))
         lesion = random_lesion(width, height, label, Rng(draw(st.integers(0, 2**64 - 1))))
-        return PhantomSpec(width, height, lesion=lesion, class_label=label)
+        return PhantomSpec(width, height), lesion
     width, height = draw(st.integers(4, 80)), draw(st.integers(4, 80))
     irregularity = draw(st.sampled_from([0.0, TOP_IRREGULARITY])
                         | st.floats(-TOP_IRREGULARITY, TOP_IRREGULARITY))
@@ -124,18 +124,18 @@ def lesion_phantoms(draw) -> PhantomSpec:
         centers.append(center)
         axes.append(-axis if draw(st.booleans()) else axis)
     lesion = Lesion(*centers, *axes, -60.0, irregularity)
-    return PhantomSpec(width, height, lesion=lesion, class_label=MALIGNANT)
+    return PhantomSpec(width, height), lesion
 
 
 @given(lesion_phantoms(), st.integers(0, 2**64 - 1))
-@example(PhantomSpec(9, 5, lesion=Lesion(2.0, 2.0, 2.0, 2.0, -60.0, 0.0)), 0)
-@example(PhantomSpec(64, 40, lesion=Lesion(31.5, 19.5, 31.5 / 1.85, 19.5 / 1.85, -60.0,
-                                           0.85)), 1)
+@example((PhantomSpec(9, 5), Lesion(2.0, 2.0, 2.0, 2.0, -60.0, 0.0)), 0)
+@example((PhantomSpec(64, 40), Lesion(31.5, 19.5, 31.5 / 1.85, 19.5 / 1.85, -60.0, 0.85)), 1)
 @settings(max_examples=150, deadline=None)
-def test_lesion_mask_on_its_box_matches_the_full_grid(spec, seed):
+def test_lesion_mask_on_its_box_matches_the_full_grid(phantom, seed):
+    spec, lesion = phantom
     box, full = Rng(seed), Rng(seed)
-    assert synth._lesion_mask(spec, box).tobytes() == \
-        lesion_mask_full_grid(spec, full).tobytes()
+    assert synth._lesion_mask(spec, lesion, box).tobytes() == \
+        lesion_mask_full_grid(spec, lesion, full).tobytes()
     assert box._s == full._s
 
 
@@ -201,8 +201,8 @@ def test_random_lesion_fits():
     for label in (BENIGN, MALIGNANT):
         for _ in range(50):
             lesion = random_lesion(64, 64, label, rng)
-            spec = PhantomSpec(64, 64, 150.0, 0.0, lesion, label)
-            generate_phantom(spec, rng)  # must not raise
+            spec = PhantomSpec(64, 64, 150.0, 0.0)
+            generate_phantom(spec, rng, lesion, label)  # must not raise
 
 
 def test_generate_dataset_empty():
@@ -220,7 +220,7 @@ def test_generate_dataset_lanes_equal_each_phantom_alone():
         u = rng.random()
         label = BENIGN if u < mix[0] else MALIGNANT if u < mix[0] + mix[1] else NONE
         lesion = None if label == NONE else random_lesion(24, 16, label, rng)
-        alone = generate_phantom(PhantomSpec(24, 16, lesion=lesion, class_label=label), rng)
+        alone = generate_phantom(spec, rng, lesion, label)
         image, mask, mode = alone.image, alone.lesion_mask, LINEAR
         if rng.random() < 0.5:
             image = linear_to_convex(image)
