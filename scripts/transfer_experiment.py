@@ -7,7 +7,9 @@ images are unwarped to linear before feature extraction so both scan
 modes share a feature space, and features are standardized with
 training-split statistics. The random-encoder arm repeats the probe
 training on freshly initialized encoders. Acceptance criterion 5 runs
-transfer_aurocs at its defaults.
+transfer_aurocs at its defaults. With --seeds a..b the protocol runs at
+every seed from a to b, and the script prints each seed's gap, then their
+minimum, median and maximum.
 """
 
 import argparse
@@ -82,11 +84,36 @@ def transfer_aurocs(seed=7, rounds=300):
     return aucs_pre, aucs_rand
 
 
+def seed_range(text):
+    """The seeds a, a + 1, ..., b of an inclusive range "a..b", a <= b."""
+    lo, sep, hi = text.partition("..")
+    try:
+        seeds = range(int(lo), int(hi) + 1)
+    except ValueError:
+        seeds = None
+    if not sep or not seeds:
+        raise argparse.ArgumentTypeError(f"expected a..b with a <= b, got {text!r}")
+    return seeds
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=7)
+    seed = ap.add_mutually_exclusive_group()
+    seed.add_argument("--seed", type=int, default=7)
+    seed.add_argument("--seeds", type=seed_range, metavar="A..B")
     ap.add_argument("--rounds", type=int, default=300)
     args = ap.parse_args()
+
+    if args.seeds is not None:
+        gaps = []
+        for s in args.seeds:
+            aucs_pre, aucs_rand = transfer_aurocs(s, args.rounds)
+            gaps.append(np.mean(aucs_pre) - np.mean(aucs_rand))
+            print(f"seed {s}: pretrained mean {np.mean(aucs_pre):.3f}  gap {gaps[-1]:.3f}  "
+                  f"t-test p {metrics.t_test(aucs_pre, aucs_rand):.2e}", flush=True)
+        print(f"gap over seeds {args.seeds[0]}..{args.seeds[-1]}: min {min(gaps):.3f}  "
+              f"median {np.median(gaps):.3f}  max {max(gaps):.3f}")
+        return
 
     aucs_pre, aucs_rand = transfer_aurocs(args.seed, args.rounds)
     mean_pre, half_pre = metrics.ci95(aucs_pre)

@@ -257,8 +257,8 @@ def cmd_pretrain(cfg: dict, out_dir: Path) -> int:
             raise OSError(f"resume requires an existing {trace_path}")
     else:
         params, start_round = model.init_params(model_cfg), 0
-    dataset = _generate(cfg)
-    clients = build_clients(dataset, fed_cfg.num_clients, cfg["federation"]["alpha"],
+    # No name holds the phantoms, so they go once the clients are built.
+    clients = build_clients(_generate(cfg), fed_cfg.num_clients, cfg["federation"]["alpha"],
                             model_cfg, corruption, patch, cfg["seed"])
     final, trace = fed.run_pretraining(fed_cfg, model_cfg, clients, params,
                                        start_round=start_round)

@@ -53,11 +53,13 @@ class ClientState:
         return self.batch.size
 
 
-def make_client(client_id: int, model_cfg: ModelConfig,
-                samples: list[tuple[np.ndarray, np.ndarray]]) -> ClientState:
-    if not samples:
+def make_client(client_id: int, model_cfg: ModelConfig, patches: np.ndarray,
+                masked: np.ndarray) -> ClientState:
+    """The client of the samples whose (n, L, N) patch rows and (n, L) bool
+    masks are given; prepare_batch takes the patch rows over."""
+    if len(patches) == 0:
         raise ValueError("client dataset must be non-empty")
-    return ClientState(client_id, prepare_batch(model_cfg, samples))
+    return ClientState(client_id, prepare_batch(model_cfg, patches, masked))
 
 
 def local_update(global_params: np.ndarray, client: ClientState, model_cfg: ModelConfig,

@@ -24,17 +24,23 @@ def as_image(data) -> np.ndarray:
     return img
 
 
-def patchify(img: np.ndarray, patch_h: int, patch_w: int) -> np.ndarray:
+def patchify(img: np.ndarray, patch_h: int, patch_w: int,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Split an image into its (L, N) patch rows: L = rows*cols patches of
-    N = patch_h*patch_w pixels, patches and pixels both in row-major order."""
+    N = patch_h*patch_w pixels, patches and pixels both in row-major order.
+    The rows go into out, a C-contiguous (L, N) float64 array, if given."""
     img = as_image(img)
     h, w = img.shape
     if patch_h < 1 or patch_w < 1 or h % patch_h != 0 or w % patch_w != 0:
         raise FedmimError(f"patch size {patch_h}x{patch_w} does not tile image {h}x{w}")
     rows = h // patch_h
     cols = w // patch_w
-    blocks = img.reshape(rows, patch_h, cols, patch_w).transpose(0, 2, 1, 3)
-    return blocks.reshape(rows * cols, patch_h * patch_w).copy()
+    if out is None:
+        out = np.empty((rows * cols, patch_h * patch_w))
+    # A view of out, as out is contiguous: one copy, straight from img.
+    out.reshape(rows, cols, patch_h, patch_w)[...] = \
+        img.reshape(rows, patch_h, cols, patch_w).transpose(0, 2, 1, 3)
+    return out
 
 
 def depatchify(patches: np.ndarray, patch_h: int, patch_w: int,

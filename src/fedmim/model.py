@@ -106,7 +106,9 @@ class PreparedBatch:
     The second-order sums q2, t_q and t_sq are taken over rows centred on
     their sample's masked-row mean (q_c = q - s_q/M, t_c = t - s_t/M).
     targets, q_masked and pe keep the masked rows and the embedding table for
-    checks outside the loss; a stacked batch (stack_batches) holds None there."""
+    checks outside the loss; a stacked batch (stack_batches) holds None there.
+    Every array is the batch's own: none is a view of the (n, L, N) patch
+    stack that prepare_batch took over."""
 
     visible: np.ndarray  # (n, V, N) view, scaled to [0, 1]
     targets: np.ndarray | None  # (n, M, N), scaled to [0, 1]
@@ -129,24 +131,21 @@ class PreparedBatch:
         return self.visible.shape[0]
 
 
-def prepare_batch(
-    cfg: ModelConfig, samples: list[tuple[np.ndarray, np.ndarray]]
-) -> PreparedBatch:
-    """Stack (patches, masked) samples, each (L, N) patch rows and an (L,)
-    bool mask; all must mask the same number M of patches, 0 < M < L. A
-    sample's visible rows, and its masked rows, are kept in ascending patch
-    order."""
-    try:
-        x = np.stack([patches for patches, _ in samples], dtype=np.float64)
-        masked = np.stack([mask for _, mask in samples])
-    except ValueError as exc:
-        raise FedmimError(f"samples do not stack: {exc}") from None
-    num_patches = cfg.num_patches
-    if (x.shape[1:] != (num_patches, cfg.patch_dim) or masked.shape[1:] != (num_patches,)
-            or masked.dtype != np.bool_):
-        raise FedmimError(f"samples must be ({num_patches}, {cfg.patch_dim}) patches and "
-                          f"a ({num_patches},) bool mask, got {x.shape[1:]} and "
-                          f"{masked.shape[1:]} {masked.dtype}")
+def prepare_batch(cfg: ModelConfig, patches: np.ndarray, masked: np.ndarray) -> PreparedBatch:
+    """The batch of n >= 1 samples, given as their (n, L, N) float64 patch
+    rows and (n, L) bool masks; all must mask the same number M of patches,
+    0 < M < L. A sample's visible rows, and its masked rows, are kept in
+    ascending patch order.
+
+    The batch takes patches over, and the caller must not read them after:
+    they are scaled in place, and once their rows are gathered the centred
+    masked rows (n M N <= n L N values) are written over them."""
+    x, num_patches = patches, cfg.num_patches
+    if (x.dtype != np.float64 or x.shape[1:] != (num_patches, cfg.patch_dim)
+            or masked.dtype != np.bool_ or masked.shape != x.shape[:2] or len(x) == 0):
+        raise FedmimError(f"samples must be (n, {num_patches}, {cfg.patch_dim}) float64 "
+                          f"patches and an (n, {num_patches}) bool mask, n >= 1, got "
+                          f"{x.shape} {x.dtype} and {masked.shape} {masked.dtype}")
     n_mask = int(masked[0].sum())
     if np.any(masked.sum(axis=1) != n_mask):
         raise FedmimError("samples mask different numbers of patches")
@@ -160,13 +159,17 @@ def prepare_batch(
     order = np.argsort(masked, axis=1, kind="stable")
     v_idx, m_idx = order[:, :num_patches - n_mask].T, order[:, num_patches - n_mask:]
     rows = np.arange(len(x))
+    visible = x[rows, v_idx]
     tgt, qm = x[rows[:, None], m_idx], q[m_idx]
     s_q, s_t = qm.sum(axis=1), tgt.sum(axis=1)
     # Centred rows keep the loss from being a small difference of large sums.
-    flat_t = (tgt - s_t[:, None, :] / n_mask).reshape(-1, cfg.patch_dim)
+    # The centred targets go into the head of x, whose rows are all gathered.
+    flat_t = np.subtract(tgt, s_t[:, None, :] / n_mask,
+                         out=x.reshape(-1)[:tgt.size].reshape(tgt.shape))
+    flat_t = flat_t.reshape(-1, cfg.patch_dim)
     flat_q = (qm - s_q[:, None, :] / n_mask).reshape(-1, cfg.embed_dim)
     return PreparedBatch(
-        x[rows, v_idx].transpose(1, 0, 2), tgt, q[v_idx].transpose(1, 0, 2), qm, pe=q,
+        visible.transpose(1, 0, 2), tgt, q[v_idx].transpose(1, 0, 2), qm, pe=q,
         q2=np.einsum("ri,rj->ij", flat_q, flat_q), s_q=s_q, s_t=s_t,
         t_q=np.einsum("ri,rj->ij", flat_t, flat_q),
         t_sq=float(np.einsum("ri,ri->", flat_t, flat_t)), n_mask=n_mask,

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .corrupt import CorruptionConfig, apply_corruption, draw_corruptions
 from .errors import FedmimError
 from .fed import ClientState, make_client
@@ -44,7 +46,8 @@ def build_clients(
     (seed, cid, idx), so the objective is identical across rounds and
     however the work is scheduled. Every client's corruption is drawn in
     one lockstep call, and each client's images are corrupted as it is
-    built. Every image must have one shape.
+    built, straight into the rows of the one patch stack that its batch
+    takes over. Every image must have one shape.
     """
     shards = partition_clients(dataset, num_clients, alpha, Rng(seed).spawn(-1))
     shapes = sorted({s.image.shape for s in dataset})
@@ -55,10 +58,15 @@ def build_clients(
         shapes[0], corr_cfg,
         [root.spawn(cid, idx) for cid, shard in enumerate(shards)
          for idx in range(len(shard))]))
-    clients = []
-    for cid, shard in enumerate(shards):
-        prepared = [partition_image(apply_corruption(s.image, next(plans), corr_cfg),
-                                    patch.patch_h, patch.patch_w, patch.mask_ratio)
-                    for s in shard]
-        clients.append(make_client(cid, model_cfg, prepared))
-    return clients
+    (h, w), (ph, pw) = shapes[0], (patch.patch_h, patch.patch_w)
+
+    def stack(shard):
+        patches = np.empty((len(shard), (h // ph) * (w // pw), ph * pw))
+        masked = np.empty(patches.shape[:2], dtype=bool)
+        for i, s in enumerate(shard):
+            _, masked[i] = partition_image(apply_corruption(s.image, next(plans), corr_cfg),
+                                           ph, pw, patch.mask_ratio, out=patches[i])
+        return patches, masked
+
+    # A client's stack is freed once its batch is made, before the next one.
+    return [make_client(cid, model_cfg, *stack(shard)) for cid, shard in enumerate(shards)]

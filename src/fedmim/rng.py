@@ -40,7 +40,7 @@ _DEGREE = 256
 # stream and _LANE_BUDGET sub-lanes in all, past which wider steps stop
 # paying for the jump.
 _MAX_SUB_LANES = 64
-_LANE_BUDGET = 1024
+_LANE_BUDGET = 2048
 # Shift counts as uint64 arrays: a Python int costs a conversion per call.
 _SHIFT_17, _SHIFT_19, _SHIFT_45 = (np.array(k, dtype=np.uint64) for k in (17, 19, 45))
 

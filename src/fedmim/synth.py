@@ -80,7 +80,7 @@ class PhantomSpec:
 @dataclass(frozen=True)
 class LabeledSample:
     image: np.ndarray
-    lesion_mask: np.ndarray
+    lesion_mask: np.ndarray  # (H, W) bool
     label: int
     mode: str
 
@@ -103,7 +103,8 @@ def _pixel_grid(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lesion_mask(spec: PhantomSpec, lesion: Lesion | None, rng: Rng) -> np.ndarray:
-    mask = np.zeros((spec.height, spec.width))
+    """The (H, W) bool mask of the pixels inside the lesion, if any."""
+    mask = np.zeros((spec.height, spec.width), dtype=bool)
     if lesion is None:
         return mask
     # Whatever the signs; a NaN center or reach fails the bounds test.

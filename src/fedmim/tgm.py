@@ -54,11 +54,13 @@ def select_mask(scores: np.ndarray, mask_ratio: float) -> np.ndarray:
 
 
 def partition_image(
-    corrupted: np.ndarray, patch_h: int, patch_w: int, mask_ratio: float
+    corrupted: np.ndarray, patch_h: int, patch_w: int, mask_ratio: float,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A corrupted image's (patches, masked) pair, masked by texture."""
+    """A corrupted image's (patches, masked) pair, masked by texture; the
+    patch rows go into out, a C-contiguous (L, N) float64 array, if given."""
     scores = patch_scores(texture_map(corrupted), patch_h, patch_w)
-    return patchify(corrupted, patch_h, patch_w), select_mask(scores, mask_ratio)
+    return patchify(corrupted, patch_h, patch_w, out=out), select_mask(scores, mask_ratio)
 
 
 def apply_uim(

@@ -44,6 +44,14 @@ def random_sample(cfg: ModelConfig, rng: Rng):
     return patches, select_mask(scores, 0.5)
 
 
+def stack_samples(samples):
+    """The (n, L, N) float64 patch rows and (n, L) bool masks of (patches,
+    masked) samples, as new arrays: prepare_batch and make_client take the
+    patch stack over and overwrite it."""
+    return (np.stack([patches for patches, _ in samples], dtype=np.float64),
+            np.stack([masked for _, masked in samples]))
+
+
 def explicit_sample(cfg: ModelConfig, patches, masked):
     """(patches, mask), the mask True at the patch indices in masked."""
     mask = np.zeros(cfg.num_patches, dtype=bool)

@@ -36,6 +36,8 @@ from fedmim.model import (
 from fedmim.rng import Rng
 from fedmim.synth import Lesion, PhantomSpec, _boundary_wobble
 
+from conftest import stack_samples
+
 
 def init_params(cfg: ModelConfig) -> np.ndarray:
     """model.init_params drawn one weight at a time: Rng(seed).uniform for
@@ -152,7 +154,7 @@ def sample_major_loss_and_grad(
 def loss_and_grad(params: np.ndarray, cfg: ModelConfig, sample) -> tuple[float, np.ndarray]:
     """Single-sample reconstruction loss and gradient through the package's
     batch path on a one-sample batch."""
-    return batch_loss_and_grad(params, cfg, prepare_batch(cfg, [sample]))
+    return batch_loss_and_grad(params, cfg, prepare_batch(cfg, *stack_samples([sample])))
 
 
 def finite_diff_grad(
@@ -406,20 +408,20 @@ def lesion_mask_full_grid(spec: PhantomSpec, lesion: Lesion | None, rng: Rng) ->
     pixel rather than on the lesion's bounding box; the boundary wobble is
     drawn from rng in the same way."""
     if lesion is None:
-        return np.zeros((spec.height, spec.width))
+        return np.zeros((spec.height, spec.width), dtype=bool)
     ys, xs = np.mgrid[0:spec.height, 0:spec.width].astype(np.float64)
     dx = (xs - lesion.center_x) / lesion.axis_x
     dy = (ys - lesion.center_y) / lesion.axis_y
     radial = dx * dx + dy * dy
     if lesion.irregularity == 0.0:
-        return (radial <= 1.0).astype(np.float64)
+        return radial <= 1.0
     amps, phases = _boundary_wobble(rng)
     alpha = np.arctan2(dy, dx)
     wobble = np.zeros_like(alpha)
     for h, (amp, phase) in enumerate(zip(amps, phases), start=2):
         wobble += amp * np.sin(h * alpha + phase)
     limit = 1.0 + lesion.irregularity * wobble
-    return (radial <= limit * limit).astype(np.float64)
+    return radial <= limit * limit
 
 
 def salt_pepper(img: np.ndarray, p_salt: float, p_pepper: float, rng: Rng) -> np.ndarray:

@@ -32,7 +32,7 @@ from fedmim.pipeline import PatchSpec
 from fedmim.rng import Rng
 from fedmim.tgm import apply_uim, round_half_up, select_mask
 
-from conftest import record_criterion, random_sample
+from conftest import random_sample, record_criterion, stack_samples
 from invariance import Case
 from oracles import (dense_loss, dense_rows, finite_diff_grad, gaussian_kernel, points_mask,
                      sector_exterior)
@@ -56,7 +56,7 @@ def test_criterion_1_gradient_correctness():
         cfg = ModelConfig(patch_dim=n, embed_dim=e, num_patches=4, seed=i)
         sample = random_sample(cfg, Rng(1000 + i))
         params = init_params(cfg)
-        _, grad = batch_loss_and_grad(params, cfg, prepare_batch(cfg, [sample]))
+        _, grad = batch_loss_and_grad(params, cfg, prepare_batch(cfg, *stack_samples([sample])))
         rows = dense_rows(cfg, [sample])
         fd = finite_diff_grad(lambda p: dense_loss(p, cfg, rows), params)
         worst = max(worst, float(rel_err(grad, fd).max()))
@@ -92,10 +92,10 @@ def test_criterion_2_fedavg_centralized_equivalence():
             fed.make_client(
                 cid,
                 model_cfg,
-                [
+                *stack_samples([
                     apply_uim(s.image, corr, 8, 8, 0.75, Rng(0).spawn(0, i))
                     for i, s in enumerate(dataset)
-                ],
+                ]),
             )
             for cid in range(k)
         ]

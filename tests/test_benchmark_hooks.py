@@ -15,7 +15,7 @@ from fedmim import model
 from fedmim.model import ModelConfig, prepare_batch, stack_batches
 from fedmim.rng import Rng
 
-from conftest import random_sample
+from conftest import random_sample, stack_samples
 from invariance import snippet
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -48,10 +48,11 @@ def test_every_traced_layer_resolves(tracer):
 def test_prepared_bytes_sizes_single_and_stacked_batches(tracer):
     cfg = ModelConfig(patch_dim=4, embed_dim=3, num_patches=4, seed=0)
     samples = [random_sample(cfg, Rng(i)) for i in range(3)]
-    batch = prepare_batch(cfg, samples)
+    batch = prepare_batch(cfg, *stack_samples(samples))
     dense = (batch.visible, batch.targets, batch.q_visible, batch.q_masked, batch.pe)
     assert tracer._prepared_bytes(batch) == sum(a.nbytes for a in dense)
-    stacked = stack_batches([prepare_batch(cfg, samples[:2]), prepare_batch(cfg, samples[2:])])
+    stacked = stack_batches([prepare_batch(cfg, *stack_samples(samples[:2])),
+                             prepare_batch(cfg, *stack_samples(samples[2:]))])
     assert tracer._prepared_bytes(stacked) == stacked.visible.nbytes + stacked.q_visible.nbytes
     assert stacked.visible.nbytes == batch.visible.nbytes == 3 * 2 * 4 * np.float64().nbytes
 
@@ -61,7 +62,7 @@ def test_traced_segment_counts_a_prepared_batch(tracer):
     samples = [random_sample(cfg, Rng(i)) for i in range(2)]
     run = tracer.Tracer()
     with run.segment():
-        batch = model.prepare_batch(cfg, samples)
+        batch = model.prepare_batch(cfg, *stack_samples(samples))
     assert model.prepare_batch is prepare_batch  # the original is put back
     spans, counts = run.summary()
     assert spans["model.prepare_batch"].calls == 1

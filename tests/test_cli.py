@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -482,6 +483,27 @@ def test_pretrain_resume_stops_at_first_nan_round(workspace, tmp_path, monkeypat
     assert len(calls) == 2 * per_round  # rounds 1 and 2, no later one
     assert {name: (out / name).read_bytes() for name in names} == head
     assert sorted(p.name for p in out.iterdir()) == sorted(names)
+
+
+def test_pretrain_trains_without_its_phantoms(tmp_path, monkeypatch):
+    # The clients own their patch rows, so no phantom outlives build_clients.
+    made, alive = [], []
+    generate, run = synth.generate_dataset, fed.run_pretraining
+
+    def recording_generate(*args, **kwargs):
+        dataset = generate(*args, **kwargs)
+        made.extend(weakref.ref(sample) for sample in dataset)
+        return dataset
+
+    def counting_run(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in made))
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(synth, "generate_dataset", recording_generate)
+    monkeypatch.setattr(fed, "run_pretraining", counting_run)
+    assert _run_config(SMOKE, ["--out", str(tmp_path / "run"), "pretrain"], tmp_path) \
+        == (EXIT_OK, "")
+    assert len(made) == SMOKE["synth"]["n"] and alive == [0]
 
 
 @pytest.mark.parametrize("case, code, message", [

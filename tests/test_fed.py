@@ -33,7 +33,7 @@ from fedmim.model import (
 )
 from fedmim.rng import Rng
 
-from conftest import random_sample
+from conftest import random_sample, stack_samples
 
 
 def small_cfg(seed=0):
@@ -42,12 +42,12 @@ def small_cfg(seed=0):
 
 def build_client(cid, cfg, n_samples, seed):
     samples = [random_sample(cfg, Rng(seed + i)) for i in range(n_samples)]
-    return make_client(cid, cfg, samples)
+    return make_client(cid, cfg, *stack_samples(samples))
 
 
 def test_make_client_rejects_empty():
     with pytest.raises(ValueError):
-        make_client(0, small_cfg(), [])
+        make_client(0, small_cfg(), np.empty((0, 4, 4)), np.empty((0, 4), dtype=bool))
 
 
 def test_local_update_zero_eta_is_identity():
@@ -128,9 +128,9 @@ def test_aggregate_errors():
 def test_global_loss_single_client_single_sample():
     cfg = small_cfg()
     sample = random_sample(cfg, Rng(0))
-    client = make_client(0, cfg, [sample])
+    client = make_client(0, cfg, *stack_samples([sample]))
     params = init_params(cfg)
-    expected, _ = batch_loss_and_grad(params, cfg, prepare_batch(cfg, [sample]))
+    expected, _ = batch_loss_and_grad(params, cfg, prepare_batch(cfg, *stack_samples([sample])))
     assert global_loss(params, cfg, [client]) == pytest.approx(expected, abs=1e-15)
 
 

@@ -58,6 +58,14 @@ def test_patchify_row_major_order():
     np.testing.assert_array_equal(patches[1], [2.0, 3.0, 6.0, 7.0])
 
 
+def test_patchify_writes_into_a_row_of_a_stack():
+    img = np.arange(24.0).reshape(4, 6)
+    stack = np.zeros((3, 6, 4))
+    assert np.shares_memory(patchify(img, 2, 2, out=stack[1]), stack)
+    np.testing.assert_array_equal(stack[1], patchify(img, 2, 2))
+    np.testing.assert_array_equal(stack[[0, 2]], 0.0)
+
+
 def test_patchify_rejects_non_divisible():
     with pytest.raises(FedmimError, match="^patch size 2x2 does not tile image 5x4$"):
         patchify(np.zeros((5, 4)), 2, 2)

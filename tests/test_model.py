@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from fedmim.pipeline import PatchSpec, build_clients
 from fedmim.rng import Rng
 from fedmim.tgm import partition_image
 
-from conftest import explicit_sample, random_sample
+from conftest import explicit_sample, random_sample, stack_samples
 from invariance import snippet
 from oracles import (activation, dense_loss, dense_loss_and_grad, dense_rows,
                      finite_diff_grad, loss_and_grad, sample_major_loss_and_grad)
@@ -100,31 +101,38 @@ def test_forward_requires_visible():
     cfg = small_cfg()
     sample = explicit_sample(cfg, np.zeros((4, 4)), masked=(0, 1, 2, 3))
     with pytest.raises(FedmimError, match="^need at least one visible patch$"):
-        batch_loss_and_grad(init_params(cfg), cfg, prepare_batch(cfg, [sample]))
+        batch_loss_and_grad(init_params(cfg), cfg, prepare_batch(cfg, *stack_samples([sample])))
 
 
 def test_loss_invariant_to_sample_order():
     cfg = small_cfg()
     params = init_params(cfg)
     samples = [random_sample(cfg, Rng(i)) for i in range(5)]
-    loss_a, grad_a = batch_loss_and_grad(params, cfg, prepare_batch(cfg, samples))
+    loss_a, grad_a = batch_loss_and_grad(params, cfg, prepare_batch(cfg, *stack_samples(samples)))
     shuffled = [samples[i] for i in (3, 0, 4, 2, 1)]
-    loss_b, grad_b = batch_loss_and_grad(params, cfg, prepare_batch(cfg, shuffled))
+    loss_b, grad_b = batch_loss_and_grad(params, cfg, prepare_batch(cfg, *stack_samples(shuffled)))
     assert abs(loss_a - loss_b) <= 1e-12 * loss_a
     np.testing.assert_allclose(grad_a, grad_b, atol=1e-12)
 
 
-# Batches that prepare_batch must reject, built from one sample (p, m) of
-# small_cfg, whose mask masks 2 of its 4 patches, each with its message.
+# Patch and mask stacks that prepare_batch must reject, built from one
+# sample (p, m) of small_cfg, whose mask masks 2 of its 4 patches, each with
+# its message.
 BAD_SAMPLES = {
-    "mask-length": (lambda p, m: [(p, m[:3])],
-                    r"^samples must be .* got \(4, 4\) and \(3,\) bool$"),
-    "mask-lengths-differ": (lambda p, m: [(p, m), (p, m[:3])], "^samples do not stack: "),
-    "patch-rows": (lambda p, m: [(p[:3], m)], r"^samples must be .* got \(3, 4\) and \(4,\) bool$"),
-    "non-bool-mask": (lambda p, m: [(p, m.astype(np.int64))],
-                      r"^samples must be .* got \(4, 4\) and \(4,\) int64$"),
-    "masked-counts-differ": (lambda p, m: [(p, m), (p, np.arange(4) < 3)],
+    "mask-length": (lambda p, m: (p[None], m[None, :3]),
+                    r"^samples must be .* got \(1, 4, 4\) float64 and \(1, 3\) bool$"),
+    "mask-lengths-differ": (lambda p, m: (np.stack([p, p]), m[None]),
+                            r"^samples must be .* got \(2, 4, 4\) float64 and \(1, 4\) bool$"),
+    "patch-rows": (lambda p, m: (p[None, :3], m[None]),
+                   r"^samples must be .* got \(1, 3, 4\) float64 and \(1, 4\) bool$"),
+    "non-bool-mask": (lambda p, m: (p[None], m[None].astype(np.int64)),
+                      r"^samples must be .* got \(1, 4, 4\) float64 and \(1, 4\) int64$"),
+    "masked-counts-differ": (lambda p, m: stack_samples([(p, m), (p, np.arange(4) < 3)]),
                              "^samples mask different numbers of patches$"),
+    "non-float-patches": (lambda p, m: (p[None].astype(np.float32), m[None]),
+                          r"^samples must be .* got \(1, 4, 4\) float32 and \(1, 4\) bool$"),
+    "no-samples": (lambda p, m: (p[None][:0], m[None][:0]),
+                   r"^samples must be .* got \(0, 4, 4\) float64 and \(0, 4\) bool$"),
 }
 
 
@@ -134,7 +142,7 @@ def test_prepare_batch_rejects_bad_samples(case):
     patches, mask = random_sample(cfg, Rng(0))
     build, message = BAD_SAMPLES[case]
     with pytest.raises(FedmimError, match=message):
-        prepare_batch(cfg, build(patches, mask))
+        prepare_batch(cfg, *build(patches, mask))
 
 
 def test_build_clients_rejects_a_mask_of_no_patch():
@@ -161,6 +169,27 @@ def test_build_clients_rejects_images_of_two_shapes(monkeypatch):
         build_clients(dataset, 2, 0.5, cfg, CorruptionConfig(), PatchSpec(8, 8, 0.75), 7)
 
 
+def test_build_clients_holds_one_patch_stack_at_a_time():
+    # Above the dataset it is given, setup holds what it returns and, while
+    # a client is built, that client's patch stack (which its batch takes
+    # over), the centred embedding rows of its masked patches and the
+    # salt-and-pepper codes of every image: no per-sample patch copies, no
+    # second stack, no separate centred-target array.
+    cfg = ModelConfig(patch_dim=64, embed_dim=32, num_patches=64, seed=7)
+    dataset = synth.generate_dataset(128, (0.35, 0.35, 0.3), Rng(7), synth.PhantomSpec())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        clients = build_clients(
+            dataset, 4, 0.5, cfg, CorruptionConfig(), PatchSpec(8, 8, 0.75), 7)
+        kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    n_k = max(client.num_samples for client in clients)
+    stack, centred_q, codes = 8 * n_k * 64 * 64, 8 * n_k * 48 * 32, 128 * 64 * 64
+    assert peak <= kept + stack + centred_q + codes, (peak, kept, stack)
+
+
 def test_analytic_gradient_matches_finite_differences():
     for seed in range(5):
         cfg = small_cfg(seed)
@@ -175,7 +204,7 @@ def test_batch_loss_is_mean_of_sample_losses():
     cfg = small_cfg()
     params = init_params(cfg)
     samples = [random_sample(cfg, Rng(i)) for i in range(3)]
-    batch = prepare_batch(cfg, samples)
+    batch = prepare_batch(cfg, *stack_samples(samples))
     loss_b, grad_b = batch_loss_and_grad(params, cfg, batch)
     losses, grads = zip(*(loss_and_grad(params, cfg, s) for s in samples))
     assert loss_b == pytest.approx(np.mean(losses), abs=1e-12)
@@ -188,16 +217,16 @@ def test_stacked_batches_match_one_batch_of_all_samples():
     cfg = small_cfg()
     params = init_params(cfg)
     samples = [random_sample(cfg, Rng(i)) for i in range(6)]
-    parts = [prepare_batch(cfg, samples[a:b]) for a, b in ((0, 3), (3, 4), (4, 6))]
+    parts = [prepare_batch(cfg, *stack_samples(samples[a:b])) for a, b in ((0, 3), (3, 4), (4, 6))]
     stacked = stack_batches(parts)
     assert stacked.size == 6 and stacked.n_mask == 2 and stacked.targets is None
     loss_a, grad_a = batch_loss_and_grad(params, cfg, stacked)
-    loss_b, grad_b = batch_loss_and_grad(params, cfg, prepare_batch(cfg, samples))
+    loss_b, grad_b = batch_loss_and_grad(params, cfg, prepare_batch(cfg, *stack_samples(samples)))
     assert abs(loss_a - loss_b) <= 1e-12 * loss_b
     assert np.abs(grad_a - grad_b).max() <= 1e-12 * np.abs(grad_b).max()
     other = explicit_sample(cfg, np.zeros((4, 4)), masked=(0, 1, 2))
     with pytest.raises(FedmimError, match="visible or masked patch counts"):
-        stack_batches([parts[0], prepare_batch(cfg, [other])])
+        stack_batches([parts[0], prepare_batch(cfg, *stack_samples([other]))])
 
 
 @given(
@@ -222,7 +251,7 @@ def test_stats_path_matches_dense_path(n, n_vis, n_mask, patch_dim, embed_dim, s
         patches = gen.uniform(0.0, 255.0, (cfg.num_patches, patch_dim))
         samples.append(explicit_sample(cfg, patches, order[:n_mask]))
     params = gen.normal(0.0, 0.5, cfg.param_count)
-    batch = prepare_batch(cfg, samples)
+    batch = prepare_batch(cfg, *stack_samples(samples))
     loss_a, grad_a = batch_loss_and_grad(params, cfg, batch)
     loss_b, grad_b = dense_loss_and_grad(params, cfg, dense_rows(cfg, samples))
     assert abs(loss_a - loss_b) <= 1e-12 * loss_b
@@ -262,7 +291,7 @@ def test_patch_major_step_matches_sample_major_oracle(n, n_vis, n_mask, patch_di
         patches = gen.uniform(0.0, 255.0, (cfg.num_patches, patch_dim))
         samples.append(explicit_sample(cfg, patches, order[:n_mask]))
     params = gen.normal(0.0, 0.5, cfg.param_count)
-    batch = prepare_batch(cfg, samples)
+    batch = prepare_batch(cfg, *stack_samples(samples))
     loss_a, grad_a = batch_loss_and_grad(params, cfg, batch)
     loss_b, grad_b = sample_major_loss_and_grad(params, cfg, batch)
     if embed_dim >= 2:
@@ -275,12 +304,24 @@ def test_patch_major_step_matches_sample_major_oracle(n, n_vis, n_mask, patch_di
 def test_prepared_rows_are_views_of_patch_major_arrays():
     cfg = small_cfg()
     samples = [random_sample(cfg, Rng(i)) for i in range(3)]
-    batch = stack_batches([prepare_batch(cfg, samples[:2]), prepare_batch(cfg, samples[2:])])
+    batch = stack_batches([prepare_batch(cfg, *stack_samples(samples[:2])),
+                           prepare_batch(cfg, *stack_samples(samples[2:]))])
     for rows in (batch.visible, batch.q_visible):
         assert rows.transpose(1, 0, 2).flags.c_contiguous
     for i, (patches, masked) in enumerate(samples):
         np.testing.assert_array_equal(batch.visible[i], patches[~masked] / 255.0)
         np.testing.assert_array_equal(batch.q_visible[i], positional_embeddings(4, 3)[~masked])
+
+
+def test_batch_keeps_no_view_of_the_stack_it_takes_over():
+    # prepare_batch writes the centred masked rows over the patch stack, so
+    # no array of the batch may share memory with it.
+    cfg = small_cfg()
+    patches, masked = stack_samples([random_sample(cfg, Rng(i)) for i in range(3)])
+    batch = prepare_batch(cfg, patches, masked)
+    arrays = [v for v in vars(batch).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 9
+    assert not any(np.shares_memory(a, patches) for a in arrays)
 
 
 # Client sizes of the BLAS thread sweep: every size up to 160, and sizes
@@ -302,7 +343,7 @@ def gradient_digests(sizes) -> list[str]:
     params = init_params(cfg)
     digests = []
     for n in sizes:
-        batch = prepare_batch(cfg, [samples[i % len(samples)] for i in range(n)])
+        batch = prepare_batch(cfg, *stack_samples([samples[i % len(samples)] for i in range(n)]))
         loss, grad = batch_loss_and_grad(params, cfg, batch)
         digests.append(hashlib.sha256(np.float64(loss).tobytes() + grad.tobytes()).hexdigest())
     return digests
@@ -347,9 +388,10 @@ def test_stats_loss_matches_residual_sum_after_training(monkeypatch):
     dataset = synth.generate_dataset(512, (0.35, 0.35, 0.3), Rng(7), synth.PhantomSpec())
     samples = []
 
-    def recording_make_client(cid, model_cfg, prepared):
-        samples.append(prepared)
-        return make_client(cid, model_cfg, prepared)
+    def recording_make_client(cid, model_cfg, patches, masked):
+        # Copies: the client's batch overwrites the patch stack it is given.
+        samples.append(list(zip(patches.copy(), masked.copy())))
+        return make_client(cid, model_cfg, patches, masked)
 
     monkeypatch.setattr(pipeline, "make_client", recording_make_client)
     clients = build_clients(

@@ -311,13 +311,13 @@ def test_jump_by_d_is_d_draws(seed, d):
     assert jumped[:, 0, 0].tolist() == rng._s
 
 
-def test_streams_of_8192_draws_jump_up_to_256_lanes():
-    assert [_cut(n, 8192)[0] > 1 for n in (1, 3, 64, 255, 256, 257, 300, 512)] == \
-        [True] * 5 + [False] * 3
+def test_streams_of_8192_draws_jump_up_to_512_lanes():
+    assert [_cut(n, 8192)[0] > 1 for n in (1, 3, 64, 255, 256, 257, 300, 512, 513, 1024)] == \
+        [True] * 8 + [False] * 2
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 3, 127, 4097, 8192])
-@pytest.mark.parametrize("n", [1, 3, 64, 255, 256, 257, 300])
+@pytest.mark.parametrize("n", [1, 3, 64, 255, 256, 257, 300, 512, 513])
 def test_lockstep_draws_on_both_sides_of_the_cut(monkeypatch, n, count):
     # Every lane and end state equals the uncut lockstep path's, and the
     # first and last lanes equal their scalar streams.

@@ -30,7 +30,7 @@ def test_no_speckle_no_lesion_is_constant():
     spec = PhantomSpec(width=16, height=16, background_level=150.0, speckle_strength=0.0)
     sample = generate_phantom(spec, Rng(0))
     np.testing.assert_array_equal(sample.image, np.full((16, 16), 150.0))
-    np.testing.assert_array_equal(sample.lesion_mask, 0.0)
+    np.testing.assert_array_equal(sample.lesion_mask, False)
     assert sample.label == NONE
     assert sample.mode == LINEAR
 
@@ -54,7 +54,7 @@ def test_benign_lesion_is_exact_ellipse():
     sample = generate_phantom(spec, Rng(0), lesion, BENIGN)
     ys, xs = np.mgrid[0:32, 0:32].astype(np.float64)
     inside = ((xs - 16.0) / 6.0) ** 2 + ((ys - 16.0) / 4.0) ** 2 <= 1.0
-    np.testing.assert_array_equal(sample.lesion_mask, inside.astype(np.float64))
+    np.testing.assert_array_equal(sample.lesion_mask, inside)
     np.testing.assert_allclose(sample.image[inside], 90.0)
     np.testing.assert_allclose(sample.image[~inside], 150.0)
 
@@ -67,11 +67,11 @@ def test_lesion_contrast_within_speckle_noise():
     deltas = []
     for seed in range(5):
         s = generate_phantom(spec, Rng(seed), lesion, BENIGN)
-        m = s.lesion_mask > 0.5
+        m = s.lesion_mask
         deltas.append(s.image[m].mean() - s.image[~m].mean())
     # Speckle sd per pixel ~ strength * level * sqrt(2 - pi/2) / sqrt(pi/2);
     # with hundreds of pixels averaged, 3 sigma is a few intensity units.
-    n_in = int((s.lesion_mask > 0.5).sum())
+    n_in = int(s.lesion_mask.sum())
     sd = 0.25 * 150.0 * math.sqrt(4.0 / math.pi - 1.0)
     bound = 3.0 * sd * math.sqrt(1.0 / n_in + 1.0 / (64 * 64 - n_in))
     assert abs(np.mean(deltas) + 60.0) < bound + 3.0  # +3 for clip/irregular edge
@@ -224,10 +224,11 @@ def test_generate_dataset_lanes_equal_each_phantom_alone():
         image, mask, mode = alone.image, alone.lesion_mask, LINEAR
         if rng.random() < 0.5:
             image = linear_to_convex(image)
-            mask = (linear_to_convex(mask) >= 0.5).astype(np.float64)
+            mask = linear_to_convex(mask) >= 0.5
             mode = CONVEX
         assert (sample.label, sample.mode) == (label, mode)
         assert sample.image.tobytes() == image.tobytes()
+        assert sample.lesion_mask.dtype == mask.dtype == np.bool_
         assert sample.lesion_mask.tobytes() == mask.tobytes()
     assert {s.mode for s in samples} == {LINEAR, CONVEX}
     assert {s.label for s in samples} == {BENIGN, MALIGNANT, NONE}
